@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-    mgnt <gen-data|train|eval|rollout|export-attention|verify>
-         [--config PATH] [--out DIR] [--seed N] [--workers N] [--resume]
+    mgnt gen-data [--config PATH] --out DIR [--seed N] [--workers N]
+    mgnt train [--config PATH] --out DIR [--seed N] --data DIR [--resume]
+    mgnt <eval|rollout|export-attention> [--config PATH] --out DIR [--seed N] ...
+    mgnt verify
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 training
 abort, 4 schema mismatch.  Every command echoes its resolved configuration
@@ -15,17 +17,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import config as C
 from .container import write_arrays
-from .data import (Trajectory, feature_dims, get_schema, load_split,
+from .data import (GraphConfig, Trajectory, feature_dims, get_schema, load_split,
                    prepare_trajectory)
 from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort
 from .oracle import gen_chain_dataset, gen_dataset
 from .rollout import evaluate, export_attention, rollout
 from .train import fit, load_checkpoint, write_history_csv
+from .verify import main_verify
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,10 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key-value config file")
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override all seeds")
-        p.add_argument("--workers", type=int, default=1)
         return p
 
-    common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
+    p = common(sub.add_parser("gen-data", help="generate a synthetic dataset"))
+    p.add_argument("--workers", type=int, default=1)
     p = common(sub.add_parser("train", help="train from a dataset manifest"))
     p.add_argument("--data", required=True, help="dataset directory (with manifest.json)")
     p.add_argument("--resume", action="store_true")
@@ -73,9 +77,7 @@ def _checkpoint_context(path: str):
     state = load_checkpoint(path)
     meta = state["meta"]
     schema = get_schema(meta["schema"])
-    gdict = meta.get("graph_config", {})
-    from .data import GraphConfig
-    gcfg = GraphConfig(**{**gdict, "contact_radius": gdict.get("contact_radius")})
+    gcfg = GraphConfig(**meta.get("graph_config", {}))
     target_mode = meta.get("train_config", {}).get("target_mode", "absolute")
     return state, schema, gcfg, target_mode
 
@@ -114,7 +116,6 @@ def _cmd_train(args) -> int:
         raise ConfigError("dataset has no training trajectories")
     mcfg = C.model_config(cfg, feature_dims(schema, gcfg))
     tcfg = C.train_config(cfg)
-    from dataclasses import asdict
     result = fit(prepared["train"], mcfg, tcfg, out_dir=args.out,
                  resume=args.resume, progress=True,
                  extra_meta={"graph_config": asdict(gcfg)})
@@ -255,7 +256,6 @@ def main(argv=None) -> int:
         if args.command == "export-attention":
             return _cmd_export_attention(args)
         if args.command == "verify":
-            from .verify import main_verify
             return main_verify()
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

@@ -12,11 +12,15 @@ entry of ``arrays`` is ``{"name", "dtype", "shape", "byte_offset"}``.  Dtypes
 are ``"f64"`` or ``"i64"``; ``byte_offset`` is relative to the end of the
 header so the header can be serialized before the payload section exists.
 Writing the result of a read reproduces the original file byte for byte.
+A write goes to a temporary file in the target's directory that then
+replaces the target, so an interrupted write leaves the old file intact.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Any, Mapping
 
@@ -57,12 +61,42 @@ def write_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict | None 
         offset += len(raw)
     header = {"arrays": entries, "meta": meta if meta is not None else {}}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header_bytes)))
-        f.write(header_bytes)
-        for raw in payloads:
-            f.write(raw)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", len(header_bytes)))
+            f.write(header_bytes)
+            for raw in payloads:
+                f.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _entry_fields(path: str, entry: Any) -> tuple[str, np.dtype, tuple[int, ...], int]:
+    """(name, dtype, shape, byte_offset) of one header entry, or SchemaFormatError."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise SchemaFormatError(f"{path}: array entry without a string name: {entry!r}")
+    name = entry["name"]
+    tag = entry.get("dtype")
+    if not isinstance(tag, str) or tag not in _DTYPE_TAGS:
+        raise SchemaFormatError(f"{path}: unknown dtype tag {tag!r} for {name!r}")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(_is_count(s) for s in shape):
+        raise SchemaFormatError(f"{path}: shape {shape!r} of {name!r} is not a list "
+                                "of non-negative ints")
+    start = entry.get("byte_offset")
+    if not _is_count(start):
+        raise SchemaFormatError(f"{path}: byte_offset {start!r} of {name!r} is not a "
+                                "non-negative int")
+    return name, _DTYPE_TAGS[tag], tuple(shape), start
 
 
 def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -81,19 +115,18 @@ def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(blob[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaFormatError(f"{path}: invalid JSON header: {exc}") from exc
+    if (not isinstance(header, dict) or not isinstance(header.get("arrays", []), list)
+            or not isinstance(header.get("meta", {}), dict)):
+        raise SchemaFormatError(f"{path}: header is not an object with an arrays list "
+                                "and a meta object")
     payload = blob[header_end:]
     arrays: dict[str, np.ndarray] = {}
     expected_end = 0
     for entry in header.get("arrays", []):
-        name = entry["name"]
-        tag = entry["dtype"]
-        if tag not in _DTYPE_TAGS:
-            raise SchemaFormatError(f"{path}: unknown dtype tag {tag!r} for {name!r}")
-        dt = _DTYPE_TAGS[tag]
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = int(entry["byte_offset"])
-        end = start + count * dt.itemsize
+        name, dt, shape, start = _entry_fields(path, entry)
+        if name in arrays:
+            raise SchemaFormatError(f"{path}: duplicate array name {name!r}")
+        end = start + math.prod(shape) * dt.itemsize
         if end > len(payload):
             raise SchemaFormatError(f"{path}: payload truncated for array {name!r}")
         arrays[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()

@@ -24,8 +24,7 @@ import numpy as np
 
 from .container import meta_to_json, read_arrays, write_arrays
 from .errors import ValidationError
-from .mesh import (NODE_DEFORMABLE, FrameState, GraphSample, Mesh, MeshGraph,
-                   build_graph_sample, contact_edge_features, mesh_edge_features,
+from .mesh import (NODE_DEFORMABLE, GraphSample, Mesh, MeshGraph, build_graph_sample,
                    one_hot_types, prepare_mesh)
 
 N_TYPES = 4
@@ -82,10 +81,6 @@ class ImpactSchema:
 
     def node_feature_dim(self) -> int:
         return 2 + 2 + 1 + 1 + N_TYPES
-
-    def build_mesh(self, traj: Trajectory) -> Mesh:
-        a = traj.arrays
-        return Mesh(a["X"], a["elements"], a["node_type"], a["component_id"])
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
@@ -163,10 +158,6 @@ class ChainSchema:
 
     def node_feature_dim(self) -> int:
         return 1 + 1 + N_TYPES
-
-    def build_mesh(self, traj: Trajectory) -> Mesh:
-        a = traj.arrays
-        return Mesh(a["X"], a["elements"], a["node_type"], a["component_id"])
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
@@ -247,20 +238,8 @@ class PreparedTrajectory:
 
     def sample_from_frame(self, frame: dict) -> GraphSample:
         features = self.schema.node_features(frame, self.graph.mesh.node_type)
-        state = FrameState(positions=frame["x"], state=frame)
-        if self.graph_cfg.use_contact:
-            return build_graph_sample(self.graph, state, features)
-        x_t = frame["x"]
-        return GraphSample(
-            node_features=features,
-            mesh_edges=self.graph.mesh_edges,
-            mesh_edge_features=mesh_edge_features(
-                self.graph.mesh.reference_positions, x_t, self.graph.mesh_edges),
-            contact_edges=np.zeros((0, 2), dtype=np.int64),
-            contact_edge_features=np.zeros((0, self.graph.mesh.dim + 1)),
-            positional_encoding=self.graph.positional,
-            node_type=self.graph.mesh.node_type,
-        )
+        return build_graph_sample(self.graph, frame["x"], features,
+                                  self.graph_cfg.use_contact)
 
     def sample(self, t: int) -> GraphSample:
         if not 0 <= t < self.traj.n_frames:
@@ -276,9 +255,9 @@ class PreparedTrajectory:
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
-    mesh = schema.build_mesh(traj)
+    a = traj.arrays
     graph = prepare_mesh(
-        mesh,
+        Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
         tied_k=graph_cfg.tied_k,
         tied_cutoff_factor=graph_cfg.tied_cutoff_factor,
         contact_radius=graph_cfg.contact_radius,

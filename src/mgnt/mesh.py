@@ -6,6 +6,12 @@ offsets, dynamically detected contact edges with current offsets, and a
 per-component stationary-wave positional encoding over the undeformed
 geometry.  All edge features are built from relative quantities, so a rigid
 translation of reference and current positions together changes nothing.
+
+Every collection of node pairs here (mesh edges, tied edges, contact edges,
+contact exclusions) has one format: a ``[K, 2]`` int64 array of (source,
+target) rows, sorted ascending and free of duplicates.  ``_pairs`` builds it
+from the keys ``source * N + target``, whose sorted unique values are exactly
+the lexicographically sorted unique pairs.
 """
 
 from __future__ import annotations
@@ -54,14 +60,6 @@ class Mesh:
 
 
 @dataclass
-class FrameState:
-    """One time step's per-node state: positions plus named dynamic arrays."""
-
-    positions: np.ndarray            # [N, d] current configuration
-    state: dict[str, np.ndarray]     # e.g. {"v": [N,d], "alpha": [N], "kappa": [N]}
-
-
-@dataclass
 class GraphSample:
     """Everything the model consumes for one (or one merged batch of) frames."""
 
@@ -90,6 +88,16 @@ _ELEMENT_PERIMETERS = {
 }
 
 
+def _pairs(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Sorted, de-duplicated ``[K, 2]`` pairs of node ids below ``n``."""
+    keys = np.unique(np.asarray(src, dtype=np.int64) * n + dst)
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def _both_ways(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    return _pairs(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+
+
 def build_mesh_edges(mesh: Mesh) -> np.ndarray:
     """Directed mesh edges: undirected element edges emitted both ways.
 
@@ -101,15 +109,13 @@ def build_mesh_edges(mesh: Mesh) -> np.ndarray:
     k = mesh.elements.shape[1]
     if k not in _ELEMENT_PERIMETERS:
         raise ValidationError(f"unsupported element arity {k}")
-    pairs = set()
-    for elem in mesh.elements:
-        if len(set(elem.tolist())) != k:
-            raise ValidationError(f"degenerate element with repeated node index: {elem.tolist()}")
-        for a, b in _ELEMENT_PERIMETERS[k]:
-            i, j = int(elem[a]), int(elem[b])
-            pairs.add((i, j))
-            pairs.add((j, i))
-    return np.array(sorted(pairs), dtype=np.int64)
+    ordered = np.sort(mesh.elements, axis=1)
+    degenerate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if degenerate.any():
+        elem = mesh.elements[np.argmax(degenerate)]
+        raise ValidationError(f"degenerate element with repeated node index: {elem.tolist()}")
+    a, b = np.array(_ELEMENT_PERIMETERS[k]).T
+    return _both_ways(mesh.elements[:, a].ravel(), mesh.elements[:, b].ravel(), mesh.n_nodes)
 
 
 def build_tied_edges(mesh: Mesh, k: int = 3, interface_cutoff: float | None = None) -> np.ndarray:
@@ -117,8 +123,8 @@ def build_tied_edges(mesh: Mesh, k: int = 3, interface_cutoff: float | None = No
 
     Only nodes within ``interface_cutoff`` of some other component are tied
     (default: 3x the median mesh edge length); for each such node, edges to
-    its k nearest nodes of other components, symmetrized.  A single-component
-    mesh yields no edges.
+    its k nearest nodes of other components (ties to the lower node id),
+    symmetrized.  A single-component mesh yields no edges.
     """
     if k < 1:
         raise ValidationError(f"tied-edge neighbor count must be >= 1, got {k}")
@@ -129,23 +135,15 @@ def build_tied_edges(mesh: Mesh, k: int = 3, interface_cutoff: float | None = No
     if interface_cutoff is None:
         interface_cutoff = 3.0 * median_edge_length(mesh)
     diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
     other = mesh.component_id[:, None] != mesh.component_id[None, :]
-    pairs = set()
-    for i in range(mesh.n_nodes):
-        cross = np.where(other[i])[0]
-        if cross.size == 0:
-            continue
-        d = dist[i, cross]
-        if d.min() > interface_cutoff:
-            continue
-        nearest = cross[np.argsort(d, kind="stable")[:k]]
-        for j in nearest:
-            pairs.add((i, int(j)))
-            pairs.add((int(j), i))
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(sorted(pairs), dtype=np.int64)
+    dist = np.where(other, np.sqrt((diff * diff).sum(-1)), np.inf)
+    rows = np.flatnonzero(dist.min(axis=1) <= interface_cutoff)
+    # a stable sort puts each row's foreign nodes first, nearest first
+    nearest = np.argsort(dist[rows], axis=1, kind="stable")[:, :k]
+    src = np.repeat(rows, nearest.shape[1])
+    dst = nearest.ravel()
+    foreign = other[src, dst]
+    return _both_ways(src[foreign], dst[foreign], mesh.n_nodes)
 
 
 def median_edge_length(mesh: Mesh) -> float:
@@ -157,27 +155,14 @@ def median_edge_length(mesh: Mesh) -> float:
     return float(np.median(np.sqrt((d * d).sum(-1))))
 
 
-def _edge_key_set(edges: np.ndarray) -> set[tuple[int, int]]:
-    return {(int(a), int(b)) for a, b in edges}
-
-
-def same_element_pairs(mesh: Mesh) -> set[tuple[int, int]]:
-    """All directed node pairs sharing an element (quad diagonals included)."""
-    pairs: set[tuple[int, int]] = set()
-    for elem in mesh.elements:
-        nodes = elem.tolist()
-        for i in nodes:
-            for j in nodes:
-                if i != j:
-                    pairs.add((int(i), int(j)))
-    return pairs
-
-
 def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
-                                    excluded: set[tuple[int, int]]) -> np.ndarray:
-    """Reference O(N^2) scan; the spatial hash is validated against this."""
+                                    excluded) -> np.ndarray:
+    """Reference O(N^2) scan; the cell search is validated against this.
+
+    ``excluded`` is any iterable of (source, target) pairs."""
     if r_c <= 0:
         raise ValidationError(f"contact radius must be positive, got {r_c}")
+    excluded = {(int(a), int(b)) for a, b in excluded}
     x = np.asarray(positions, dtype=np.float64)
     diff = x[:, None, :] - x[None, :, :]
     dist = np.sqrt((diff * diff).sum(-1))
@@ -190,39 +175,53 @@ def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
 
 
-def detect_contact_edges(positions: np.ndarray, r_c: float,
-                         excluded: set[tuple[int, int]] | None = None) -> np.ndarray:
+# Cell coordinates are clipped to +-2**61 so that they convert to int64 for
+# any finite position, and their shifted spans stay below 2**63.  Clipping
+# only merges cells that are more than r_c apart, which adds candidates that
+# the exact distance test then drops.
+_CELL_LIMIT = 2.0 ** 61
+
+
+def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np.ndarray:
     """All directed pairs closer than r_c, minus excluded pairs.
 
-    Uses a uniform spatial hash with cell size r_c, so only the 3^d
-    neighboring cells need checking per node.  Output is sorted ascending by
-    (source, target).
+    Cell search on a uniform grid of cell size r_c: nodes are sorted by an
+    int64 cell key, and for each of the 3^d neighboring-cell offsets one
+    ``searchsorted`` over the sorted keys yields every node of that cell.
+    The key is the mixed-radix index of the cell in the grid's bounding box
+    padded by one cell, so it is exact while that box has fewer than 2**63
+    cells; past that it wraps, distinct cells may share a key, and the
+    extra candidates fall to the exact ``< r_c**2`` test and the pair
+    de-duplication.  ``excluded`` is a set or list of pairs or a ``[K, 2]``
+    array.  Output is sorted ascending by (source, target).
     """
     if r_c <= 0:
         raise ValidationError(f"contact radius must be positive, got {r_c}")
     x = np.asarray(positions, dtype=np.float64)
     n, d = x.shape
-    excluded = excluded or set()
-    cells: dict[tuple[int, ...], list[int]] = {}
-    keys = np.floor(x / r_c).astype(np.int64)
-    for i in range(n):
-        cells.setdefault(tuple(keys[i]), []).append(i)
+    cells = np.clip(np.floor(x / r_c), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
+    cells -= cells.min(axis=0, initial=0)
+    radix = cells.max(axis=0, initial=0) + 3
+    strides = np.cumprod(np.r_[1, radix[:0:-1]])[::-1]
+    keys = cells @ strides
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    r2 = r_c * r_c
-    pairs = []
-    for i in range(n):
-        base = keys[i]
-        for off in offsets:
-            bucket = cells.get(tuple(base + off))
-            if not bucket:
-                continue
-            for j in bucket:
-                if j == i:
-                    continue
-                delta = x[i] - x[j]
-                if delta @ delta < r2 and (i, j) not in excluded:
-                    pairs.append((i, j))
-    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    query = (keys[:, None] + offsets @ strides).ravel()
+    lo = np.searchsorted(sorted_keys, query, side="left")
+    counts = np.searchsorted(sorted_keys, query, side="right") - lo
+    src = np.repeat(np.arange(n).repeat(offsets.shape[0]), counts)
+    dst = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    delta = x[src] - x[dst]
+    near = (src != dst) & ((delta * delta).sum(axis=1) < r_c * r_c)
+    src, dst = src[near], dst[near]
+    if excluded is not None:
+        ex = np.asarray(list(excluded) if isinstance(excluded, (set, frozenset)) else excluded,
+                        dtype=np.int64).reshape(-1, 2)
+        ex = ex[((ex >= 0) & (ex < n)).all(axis=1)]  # others would alias in-range keys
+        keep = ~np.isin(src * n + dst, ex[:, 0] * n + ex[:, 1])
+        src, dst = src[keep], dst[keep]
+    return _pairs(src, dst, n)
 
 
 def mesh_edge_features(X: np.ndarray, x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -295,9 +294,9 @@ class MeshGraph:
     """A mesh preprocessed once: static edges, exclusions, encodings."""
 
     mesh: Mesh
-    mesh_edges: np.ndarray                 # element + tied edges, directed
-    excluded_pairs: set[tuple[int, int]]   # pairs never eligible for contact
-    positional: np.ndarray                 # [N, pe_dim]
+    mesh_edges: np.ndarray       # [Em, 2] element + tied edges, directed
+    excluded_pairs: np.ndarray   # [K, 2] pairs never eligible for contact
+    positional: np.ndarray       # [N, pe_dim]
     contact_radius: float
     median_edge: float
 
@@ -306,25 +305,34 @@ def prepare_mesh(mesh: Mesh, tied_k: int = 3, tied_cutoff_factor: float = 3.0,
                  contact_radius: float | None = None,
                  contact_radius_factor: float = 1.5,
                  n_frequencies: int = 8) -> MeshGraph:
-    """Build the static graph data reused by every frame of a trajectory."""
+    """Build the static graph data reused by every frame of a trajectory.
+
+    Contact is never sought between mesh-edge endpoints nor between any two
+    nodes of one element (quad diagonals included)."""
+    n = mesh.n_nodes
     med = median_edge_length(mesh)
-    edges = build_mesh_edges(mesh)
-    tied = build_tied_edges(mesh, k=tied_k, interface_cutoff=tied_cutoff_factor * med)
-    if tied.shape[0]:
-        merged = sorted(_edge_key_set(edges) | _edge_key_set(tied))
-        edges = np.array(merged, dtype=np.int64)
-    excluded = _edge_key_set(edges) | same_element_pairs(mesh)
+    edges = np.concatenate([
+        build_mesh_edges(mesh),
+        build_tied_edges(mesh, k=tied_k, interface_cutoff=tied_cutoff_factor * med)])
+    edges = _pairs(edges[:, 0], edges[:, 1], n)
+    a, b = np.nonzero(~np.eye(mesh.elements.shape[1], dtype=bool))
+    excluded = _pairs(np.concatenate([edges[:, 0], mesh.elements[:, a].ravel()]),
+                      np.concatenate([edges[:, 1], mesh.elements[:, b].ravel()]), n)
     r_c = contact_radius if contact_radius is not None else contact_radius_factor * med
     pe = positional_encoding(mesh.reference_positions, mesh.component_id, n_frequencies)
     return MeshGraph(mesh=mesh, mesh_edges=edges, excluded_pairs=excluded,
                      positional=pe, contact_radius=r_c, median_edge=med)
 
 
-def build_graph_sample(graph: MeshGraph, frame: FrameState,
-                       node_features: np.ndarray) -> GraphSample:
-    """Assemble one frame's sample: static edges plus fresh contact edges."""
-    x_t = np.asarray(frame.positions, dtype=np.float64)
-    contact = detect_contact_edges(x_t, graph.contact_radius, graph.excluded_pairs)
+def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
+                       node_features: np.ndarray, use_contact: bool) -> GraphSample:
+    """Assemble one frame's sample: static edges, plus contact edges searched
+    afresh at ``positions`` when ``use_contact`` is set."""
+    x_t = np.asarray(positions, dtype=np.float64)
+    if use_contact:
+        contact = detect_contact_edges(x_t, graph.contact_radius, graph.excluded_pairs)
+    else:
+        contact = np.zeros((0, 2), dtype=np.int64)
     return GraphSample(
         node_features=np.asarray(node_features, dtype=np.float64),
         mesh_edges=graph.mesh_edges,

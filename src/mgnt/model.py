@@ -30,6 +30,9 @@ from .tensor import Tape, Tensor
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Network architecture.  The defaults are the paper's Table 2 setting:
+    2+2 message passing, 2 blocks, 4 heads, 32 tokens."""
+
     node_feat_dim: int
     mesh_edge_feat_dim: int
     contact_edge_feat_dim: int
@@ -73,13 +76,6 @@ class ModelConfig:
         d = dict(d)
         d["transformer_dims"] = tuple(d["transformer_dims"])
         return cls(**d)
-
-
-def table2_config(node_feat_dim: int, mesh_edge_feat_dim: int, contact_edge_feat_dim: int,
-                  pe_dim: int, output_dim: int, **overrides) -> ModelConfig:
-    """Default architecture: 2+2 message passing, 2 blocks, 4 heads, 32 tokens."""
-    return ModelConfig(node_feat_dim, mesh_edge_feat_dim, contact_edge_feat_dim,
-                       pe_dim, output_dim, **overrides)
 
 
 def mgn_baseline_config(node_feat_dim: int, mesh_edge_feat_dim: int,

@@ -23,9 +23,6 @@ from .errors import RolloutAbort, ValidationError
 from .model import ModelConfig, forward
 from .train import Normalizer, make_batch
 
-DEFAULT_GROUPS = {"u": (0, 2), "v": (2, 4), "alpha": (4, 5)}
-
-
 @dataclass
 class RolloutResult:
     frames: list[dict]                      # state arrays per step, index 0 = initial
@@ -84,10 +81,6 @@ def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
 # ---------------------------------------------------------------------------
 # error metrics
 
-def _group_series(schema, arrays: dict) -> dict[str, np.ndarray]:
-    return schema.metric_series(arrays)
-
-
 def _rmse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"metric shapes differ: {a.shape} vs {b.shape}")
@@ -108,8 +101,8 @@ def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, 
     across per-trajectory values.  Predicted steps only (frame 0 is shared)."""
     per_var: dict[str, list[float]] = {}
     for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = _group_series(schema, pred)
-        gs = _group_series(schema, gt)
+        ps = schema.metric_series(pred)
+        gs = schema.metric_series(gt)
         for name in ps:
             per_var.setdefault(name, []).append(_rmse(ps[name][1:], gs[name][1:]))
     return {name: _aggregate(vals) for name, vals in per_var.items()}
@@ -145,8 +138,8 @@ def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, di
     per_var: dict[str, list[float]] = {}
     undefined: dict[str, int] = {}
     for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = _group_series(schema, pred)
-        gs = _group_series(schema, gt)
+        ps = schema.metric_series(pred)
+        gs = schema.metric_series(gt)
         for name in ps:
             inf_norm = float(np.abs(gs[name]).max())
             if inf_norm == 0.0:

@@ -22,7 +22,7 @@ from .container import read_arrays, write_arrays
 from .data import PreparedTrajectory
 from .errors import (BatchContractError, ConfigError, SchemaFormatError,
                      TrainingAbort, ValidationError)
-from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples
+from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples, normalize_sample_features
 from .model import ModelConfig, forward, init_params
 from .tensor import Tape, Tensor
 
@@ -113,7 +113,6 @@ class Normalizer:
                    contact_mean, contact_std, target_mean, target_std)
 
     def normalize_sample(self, sample: GraphSample) -> GraphSample:
-        from .mesh import normalize_sample_features
         return normalize_sample_features(
             sample, self.node_mean, self.node_std, self.mesh_mean, self.mesh_std,
             self.contact_mean, self.contact_std)

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from mgnt.cli import main
+from mgnt.cli import _build_parser, main
+from mgnt.container import MAGIC
 from mgnt.config import SCHEMA, format_config, load_config
 from mgnt.data import Trajectory
 from mgnt.errors import ConfigError
@@ -109,6 +111,14 @@ class TestGenData:
     def test_invalid_key_exit_2(self, tmp_path):
         cfg = _write(tmp_path, "bad.txt", "data.wrong = 1\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_workers_only_on_gen_data(self, tmp_path):
+        out = str(tmp_path / "o")
+        assert _build_parser().parse_args(
+            ["gen-data", "--out", out, "--workers", "2"]).workers == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", out, "--out", out, "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_chain_kind(self, tmp_path):
         cfg = _write(tmp_path, "chain.txt",
@@ -212,6 +222,18 @@ class TestRolloutCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "5" in err  # names the maximum supported horizon
+
+    def test_malformed_trajectory_exit_4(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        header = json.dumps({"arrays": [{"name": "x", "dtype": "f64", "shape": [1],
+                                         "byte_offset": -8}], "meta": {}}).encode()
+        bad = tmp_path / "bad.mgnt"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(8))
+        code = main(["rollout", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
+                     "--trajectory", str(bad), "--horizon", "1",
+                     "--out", str(tmp_path / "r3")])
+        assert code == 4
+        assert "byte_offset" in capsys.readouterr().err
 
 
 class TestExportAttention:

@@ -1,8 +1,12 @@
 """Binary container format: round trips, validation, dtype handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from mgnt import container
 from mgnt.container import MAGIC, read_arrays, write_arrays
 from mgnt.errors import SchemaFormatError
 
@@ -84,3 +88,83 @@ def test_magic_prefix_present(tmp_path):
     path = tmp_path / "m.mgnt"
     write_arrays(path, {"a": np.zeros(1)})
     assert path.read_bytes()[:8] == MAGIC
+
+
+def _craft(path, header, payload=b""):
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + payload)
+
+
+_GOOD = {"name": "a", "dtype": "f64", "shape": [1], "byte_offset": 0}
+
+
+@pytest.mark.parametrize("bad", [  # a None value leaves the key out
+    {"byte_offset": -8},
+    {"byte_offset": 0.0},
+    {"byte_offset": "0"},
+    {"byte_offset": None},
+    {"name": None},
+    {"name": 7},
+    {"dtype": None},
+    {"dtype": ["f64"]},
+    {"shape": None},
+    {"shape": 1},
+    {"shape": [-1]},
+    {"shape": [1.0]},
+    {"shape": [True]},
+    {"shape": ["1"]},
+], ids=lambda bad: "".join(f"{k}={v!r}" for k, v in bad.items()))
+def test_malformed_entry_rejected(tmp_path, bad):
+    entry = {k: v for k, v in {**_GOOD, **bad}.items() if v is not None}
+    path = tmp_path / "bad.mgnt"
+    _craft(path, {"arrays": [entry], "meta": {}}, np.ones(1).tobytes())
+    with pytest.raises(SchemaFormatError):
+        read_arrays(path)
+
+
+@pytest.mark.parametrize("header", [
+    [],
+    {"arrays": {"a": _GOOD}},
+    {"arrays": ["a"]},
+    {"arrays": [_GOOD, _GOOD]},
+    {"arrays": [_GOOD], "meta": []},
+    {"arrays": [{**_GOOD, "shape": [2**40, 2**40]}]},
+], ids=["list", "arrays-dict", "entry-str", "duplicate-name", "meta-list", "huge-shape"])
+def test_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "bad.mgnt"
+    _craft(path, header, np.ones(1).tobytes())
+    with pytest.raises(SchemaFormatError):
+        read_arrays(path)
+
+
+def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.mgnt"
+    write_arrays(path, {"a": np.arange(4.0)}, meta={"v": 1})
+    before = path.read_bytes()
+
+    class FailingFile:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, raw):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+            return self.f.write(raw)
+
+    monkeypatch.setattr(container, "open", lambda p, mode: FailingFile(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write_arrays(path, {"a": np.zeros(1000)}, meta={"v": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    arrays, meta = read_arrays(path)
+    np.testing.assert_array_equal(arrays["a"], np.arange(4.0))
+    assert meta == {"v": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.mgnt"]

@@ -75,6 +75,12 @@ class TestTiedEdges:
                 expected.add((j, i))
         assert set(map(tuple, tied)) == expected
 
+    def test_k_beyond_foreign_count_ties_every_foreign_node(self):
+        m = _mesh([[0, 0], [1, 0], [0, 1], [0.5, 0.5]], [[0, 1, 2]],
+                  comps=[0, 0, 0, 1])
+        tied = build_tied_edges(m, k=10, interface_cutoff=5.0)
+        assert set(map(tuple, tied)) == {(i, 3) for i in range(3)} | {(3, i) for i in range(3)}
+
     def test_far_components_not_tied(self):
         m = _mesh([[0, 0], [1, 0], [50, 0], [51, 0]], [[0, 1], [2, 3]],
                   comps=[0, 0, 1, 1])
@@ -115,6 +121,39 @@ class TestContactDetection:
         pts = rng.uniform(-1, 1, size=(40, 3))
         np.testing.assert_array_equal(detect_contact_edges(pts, 0.5, set()),
                                       detect_contact_edges_bruteforce(pts, 0.5, set()))
+
+    @pytest.mark.parametrize("pts,r_c", [
+        # lattice points exactly r_c apart, on cell boundaries
+        (np.stack(np.meshgrid(np.arange(5) * 0.5, np.arange(4) * 0.5), -1).reshape(-1, 2), 0.5),
+        (np.random.default_rng(12).uniform(-1, 1, size=(40, 2)) + 1e6, 0.4),
+        (np.random.default_rng(13).uniform(0, 0.1, size=(20, 2)), 1.0),   # one cell
+        (np.zeros((0, 2)), 1.0),
+        (np.zeros((1, 3)), 1.0),
+        (np.concatenate([np.random.default_rng(14).uniform(0, 1, size=(20, 3)),
+                         np.random.default_rng(15).uniform(0, 1, size=(20, 3)) + 1e7]),
+         1e-3),
+        # quotients past the int64 range, and near-coincident far-out points
+        (np.array([[1e307, 0.0], [1e307, 1e-3], [-1e307, 0.0], [0.0, 0.0]]), 1e-2),
+    ], ids=["boundaries", "offset-1e6", "one-cell", "empty", "one-node",
+            "clusters-1e7-apart", "huge"])
+    def test_matches_bruteforce_layouts(self, pts, r_c):
+        with np.errstate(over="ignore", invalid="raise"):  # no cast of inf to int
+            fast = detect_contact_edges(pts, r_c, set())
+            slow = detect_contact_edges_bruteforce(pts, r_c, set())
+        np.testing.assert_array_equal(fast, slow)
+        assert fast.dtype == np.int64 and fast.shape[1] == 2
+
+    def test_exclusion_formats_agree(self):
+        rng = np.random.default_rng(16)
+        pts = rng.uniform(-1, 1, size=(40, 2))
+        pairs = detect_contact_edges(pts, 0.5)[::3]
+        as_set = {(int(a), int(b)) for a, b in pairs}
+        edges = [detect_contact_edges(pts, 0.5, ex)
+                 for ex in (as_set, sorted(as_set), pairs, pairs[::-1])]
+        for other in edges[1:]:
+            np.testing.assert_array_equal(edges[0], other)
+        np.testing.assert_array_equal(edges[0],
+                                      detect_contact_edges_bruteforce(pts, 0.5, as_set))
 
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
@@ -216,6 +255,13 @@ class TestPreparedMesh:
         from mgnt.mesh import detect_contact_edges as dce
         assert dce(m.reference_positions, graph.contact_radius,
                    graph.excluded_pairs).shape == (0, 2)
+
+    def test_quad_diagonals_never_contact(self):
+        m = _mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
+        graph = prepare_mesh(m, contact_radius=2.0)
+        assert {(0, 2), (2, 0), (1, 3), (3, 1)} <= set(map(tuple, graph.excluded_pairs))
+        assert detect_contact_edges(m.reference_positions, graph.contact_radius,
+                                    graph.excluded_pairs).shape == (0, 2)
 
     def test_default_radius_from_median_edge(self):
         m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])

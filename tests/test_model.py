@@ -11,8 +11,7 @@ from mgnt.mesh import GraphSample, permute_sample
 from mgnt.model import (LatentGraph, ModelConfig, attention_core_census, deslice,
                         encode, forward, init_params, mgn_baseline_config,
                         mpnn_iteration, param_count, param_shapes, sample_gumbel,
-                        slice_tokens, table2_config, token_attention,
-                        transformer_block)
+                        slice_tokens, token_attention, transformer_block)
 from mgnt.oracle import OracleConfig, simulate_impact
 from mgnt.tensor import Tape, Tensor
 
@@ -353,7 +352,7 @@ class TestParamCount:
         assert int(np.prod(shapes["enc_node.w0"])) + int(np.prod(shapes["enc_node.b0"])) == 40
 
     def test_table2_within_budget(self):
-        count = param_count(table2_config(**DIMS_3D))
+        count = param_count(ModelConfig(**DIMS_3D))
         assert 350_000 <= count <= 650_000
 
     def test_baseline_within_budget(self):
@@ -361,7 +360,7 @@ class TestParamCount:
         assert 1_600_000 <= count <= 2_400_000
 
     def test_exact_regression_constants(self):
-        assert param_count(table2_config(**DIMS_3D)) == 533_161
+        assert param_count(ModelConfig(**DIMS_3D)) == 533_161
         assert param_count(mgn_baseline_config(**DIMS_3D)) == 2_052_615
 
     def test_init_matches_shapes(self, small_cfg, small_params):
