@@ -27,8 +27,8 @@ from .data import (GraphConfig, Trajectory, feature_dims, get_schema, load_split
                    prepare_trajectory)
 from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort
 from .oracle import gen_chain_dataset, gen_dataset
-from .rollout import evaluate, export_attention, rollout
-from .train import fit, load_checkpoint, write_history_csv
+from .rollout import evaluate, export_attention, horizon_arrays, metric_series, rollout
+from .train import TrainConfig, config_from_meta, fit, load_checkpoint, write_history_csv
 from .verify import main_verify
 
 
@@ -76,9 +76,10 @@ def _load_cfg(args) -> dict:
 def _checkpoint_context(path: str):
     state = load_checkpoint(path)
     meta = state["meta"]
-    schema = get_schema(meta["schema"])
-    gcfg = GraphConfig(**meta.get("graph_config", {}))
-    target_mode = meta.get("train_config", {}).get("target_mode", "absolute")
+    schema = get_schema(meta.get("schema"))
+    gcfg = config_from_meta(path, meta, "graph_config", GraphConfig, default={})
+    target_mode = config_from_meta(path, meta, "train_config", TrainConfig,
+                                   default={}).target_mode
     return state, schema, gcfg, target_mode
 
 
@@ -108,7 +109,6 @@ def _prepare_split(manifest_dir: str, gcfg, split_names=("train", "test")):
 
 def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     C.write_resolved(cfg, args.out)
     gcfg = C.graph_config(cfg)
     schema, prepared, _ = _prepare_split(args.data, gcfg)
@@ -126,7 +126,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     C.write_resolved(cfg, args.out)
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
     manifest = os.path.join(args.data, "manifest.json")
@@ -170,7 +169,6 @@ def _write_consistency_csv(path: str, report: dict) -> None:
 
 def _cmd_rollout(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     C.write_resolved(cfg, args.out)
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
     traj = Trajectory.load(args.trajectory)
@@ -181,10 +179,7 @@ def _cmd_rollout(args) -> int:
     prep = prepare_trajectory(traj, schema, gcfg)
     result = rollout(state["params"], state["model_config"], state["normalizer"], prep,
                      args.horizon, target_mode, collect_weights=args.export_weights)
-    stacked = result.stacked()
-    arrays = dict(traj.arrays)
-    for key, val in stacked.items():
-        arrays[key] = val
+    arrays = horizon_arrays(traj, schema, args.horizon, result.frames)
     arrays["contact_counts"] = result.contact_counts
     out_traj = Trajectory(arrays=arrays, meta={**traj.meta, "format": "mgnt-rollout",
                                                "horizon": args.horizon})
@@ -196,23 +191,16 @@ def _cmd_rollout(args) -> int:
                 wa[f"w_step{t:03d}_block{b}"] = w
         write_arrays(os.path.join(args.out, "slice_weights.mgnt"), wa,
                      meta={"format": "mgnt-attention-rollout"})
-    _write_step_error_csv(os.path.join(args.out, "step_error.csv"),
-                          schema, stacked, traj, args.horizon)
+    _write_step_error_csv(os.path.join(args.out, "step_error.csv"), schema, arrays,
+                          horizon_arrays(traj, schema, args.horizon), args.horizon)
     print(f"rolled out {args.horizon} steps; contact edges per step: "
           f"{result.contact_counts.tolist()}")
     return 0
 
 
-def _write_step_error_csv(path: str, schema, stacked: dict, traj: Trajectory,
-                          horizon: int) -> None:
-    pred = dict(stacked)
-    pred["X"] = traj.arrays["X"]
-    gt = {k: (np.asarray(v)[: horizon + 1]
-              if isinstance(v, np.ndarray) and v.ndim >= 1
-              and v.shape[0] == traj.n_frames else v)
-          for k, v in traj.arrays.items()}
-    ps = schema.metric_series(pred)
-    gs = schema.metric_series(gt)
+def _write_step_error_csv(path: str, schema, pred: dict, gt: dict, horizon: int) -> None:
+    ps = metric_series(pred, schema)
+    gs = metric_series(gt, schema)
     names = sorted(ps)
     with open(path, "w") as f:
         f.write("step," + ",".join(f"rmse_{n}" for n in names) + "\n")
@@ -226,7 +214,6 @@ def _write_step_error_csv(path: str, schema, stacked: dict, traj: Trajectory,
 
 def _cmd_export_attention(args) -> int:
     cfg = _load_cfg(args)
-    os.makedirs(args.out, exist_ok=True)
     C.write_resolved(cfg, args.out)
     state, schema, gcfg, _ = _checkpoint_context(args.checkpoint)
     traj = Trajectory.load(args.trajectory)

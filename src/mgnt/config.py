@@ -42,8 +42,6 @@ SCHEMA: dict[str, Key] = {
     "data.mass": Key(1.0, "float", "default", "node mass"),
     "data.stiffness_base": Key(100000.0, "float", "default",
                                "spring stiffness at kappa=1"),
-    "data.kappa_min": Key(0.1, "float", "paper", "lower stiffness-scale bound"),
-    "data.kappa_max": Key(0.3, "float", "paper", "upper stiffness-scale bound"),
     "data.yield_strain": Key(0.05, "float", "default", "elastic strain at yield"),
     "data.hardening_ratio": Key(0.2, "float", "default", "hardening modulus / stiffness"),
     "data.damping": Key(1.2, "float", "default", "per-node viscous coefficient"),

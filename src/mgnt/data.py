@@ -2,9 +2,8 @@
 
 A trajectory is a bag of named arrays in the binary container format plus a
 small meta block.  A schema knows how to turn one stored frame into model
-inputs (node features), how to extract supervision targets for the following
-frame, and how to push a prediction back into simulation state during
-rollout.  Two schemas ship with the package:
+inputs (node features) and how to push a predicted state back into
+simulation state during rollout.  Two schemas ship with the package:
 
 * ``impact``  - 2-D elastoplastic lattice hitting a rigid wall.  Inputs per
   node: velocity, hardening, stiffness scale, type one-hot.  Targets:
@@ -12,6 +11,13 @@ rollout.  Two schemas ship with the package:
 * ``chain``   - long 1-D elastic chain driven at one end, used for the
   long-range benchmark.  Inputs: drive increment (actuator node only),
   stiffness scale, type one-hot.  Targets: next-step displacement change.
+
+Each schema declares its frame layout once.  ``series`` names the stored
+arrays with a leading frame axis; every other stored array is static.
+``state_vector(frame, X)`` maps those series, for one frame ``[N, ...]`` or
+stacked ``[T, N, ...]``, to the target layout ``[..., output_dim]`` whose
+column blocks ``variable_groups`` names.  Frames, training targets, error
+series, ground-truth cuts and rollout artifacts all derive from these two.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ class ImpactSchema:
     name = "impact"
     dim = 2
     output_dim = 5
+    series = ("x", "v", "alpha")
     variable_groups = {"u": (0, 2), "v": (2, 4), "alpha": (4, 5)}
 
     def node_feature_dim(self) -> int:
@@ -84,14 +91,8 @@ class ImpactSchema:
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
-        n = traj.n_nodes
-        return {
-            "X": a["X"].copy(),
-            "x": a["x"][t].copy(),
-            "v": a["v"][t].copy(),
-            "alpha": a["alpha"][t].copy(),
-            "kappa": np.full(n, float(a["kappa"][0])),
-        }
+        return {"X": a["X"].copy(), **{k: a[k][t].copy() for k in self.series},
+                "kappa": np.full(traj.n_nodes, float(a["kappa"][0]))}
 
     def node_features(self, frame: dict, node_type: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -99,25 +100,14 @@ class ImpactSchema:
              frame["kappa"][:, None], one_hot_types(node_type)], axis=1)
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
-        """Current state in target layout (u, v, alpha)."""
+        """State in target layout (u, v, alpha)."""
         return np.concatenate(
-            [frame["x"] - X, frame["v"], frame["alpha"][:, None]], axis=1)
+            [frame["x"] - X, frame["v"], frame["alpha"][..., None]], axis=-1)
 
-    def targets(self, traj: Trajectory, t: int, target_mode: str) -> np.ndarray:
-        a = traj.arrays
-        nxt = np.concatenate(
-            [a["x"][t + 1] - a["X"], a["v"][t + 1], a["alpha"][t + 1][:, None]], axis=1)
-        if target_mode == "delta":
-            cur = np.concatenate(
-                [a["x"][t] - a["X"], a["v"][t], a["alpha"][t][:, None]], axis=1)
-            return nxt - cur
-        return nxt
-
-    def advance(self, frame: dict, pred: np.ndarray, X: np.ndarray,
-                boundary: dict, deformable: np.ndarray, target_mode: str) -> dict:
-        """Next frame: deformable rows from the prediction, the rest from the
-        boundary driver (prescribed kinematics)."""
-        state = pred if target_mode != "delta" else self.state_vector(frame, X) + pred
+    def advance(self, state: np.ndarray, X: np.ndarray, boundary: dict,
+                deformable: np.ndarray) -> dict:
+        """Next frame: deformable rows from the absolute predicted state, the
+        rest from the boundary driver (prescribed kinematics)."""
         nxt = {k: v.copy() for k, v in boundary.items()}
         nxt["x"][deformable] = X[deformable] + state[deformable, 0:2]
         nxt["v"][deformable] = state[deformable, 2:4]
@@ -142,11 +132,6 @@ class ImpactSchema:
         nf = normalizer.node_std
         return {"u": nf[0:2], "v": nf[2:4], "alpha": float(nf[4])}
 
-    def metric_series(self, traj_arrays: dict) -> dict[str, np.ndarray]:
-        """Per-variable [T, N, k] series used by the error metrics."""
-        u = traj_arrays["x"] - traj_arrays["X"][None]
-        return {"u": u, "v": traj_arrays["v"], "alpha": traj_arrays["alpha"][..., None]}
-
 
 class ChainSchema:
     """Driven elastic chain: drive increment and kappa in, displacement delta out."""
@@ -154,6 +139,7 @@ class ChainSchema:
     name = "chain"
     dim = 2
     output_dim = 1
+    series = ("x", "drive")
     variable_groups = {"u": (0, 1)}
 
     def node_feature_dim(self) -> int:
@@ -161,12 +147,8 @@ class ChainSchema:
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
-        n = traj.n_nodes
-        return {
-            "x": a["x"][t].copy(),
-            "drive": a["drive"][t].copy(),
-            "kappa": np.full(n, float(a["kappa"][0])),
-        }
+        return {**{k: a[k][t].copy() for k in self.series},
+                "kappa": np.full(traj.n_nodes, float(a["kappa"][0]))}
 
     def node_features(self, frame: dict, node_type: np.ndarray) -> np.ndarray:
         return np.concatenate(
@@ -174,20 +156,13 @@ class ChainSchema:
             axis=1)
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
-        return (frame["x"][:, 0] - X[:, 0])[:, None]
+        """State in target layout (u along the chain)."""
+        return (frame["x"][..., 0] - X[..., 0])[..., None]
 
-    def targets(self, traj: Trajectory, t: int, target_mode: str) -> np.ndarray:
-        a = traj.arrays
-        nxt = (a["x"][t + 1, :, 0] - a["X"][:, 0])[:, None]
-        if target_mode == "delta":
-            return nxt - (a["x"][t, :, 0] - a["X"][:, 0])[:, None]
-        return nxt
-
-    def advance(self, frame: dict, pred: np.ndarray, X: np.ndarray,
-                boundary: dict, deformable: np.ndarray, target_mode: str) -> dict:
-        u = pred if target_mode != "delta" else self.state_vector(frame, X) + pred
+    def advance(self, state: np.ndarray, X: np.ndarray, boundary: dict,
+                deformable: np.ndarray) -> dict:
         nxt = {k: v.copy() for k, v in boundary.items()}
-        nxt["x"][deformable, 0] = X[deformable, 0] + u[deformable, 0]
+        nxt["x"][deformable, 0] = X[deformable, 0] + state[deformable, 0]
         return nxt
 
     def inject_noise(self, frame: dict, scale: float, stds: dict, rng,
@@ -201,10 +176,6 @@ class ChainSchema:
 
     def noise_stds(self, normalizer) -> dict:
         return {"u": float(normalizer.target_std[0])}
-
-    def metric_series(self, traj_arrays: dict) -> dict[str, np.ndarray]:
-        u = traj_arrays["x"][:, :, 0:1] - traj_arrays["X"][None, :, 0:1]
-        return {"u": u}
 
 
 SCHEMAS = {"impact": ImpactSchema(), "chain": ChainSchema()}
@@ -247,11 +218,15 @@ class PreparedTrajectory:
         return self.sample_from_frame(self.frame(t))
 
     def target(self, t: int, target_mode: str) -> np.ndarray:
-        if t >= self.n_transitions:
+        """State at frame t + 1, or its increment over frame t in delta mode."""
+        if not 0 <= t < self.n_transitions:
             raise ValidationError(
-                f"step index {t} has no successor frame; last valid index is "
+                f"step index {t} out of range; last valid index is "
                 f"{self.n_transitions - 1}")
-        return self.schema.targets(self.traj, t, target_mode)
+        a = self.traj.arrays
+        state = self.schema.state_vector({k: a[k][t:t + 2] for k in self.schema.series},
+                                         a["X"])
+        return state[1] - state[0] if target_mode == "delta" else state[1]
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
@@ -295,14 +270,10 @@ def write_manifest(path: str, schema_name: str, config: dict,
         f.write("\n")
 
 
-def load_manifest(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def load_split(manifest_path: str) -> tuple[object, dict[str, list[Trajectory]], dict]:
     """Load every trajectory referenced by a manifest, keyed by split."""
-    doc = load_manifest(manifest_path)
+    with open(manifest_path) as f:
+        doc = json.load(f)
     schema = get_schema(doc["schema"])
     base = os.path.dirname(os.path.abspath(manifest_path))
     split: dict[str, list[Trajectory]] = {}

@@ -16,7 +16,7 @@ the lexicographically sorted unique pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -390,16 +390,4 @@ def permute_sample(sample: GraphSample, perm: np.ndarray) -> GraphSample:
         positional_encoding=sample.positional_encoding[inv],
         node_type=sample.node_type[inv],
         sample_ranges=sample.sample_ranges,
-    )
-
-
-def normalize_sample_features(sample: GraphSample, node_mean, node_std,
-                              mesh_mean, mesh_std, contact_mean, contact_std) -> GraphSample:
-    """Whitened copy of a sample (positional encodings left untouched)."""
-    return replace(
-        sample,
-        node_features=(sample.node_features - node_mean) / node_std,
-        mesh_edge_features=(sample.mesh_edge_features - mesh_mean) / mesh_std,
-        contact_edge_features=(sample.contact_edge_features - contact_mean) / contact_std
-        if sample.contact_edge_features.shape[0] else sample.contact_edge_features,
     )

@@ -18,7 +18,7 @@ verify exactly.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class ModelConfig:
         d["transformer_dims"] = list(self.transformer_dims)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["transformer_dims"] = tuple(d["transformer_dims"])
-        return cls(**d)
-
 
 def mgn_baseline_config(node_feat_dim: int, mesh_edge_feat_dim: int,
                         contact_edge_feat_dim: int, pe_dim: int,
@@ -94,7 +88,6 @@ class LatentGraph:
     nodes: Tensor
     mesh_edges: Tensor
     contact_edges: Tensor
-    slice_weights: list[np.ndarray] = field(default_factory=list)  # [N, P] per block
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +232,7 @@ def mpnn_iteration(lat: LatentGraph, sample: GraphSample, params: dict[str, Tens
     agg_contact = T.segment_sum(contact_new, sample.contact_edges[:, 1], n)
     n_in = T.concat([lat.nodes, agg_mesh, agg_contact], axis=1)
     nodes_new = T.add(lat.nodes, _mlp(params, f"{prefix}.node", n_in, cfg))
-    return LatentGraph(nodes=nodes_new, mesh_edges=mesh_new, contact_edges=contact_new,
-                       slice_weights=lat.slice_weights)
+    return LatentGraph(nodes=nodes_new, mesh_edges=mesh_new, contact_edges=contact_new)
 
 
 def slice_tokens(h: Tensor, params: dict[str, Tensor], block: int, cfg: ModelConfig,
@@ -350,14 +342,13 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
         nodes = transformer_block(nodes, sample.positional_encoding, params, b, cfg,
                                   sample.sample_ranges, g, collect)
     lat = LatentGraph(nodes=nodes, mesh_edges=lat.mesh_edges,
-                      contact_edges=lat.contact_edges,
-                      slice_weights=collect if collect is not None else [])
+                      contact_edges=lat.contact_edges)
     with _scope("mpnn_refine"):
         for i in range(cfg.mpnn_refine):
             lat = mpnn_iteration(lat, sample, params, cfg.mpnn_pre + i, cfg)
     with _scope("decode"):
         y = _mlp(params, "dec", lat.nodes, cfg, with_ln=cfg.decoder_layer_norm)
-    aux = {"slice_weights": lat.slice_weights}
+    aux = {"slice_weights": collect if collect is not None else []}
     return y, aux
 
 

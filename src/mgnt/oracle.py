@@ -25,6 +25,10 @@ from .data import Trajectory, write_manifest
 from .errors import NumericError, ValidationError
 from .mesh import NODE_ACTUATOR, NODE_DEFORMABLE, NODE_OBSTACLE
 
+# Both generators draw each trajectory's stiffness scale kappa uniformly
+# from this range.
+KAPPA_RANGE = (0.1, 0.3)
+
 
 # ---------------------------------------------------------------------------
 # elastoplastic impact lattice
@@ -199,15 +203,15 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
 
 def gen_dataset(n_train: int, n_test: int, base: OracleConfig, seed: int,
                 out_dir: str, workers: int = 1) -> str:
-    """Generate a train/test split with kappa drawn uniformly from (0.1, 0.3);
-    per-trajectory seeds are disjoint.  Returns the manifest path."""
+    """Generate a train/test split with kappa drawn uniformly from
+    KAPPA_RANGE; per-trajectory seeds are disjoint.  Returns the manifest path."""
     if n_train < 1 or n_test < 1:
         raise ValidationError("need at least one trajectory per split")
     os.makedirs(out_dir, exist_ok=True)
     jobs = []
     for i in range(n_train + n_test):
         rng = np.random.default_rng([int(seed), i])
-        kappa = float(rng.uniform(0.1, 0.3))
+        kappa = float(rng.uniform(*KAPPA_RANGE))
         cfg = OracleConfig(**{**asdict(base), "kappa": kappa, "seed": int(seed) + i})
         split = "train" if i < n_train else "test"
         fname = f"traj_{split}_{i:03d}.mgnt"
@@ -356,7 +360,7 @@ def gen_chain_dataset(n_train: int, n_test: int, base: ChainConfig, seed: int,
     train_files, test_files = [], []
     for i in range(n_train + n_test):
         rng = np.random.default_rng([int(seed), 7, i])
-        kappa = float(rng.uniform(0.1, 0.3))
+        kappa = float(rng.uniform(*KAPPA_RANGE))
         cfg = ChainConfig(**{**asdict(base), "kappa": kappa, "seed": int(seed) + i})
         split = "train" if i < n_train else "test"
         fname = f"chain_{split}_{i:03d}.mgnt"

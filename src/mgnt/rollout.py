@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PreparedTrajectory
+from .data import PreparedTrajectory, Trajectory
 from .errors import RolloutAbort, ValidationError
 from .model import ModelConfig, forward
 from .train import Normalizer, make_batch
@@ -29,9 +29,17 @@ class RolloutResult:
     contact_counts: np.ndarray              # [horizon] contact edges per predicted step
     slice_weights: list[list[np.ndarray]] = field(default_factory=list)
 
-    def stacked(self) -> dict[str, np.ndarray]:
-        keys = self.frames[0].keys()
-        return {k: np.stack([f[k] for f in self.frames]) for k in keys}
+
+def horizon_arrays(traj: Trajectory, schema, horizon: int,
+                   frames: list[dict] | None = None) -> dict[str, np.ndarray]:
+    """The trajectory's arrays with each of the schema's series cut to its
+    first ``horizon + 1`` frames or, given rollout frames, replaced by their
+    stack; every static array is kept as stored."""
+    arrays = dict(traj.arrays)
+    for k in schema.series:
+        arrays[k] = (arrays[k][: horizon + 1] if frames is None
+                     else np.stack([f[k] for f in frames]))
+    return arrays
 
 
 def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
@@ -72,14 +80,22 @@ def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
         if collect_weights:
             weights.append(aux["slice_weights"])
         state = normalizer.denormalize_targets(pred.data)
-        frame = schema.advance(frame, state, X, boundary_driver(t + 1), deform,
-                               target_mode)
+        if target_mode == "delta":
+            state = schema.state_vector(frame, X) + state
+        frame = schema.advance(state, X, boundary_driver(t + 1), deform)
         frames.append(frame)
     return RolloutResult(frames=frames, contact_counts=counts, slice_weights=weights)
 
 
 # ---------------------------------------------------------------------------
 # error metrics
+
+def metric_series(arrays: dict, schema) -> dict[str, np.ndarray]:
+    """Per-variable [T, N, k] error series: the trajectory's state in target
+    layout, split by the schema's variable groups."""
+    state = schema.state_vector(arrays, arrays["X"])
+    return {name: state[..., lo:hi] for name, (lo, hi) in schema.variable_groups.items()}
+
 
 def _rmse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
@@ -101,8 +117,8 @@ def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, 
     across per-trajectory values.  Predicted steps only (frame 0 is shared)."""
     per_var: dict[str, list[float]] = {}
     for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = schema.metric_series(pred)
-        gs = schema.metric_series(gt)
+        ps = metric_series(pred, schema)
+        gs = metric_series(gt, schema)
         for name in ps:
             per_var.setdefault(name, []).append(_rmse(ps[name][1:], gs[name][1:]))
     return {name: _aggregate(vals) for name, vals in per_var.items()}
@@ -138,8 +154,8 @@ def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, di
     per_var: dict[str, list[float]] = {}
     undefined: dict[str, int] = {}
     for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = schema.metric_series(pred)
-        gs = schema.metric_series(gt)
+        ps = metric_series(pred, schema)
+        gs = metric_series(gt, schema)
         for name in ps:
             inf_norm = float(np.abs(gs[name]).max())
             if inf_norm == 0.0:
@@ -201,11 +217,8 @@ def evaluate(params, model_cfg: ModelConfig, normalizer: Normalizer,
     for prep in preps:
         h = horizon if horizon is not None else prep.n_transitions
         result = rollout(params, model_cfg, normalizer, prep, h, target_mode)
-        pred = result.stacked()
-        pred["X"] = prep.graph.mesh.reference_positions
-        gt = {k: np.asarray(v)[: h + 1] if np.asarray(v).ndim >= 1 and
-              np.asarray(v).shape[0] == prep.traj.n_frames else v
-              for k, v in prep.traj.arrays.items()}
+        pred = horizon_arrays(prep.traj, schema, h, result.frames)
+        gt = horizon_arrays(prep.traj, schema, h)
         pred_trajs.append(pred)
         gt_trajs.append(gt)
         entry = {"contact_counts": result.contact_counts.tolist()}

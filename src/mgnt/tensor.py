@@ -190,11 +190,6 @@ def div(a, b) -> Tensor:
     return _emit(out, (a, b), backward, "div", out.size)
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _emit(-a.data, (a,), lambda g: [(a, -g)], "neg", a.size)
-
-
 def scale(a, c: float) -> Tensor:
     a = _wrap(a)
     c = float(c)
@@ -393,11 +388,6 @@ def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
         return [(x, np.broadcast_to(gg, x.data.shape).copy())]
 
     return _emit(out, (x,), backward, "sum_axis", x.size)
-
-
-def mean_all(x) -> Tensor:
-    x = _wrap(x)
-    return scale(sum_all(x), 1.0 / x.data.size)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,16 @@ run continues bit-for-bit.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import tensor as T
-from .container import read_arrays, write_arrays
+from .container import meta_to_json, read_arrays, write_arrays
 from .data import PreparedTrajectory
 from .errors import (BatchContractError, ConfigError, SchemaFormatError,
                      TrainingAbort, ValidationError)
-from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples, normalize_sample_features
+from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples
 from .model import ModelConfig, forward, init_params
 from .tensor import Tape, Tensor
 
@@ -30,6 +30,9 @@ CHECKPOINT_FORMAT = "mgnt-checkpoint"
 CHECKPOINT_VERSION = 1
 
 _STD_FLOOR = 1e-8
+
+# The only train_config fields a resumed run may change.
+_RESUMABLE_FIELDS = ("steps", "checkpoint_every", "log_every")
 
 
 @dataclass(frozen=True)
@@ -113,9 +116,14 @@ class Normalizer:
                    contact_mean, contact_std, target_mean, target_std)
 
     def normalize_sample(self, sample: GraphSample) -> GraphSample:
-        return normalize_sample_features(
-            sample, self.node_mean, self.node_std, self.mesh_mean, self.mesh_std,
-            self.contact_mean, self.contact_std)
+        """Whitened copy of a sample (positional encodings left untouched)."""
+        contact = sample.contact_edge_features
+        return replace(
+            sample,
+            node_features=(sample.node_features - self.node_mean) / self.node_std,
+            mesh_edge_features=(sample.mesh_edge_features - self.mesh_mean) / self.mesh_std,
+            contact_edge_features=(contact - self.contact_mean) / self.contact_std
+            if contact.shape[0] else contact)
 
     def normalize_targets(self, y: np.ndarray) -> np.ndarray:
         return (y - self.target_mean) / self.target_std
@@ -211,25 +219,27 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
     """Run the optimizer loop; optionally checkpoint into out_dir."""
     if not trajs:
         raise ValidationError("need at least one training trajectory")
-    normalizer = Normalizer.fit(trajs, train_cfg.target_mode)
-    params = init_params(model_cfg, train_cfg.seed)
-    names = list(params)
-    adam_m = {k: np.zeros(params[k].shape) for k in names}
-    adam_v = {k: np.zeros(params[k].shape) for k in names}
-    start_step = 0
-    history_rows: list[list[float]] = []
-
     ckpt_path = os.path.join(out_dir, "checkpoint.mgnt") if out_dir else None
+    run_meta = {"schema": trajs[0].schema.name, **(extra_meta or {})}
     if resume:
         if not (ckpt_path and os.path.exists(ckpt_path)):
             raise ValidationError("resume requested but no checkpoint found")
         state = load_checkpoint(ckpt_path)
+        _check_same_run(state["meta"], model_cfg, train_cfg, run_meta)
         params = state["params"]
         normalizer = state["normalizer"]
         adam_m = state["adam_m"]
         adam_v = state["adam_v"]
         start_step = state["meta"]["step"]
-        history_rows = state["history"].tolist()
+        history_rows: list[list[float]] = state["history"].tolist()
+    else:
+        normalizer = Normalizer.fit(trajs, train_cfg.target_mode)
+        params = init_params(model_cfg, train_cfg.seed)
+        adam_m = {k: np.zeros(p.shape) for k, p in params.items()}
+        adam_v = {k: np.zeros(p.shape) for k, p in params.items()}
+        start_step = 0
+        history_rows = []
+    names = list(params)
 
     lr0, lr1 = train_cfg.lr, train_cfg.lr_min
     total = max(train_cfg.steps - 1, 1)
@@ -276,16 +286,34 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
             print(f"step {step:6d}  loss {loss_val:.6e}  lr {lr:.3e}  |g| {grad_norm:.3e}")
         if ckpt_path and ((step + 1) % train_cfg.checkpoint_every == 0
                           or step == train_cfg.steps - 1):
-            meta = {"schema": trajs[0].schema.name}
-            meta.update(extra_meta or {})
             save_checkpoint(ckpt_path, params, model_cfg, normalizer,
                             train_cfg=train_cfg, adam_m=adam_m, adam_v=adam_v,
                             step=step + 1, history=np.array(history_rows),
-                            extra_meta=meta)
+                            extra_meta=run_meta)
 
     history = np.array(history_rows).reshape(-1, 4)
     return FitResult(params=params, normalizer=normalizer, history=history,
                      model_config=model_cfg)
+
+
+def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                    run_meta: dict) -> None:
+    """Refuse to resume a checkpoint that another configuration wrote: only
+    the step budget and the checkpoint and log cadence may change."""
+    want = meta_to_json({"model_config": model_cfg.to_dict(),
+                         "train_config": asdict(train_cfg), **run_meta})
+    for key in sorted((want.keys() | saved.keys()) - {"format", "version", "step"}):
+        have, asked = saved.get(key), want.get(key)
+        if isinstance(have, dict) and isinstance(asked, dict):
+            skip = _RESUMABLE_FIELDS if key == "train_config" else ()
+            pairs = [(f"{key}.{k}", have.get(k), asked.get(k))
+                     for k in sorted(have.keys() | asked.keys()) if k not in skip]
+        else:
+            pairs = [(key, have, asked)]
+        for name, old, new in pairs:
+            if old != new:
+                raise ConfigError(f"cannot resume: {name} is {old!r} in the checkpoint "
+                                  f"but {new!r} in this run")
 
 
 def evaluate_one_step_loss(params, model_cfg: ModelConfig, normalizer: Normalizer,
@@ -342,10 +370,30 @@ def save_checkpoint(path: str, params: dict[str, Tensor], model_cfg: ModelConfig
     write_arrays(path, arrays, meta=meta)
 
 
+def config_from_meta(path: str, meta: dict, key: str, cls, default: dict | None = None):
+    """``cls(**meta[key])`` for a checkpoint meta entry.  A missing entry
+    without default, a non-object, an unknown field or a rejected value
+    raises SchemaFormatError naming the entry and the field."""
+    entry = meta.get(key, default)
+    if not isinstance(entry, dict):
+        raise SchemaFormatError(f"{path}: checkpoint meta {key!r} is missing or not an object")
+    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SchemaFormatError(
+            f"{path}: unknown key {unknown[0]!r} in checkpoint meta {key!r}")
+    try:
+        return cls(**entry)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise SchemaFormatError(f"{path}: checkpoint meta {key!r}: {exc}") from exc
+
+
 def load_checkpoint(path: str) -> dict:
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
+    if type(meta.get("step")) is not int or meta["step"] < 0:
+        raise SchemaFormatError(f"{path}: checkpoint meta 'step' is {meta.get('step')!r}, "
+                                "not a step count")
     params = {k.split(".", 1)[1]: Tensor(v, requires_grad=True)
               for k, v in arrays.items() if k.startswith("param.")}
     adam_m = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_m.")}
@@ -355,7 +403,7 @@ def load_checkpoint(path: str) -> dict:
         "adam_m": adam_m,
         "adam_v": adam_v,
         "normalizer": Normalizer.from_arrays(arrays),
-        "model_config": ModelConfig.from_dict(meta["model_config"]),
+        "model_config": config_from_meta(path, meta, "model_config", ModelConfig),
         "history": arrays.get("history", np.zeros((0, 4))),
         "meta": meta,
     }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mgnt.cli import _build_parser, main
-from mgnt.container import MAGIC
+from mgnt.container import MAGIC, read_arrays, write_arrays
 from mgnt.config import SCHEMA, format_config, load_config
 from mgnt.data import Trajectory
 from mgnt.errors import ConfigError
@@ -93,6 +93,12 @@ class TestConfig:
     def test_comments_and_blank_lines(self, tmp_path):
         path = _write(tmp_path, "c.txt", "# hello\n\ntrain.steps = 7 # trailing\n")
         assert load_config(path)["train.steps"] == 7
+
+    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max"])
+    def test_removed_kappa_keys_exit_2(self, tmp_path, key):
+        # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it
+        cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 class TestGenData:
@@ -184,6 +190,21 @@ class TestEval:
                      "--data", chain_data, "--out", str(tmp_path / "e")])
         assert code == 4
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta["graph_config"].update(bogus=1), "'bogus'"),
+        (lambda meta: meta.update(train_config=5), "'train_config'"),
+    ], ids=["graph_config_unknown_key", "train_config_not_object"])
+    def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        edit(meta)
+        bad = str(tmp_path / "bad.mgnt")
+        write_arrays(bad, arrays, meta=meta)
+        code = main(["eval", "--checkpoint", bad, "--data", data_dir,
+                     "--out", str(tmp_path / "e")])
+        assert code == 4
+        assert named in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exit_4(self, trained, tmp_path):
         root, cfg, data_dir, _ = trained
         from mgnt.container import write_arrays
@@ -234,6 +255,53 @@ class TestRolloutCommand:
                      "--out", str(tmp_path / "r3")])
         assert code == 4
         assert "byte_offset" in capsys.readouterr().err
+
+    def test_rollout_artifact_is_a_trajectory(self, trained, tmp_path):
+        root, cfg, data_dir, run_dir = trained
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        source = Trajectory.load(os.path.join(data_dir, doc["test"][0]))
+        ckpt = os.path.join(run_dir, "checkpoint.mgnt")
+        first = str(tmp_path / "first")
+        assert main(["rollout", "--checkpoint", ckpt, "--trajectory",
+                     os.path.join(data_dir, doc["test"][0]), "--horizon", "4",
+                     "--out", first]) == 0
+        rolled_file = os.path.join(first, "rollout.mgnt")
+        rolled = Trajectory.load(rolled_file)
+        n = source.n_nodes
+        assert rolled.arrays["X"].shape == (n, 2)
+        assert rolled.n_nodes == n and rolled.n_frames == 5
+        for key, value in source.arrays.items():
+            if key not in ("x", "v", "alpha"):
+                np.testing.assert_array_equal(rolled.arrays[key], value)
+        assert main(["rollout", "--checkpoint", ckpt, "--trajectory", rolled_file,
+                     "--horizon", "3", "--out", str(tmp_path / "again")]) == 0
+        assert main(["export-attention", "--checkpoint", ckpt, "--trajectory",
+                     rolled_file, "--frame", "4", "--out", str(tmp_path / "attn")]) == 0
+
+
+def test_frames_equal_to_node_count(trained, tmp_path):
+    """A static array whose length happens to equal the frame count is not
+    mistaken for a time series."""
+    root, cfg, data_dir, run_dir = trained
+    ckpt = os.path.join(run_dir, "checkpoint.mgnt")
+    n_nodes = Trajectory.load(os.path.join(
+        data_dir, json.load(open(os.path.join(data_dir, "manifest.json")))["test"][0])).n_nodes
+    square = _write(tmp_path, "square.txt", TINY_TRAIN + f"data.frames = {n_nodes}\n"
+                    "data.n_train = 1\neval.horizon = 5\n")
+    sq_data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", square, "--out", sq_data]) == 0
+    traj_file = os.path.join(
+        sq_data, json.load(open(os.path.join(sq_data, "manifest.json")))["test"][0])
+    assert Trajectory.load(traj_file).n_frames == n_nodes
+    out = str(tmp_path / "eval")
+    assert main(["eval", "--config", square, "--checkpoint", ckpt, "--data", sq_data,
+                 "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert len(report["consistency"][0]["hardening_sum_pred"]) == 6
+    roll = str(tmp_path / "roll")
+    assert main(["rollout", "--checkpoint", ckpt, "--trajectory", traj_file,
+                 "--horizon", "5", "--out", roll]) == 0
+    assert len(open(os.path.join(roll, "step_error.csv")).read().splitlines()) == 6
 
 
 class TestExportAttention:

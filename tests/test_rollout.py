@@ -10,7 +10,8 @@ from mgnt.errors import RolloutAbort, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import OracleConfig, simulate_impact
 from mgnt.rollout import (evaluate, export_attention, hardening_monotonicity,
-                          kinetic_proxy, r_rmse, rmse_1, rmse_all, rollout)
+                          kinetic_proxy, metric_series, r_rmse, rmse_1, rmse_all,
+                          rollout)
 from mgnt.tensor import Tensor
 from mgnt.train import Normalizer
 
@@ -102,6 +103,32 @@ class TestRollout:
                          collect_weights=True)
         assert len(result.slice_weights) == 2
         assert len(result.slice_weights[0]) == mcfg.n_transformer_blocks
+
+
+class TestMetricSeries:
+    def test_impact_groups_split_the_state(self, tiny_traj):
+        a = tiny_traj.arrays
+        series = metric_series(a, get_schema("impact"))
+        assert list(series) == ["u", "v", "alpha"]
+        np.testing.assert_array_equal(series["u"], a["x"] - a["X"][None])
+        np.testing.assert_array_equal(series["v"], a["v"])
+        np.testing.assert_array_equal(series["alpha"], a["alpha"][..., None])
+
+    def test_chain_hand_computed(self):
+        schema = get_schema("chain")
+        X = np.array([[0.0, 0.0], [1.0, 0.0]])
+        x = np.array([[[0.0, 0.0], [1.0, 0.0]],
+                      [[0.5, 3.0], [1.25, -7.0]]])
+        gt = {"X": X, "x": x, "drive": np.zeros((2, 2))}
+        series = metric_series(gt, schema)
+        assert list(series) == ["u"]
+        # axial displacement only; the transverse component is not chain state
+        np.testing.assert_array_equal(series["u"], [[[0.0], [0.0]], [[0.5], [0.25]]])
+        pred = dict(gt, x=x.copy())
+        pred["x"][1, 0, 0] += 0.5
+        pred["x"][1, 1, 1] += 9.0
+        out = rmse_all([pred], [gt], schema)
+        assert out["u"]["mean"] == pytest.approx(np.sqrt(0.25 / 2))
 
 
 class TestRmseAll:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
-from mgnt.errors import BatchContractError, ConfigError, ValidationError
+from mgnt.container import read_arrays, write_arrays
+from mgnt.errors import BatchContractError, ConfigError, SchemaFormatError, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
-from mgnt.oracle import OracleConfig, simulate_impact
+from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
-from mgnt.train import (Normalizer, TrainConfig, compute_loss, fit,
+from mgnt.train import (Normalizer, TrainConfig, compute_loss, config_from_meta, fit,
                         load_checkpoint, make_batch, make_batch_from_pairs,
                         save_checkpoint, evaluate_one_step_loss, write_history_csv)
 
@@ -96,6 +97,23 @@ class TestMakeBatch:
         a = tiny_prep.traj.arrays
         _, target, _ = make_batch(tiny_prep, [1], "delta")
         np.testing.assert_allclose(target[:, :2], a["x"][2] - a["x"][1], atol=1e-12)
+
+    def test_chain_targets_hand_computed(self):
+        traj = simulate_chain(ChainConfig(n_nodes=100, frames=4, seed=5))
+        prep = prepare_trajectory(traj, get_schema("chain"), GraphConfig(n_frequencies=2))
+        x, X = traj.arrays["x"], traj.arrays["X"]
+        for t in range(prep.n_transitions):
+            absolute = prep.target(t, "absolute")
+            delta = prep.target(t, "delta")
+            assert absolute.shape == delta.shape == (100, 1)
+            np.testing.assert_array_equal(absolute[:, 0], x[t + 1, :, 0] - X[:, 0])
+            np.testing.assert_array_equal(
+                delta[:, 0], (x[t + 1, :, 0] - X[:, 0]) - (x[t, :, 0] - X[:, 0]))
+            np.testing.assert_allclose(delta[:, 0], x[t + 1, :, 0] - x[t, :, 0],
+                                       rtol=0, atol=1e-12)
+            assert np.abs(delta).max() > 0  # the drive moves the chain every frame
+        with pytest.raises(ValidationError, match="last valid index is 2"):
+            prep.target(3, "delta")
 
 
 class TestNormalizer:
@@ -222,6 +240,26 @@ class TestFit:
         np.testing.assert_array_equal(resumed[:20], first)  # prior history kept
         assert np.isfinite(resumed).all()
 
+    def test_resume_with_changed_lr_refused(self, tmp_path):
+        prep, mcfg, half_cfg = _fit_setup(steps=4, checkpoint_every=2)
+        fit([prep], mcfg, half_cfg, out_dir=str(tmp_path))
+        _, _, tcfg = _fit_setup(steps=8, checkpoint_every=2, lr=1e-3)
+        with pytest.raises(ConfigError, match="train_config.lr"):
+            fit([prep], mcfg, tcfg, out_dir=str(tmp_path), resume=True)
+
+    def test_resume_with_changed_run_meta_refused(self, tmp_path):
+        prep, mcfg, tcfg = _fit_setup(steps=4, checkpoint_every=2)
+        fit([prep], mcfg, tcfg, out_dir=str(tmp_path),
+            extra_meta={"graph_config": {"tied_k": 3}})
+        more = _fit_setup(steps=8, checkpoint_every=2)[2]
+        with pytest.raises(ConfigError, match="graph_config.tied_k"):
+            fit([prep], mcfg, more, out_dir=str(tmp_path), resume=True,
+                extra_meta={"graph_config": {"tied_k": 4}})
+        with pytest.raises(ConfigError, match="model_config.latent_dim"):
+            fit([prep], ModelConfig(**{**mcfg.to_dict(), "latent_dim": 12}), more,
+                out_dir=str(tmp_path), resume=True,
+                extra_meta={"graph_config": {"tied_k": 3}})
+
     def test_resume_without_checkpoint_rejected(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=5)
         with pytest.raises(ValidationError, match="checkpoint"):
@@ -270,3 +308,39 @@ class TestCheckpointIO:
         write_arrays(str(path), {"a": np.ones(3)}, meta={"format": "other"})
         with pytest.raises(SchemaFormatError):
             load_checkpoint(str(path))
+
+    @staticmethod
+    def _rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep, edit):
+        path = str(tmp_path / "ckpt.mgnt")
+        save_checkpoint(path, tiny_params, tiny_model_cfg,
+                        Normalizer.fit([tiny_prep], "absolute"),
+                        extra_meta={"schema": "impact", "graph_config": {"tied_k": 3}})
+        arrays, meta = read_arrays(path)
+        edit(meta)
+        write_arrays(path, arrays, meta=meta)
+        return path
+
+    def test_unknown_model_config_key_rejected(self, tmp_path, tiny_params,
+                                               tiny_model_cfg, tiny_prep):
+        path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
+                                  lambda meta: meta["model_config"].update(bogus=1))
+        with pytest.raises(SchemaFormatError, match="'bogus'.*'model_config'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["model_config", "step"])
+    def test_missing_meta_entry_rejected(self, tmp_path, tiny_params, tiny_model_cfg,
+                                         tiny_prep, key):
+        path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
+                                  lambda meta: meta.pop(key))
+        with pytest.raises(SchemaFormatError, match=f"'{key}' is"):
+            load_checkpoint(path)
+
+    def test_unknown_graph_config_key_rejected(self, tmp_path, tiny_params,
+                                               tiny_model_cfg, tiny_prep):
+        path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
+                                  lambda meta: meta["graph_config"].update(bogus=1))
+        meta = load_checkpoint(path)["meta"]
+        with pytest.raises(SchemaFormatError, match="'bogus'.*'graph_config'"):
+            config_from_meta(path, meta, "graph_config", GraphConfig, default={})
+        assert config_from_meta(path, {}, "graph_config", GraphConfig,
+                                default={}) == GraphConfig()
