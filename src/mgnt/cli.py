@@ -6,9 +6,9 @@
     mgnt verify
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 training
-abort, 4 schema mismatch.  Every command echoes its resolved configuration
-into the output directory.  MGNT_SEED in the environment overrides all
-configured seeds.
+abort, 4 schema mismatch.  Every command that takes ``--out`` echoes its
+resolved configuration into the output directory.  MGNT_SEED in the
+environment overrides all configured seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import config as C
 from .container import write_arrays
 from .data import (GraphConfig, Trajectory, feature_dims, get_schema, load_split,
                    prepare_trajectory)
-from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort
+from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort, ValidationError
 from .oracle import gen_chain_dataset, gen_dataset
 from .rollout import evaluate, export_attention, horizon_arrays, metric_series, rollout
 from .train import TrainConfig, config_from_meta, fit, load_checkpoint, write_history_csv
@@ -65,36 +65,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides = {"data.seed": args.seed, "chain.seed": args.seed,
-                     "train.seed": args.seed}
-    return C.load_config(args.config, overrides)
-
-
 def _checkpoint_context(path: str):
     state = load_checkpoint(path)
     meta = state["meta"]
-    schema = get_schema(meta.get("schema"))
+    try:
+        schema = get_schema(meta.get("schema"))
+    except ValidationError as exc:
+        raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
     gcfg = config_from_meta(path, meta, "graph_config", GraphConfig, default={})
     target_mode = config_from_meta(path, meta, "train_config", TrainConfig,
                                    default={}).target_mode
     return state, schema, gcfg, target_mode
 
 
-def _cmd_gen_data(args) -> int:
-    cfg = _load_cfg(args)
-    C.write_resolved(cfg, args.out)
-    if cfg["data.kind"] == "impact":
-        manifest = gen_dataset(cfg["data.n_train"], cfg["data.n_test"],
-                               C.oracle_config(cfg), cfg["data.seed"], args.out,
-                               workers=args.workers)
-    elif cfg["data.kind"] == "chain":
-        manifest = gen_chain_dataset(cfg["chain.n_train"], cfg["chain.n_test"],
-                                     C.chain_config(cfg), cfg["chain.seed"], args.out)
-    else:
+_GENERATORS = {"impact": ("data", gen_dataset), "chain": ("chain", gen_chain_dataset)}
+
+
+def _cmd_gen_data(args, cfg) -> int:
+    if cfg["data.kind"] not in _GENERATORS:
         raise ConfigError(f"unknown data.kind {cfg['data.kind']!r}")
+    name, generate = _GENERATORS[cfg["data.kind"]]
+    manifest = generate(cfg[f"{name}.n_train"], cfg[f"{name}.n_test"], C.section(cfg, name),
+                        cfg[f"{name}.seed"], args.out, workers=args.workers)
     print(f"wrote {manifest}")
     return 0
 
@@ -107,15 +99,13 @@ def _prepare_split(manifest_dir: str, gcfg, split_names=("train", "test")):
     return schema, prepared, ds_cfg
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    C.write_resolved(cfg, args.out)
-    gcfg = C.graph_config(cfg)
+def _cmd_train(args, cfg) -> int:
+    gcfg = C.section(cfg, "graph")
     schema, prepared, _ = _prepare_split(args.data, gcfg)
     if not prepared["train"]:
         raise ConfigError("dataset has no training trajectories")
-    mcfg = C.model_config(cfg, feature_dims(schema, gcfg))
-    tcfg = C.train_config(cfg)
+    mcfg = C.section(cfg, "model", **feature_dims(schema, gcfg))
+    tcfg = C.section(cfg, "train")
     result = fit(prepared["train"], mcfg, tcfg, out_dir=args.out,
                  resume=args.resume, progress=True,
                  extra_meta={"graph_config": asdict(gcfg)})
@@ -124,9 +114,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    C.write_resolved(cfg, args.out)
+def _cmd_eval(args, cfg) -> int:
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
     manifest = os.path.join(args.data, "manifest.json")
     ds_schema, split, _ = load_split(manifest)
@@ -167,9 +155,7 @@ def _write_consistency_csv(path: str, report: dict) -> None:
                 f.write(f"{i},{s},{cell(hp)},{cell(hg)},{cell(kp)},{cell(kg)}\n")
 
 
-def _cmd_rollout(args) -> int:
-    cfg = _load_cfg(args)
-    C.write_resolved(cfg, args.out)
+def _cmd_rollout(args, cfg) -> int:
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
     traj = Trajectory.load(args.trajectory)
     if traj.meta.get("schema") != schema.name:
@@ -212,9 +198,7 @@ def _write_step_error_csv(path: str, schema, pred: dict, gt: dict, horizon: int)
             f.write(f"{s}," + ",".join(cells) + "\n")
 
 
-def _cmd_export_attention(args) -> int:
-    cfg = _load_cfg(args)
-    C.write_resolved(cfg, args.out)
+def _cmd_export_attention(args, cfg) -> int:
     state, schema, gcfg, _ = _checkpoint_context(args.checkpoint)
     traj = Trajectory.load(args.trajectory)
     prep = prepare_trajectory(traj, schema, gcfg)
@@ -229,22 +213,19 @@ def _cmd_export_attention(args) -> int:
     return 0
 
 
+_COMMANDS = {"gen-data": _cmd_gen_data, "train": _cmd_train, "eval": _cmd_eval,
+             "rollout": _cmd_rollout, "export-attention": _cmd_export_attention}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "rollout":
-            return _cmd_rollout(args)
-        if args.command == "export-attention":
-            return _cmd_export_attention(args)
         if args.command == "verify":
             return main_verify()
-        raise ConfigError(f"unknown command {args.command!r}")
+        seeds = dict.fromkeys(C.SEED_KEYS, args.seed) if args.seed is not None else {}
+        cfg = C.load_config(args.config, seeds)
+        C.write_resolved(cfg, args.out)
+        return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

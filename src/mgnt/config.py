@@ -1,128 +1,150 @@
 """Plain-text key-value run configuration with a fixed, documented schema.
 
-Files contain ``key = value`` lines (``#`` starts a comment).  Every key has
-a typed default and a provenance note distinguishing values taken from the
-reference experiment tables from package defaults.  Unknown keys are
-rejected.  The environment variable ``MGNT_SEED`` overrides every seed key.
-The resolved configuration is echoed verbatim next to every command's
-outputs so runs can be reproduced from their artifacts alone.
+Files contain ``key = value`` lines (``#`` starts a comment).  A key
+``section.name`` stands for the field ``name`` of its section's config class
+(``data`` -> ``OracleConfig``, ``chain`` -> ``ChainConfig``, ``graph`` ->
+``GraphConfig``, ``model`` -> ``ModelConfig``, ``train`` -> ``TrainConfig``)
+and takes its default and its value type from that field; ``SCHEMA`` adds the
+order, a provenance note distinguishing values taken from the reference
+experiment tables from package defaults, and a help line.  Unknown keys are
+rejected; a value the config class rejects raises ``ConfigError`` (exit 2)
+when the command builds that section.  The environment variable
+``MGNT_SEED`` overrides every seed key.  The resolved configuration is echoed
+verbatim next to every command's outputs so runs can be reproduced from
+their artifacts alone.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .data import GraphConfig
 from .errors import ConfigError
+from .mesh import GraphConfig
 from .model import ModelConfig
 from .oracle import ChainConfig, OracleConfig
 from .train import TrainConfig
 
+SECTIONS = {"data": OracleConfig, "chain": ChainConfig, "graph": GraphConfig,
+            "model": ModelConfig, "train": TrainConfig}
+
 
 @dataclass(frozen=True)
 class Key:
-    default: object
-    kind: str          # int | float | str | bool | ints
-    provenance: str    # "paper" or "default"
+    provenance: str            # "paper" or "default"
     help: str
+    default: object = None     # set only where the class field is absent or differs
+    field: str | None = None   # set only where the field name differs from the key's
 
 
 SCHEMA: dict[str, Key] = {
     # dataset generation: elastoplastic impact lattice
-    "data.kind": Key("impact", "str", "default", "dataset family: impact or chain"),
-    "data.n_train": Key(18, "int", "paper", "training trajectories"),
-    "data.n_test": Key(10, "int", "paper", "test trajectories"),
-    "data.rows": Key(8, "int", "default", "lattice rows (desk scale)"),
-    "data.cols": Key(8, "int", "default", "lattice cols (desk scale)"),
-    "data.spacing": Key(0.1, "float", "default", "lattice spacing"),
-    "data.frames": Key(50, "int", "default", "stored frames per trajectory"),
-    "data.substeps": Key(40, "int", "default", "fine integrator steps per stored frame"),
-    "data.dt": Key(2.5e-4, "float", "default", "fine integrator step"),
-    "data.mass": Key(1.0, "float", "default", "node mass"),
-    "data.stiffness_base": Key(100000.0, "float", "default",
-                               "spring stiffness at kappa=1"),
-    "data.yield_strain": Key(0.05, "float", "default", "elastic strain at yield"),
-    "data.hardening_ratio": Key(0.2, "float", "default", "hardening modulus / stiffness"),
-    "data.damping": Key(1.2, "float", "default", "per-node viscous coefficient"),
-    "data.gravity": Key(9.81, "float", "default", "gravitational acceleration"),
-    "data.wall_stiffness": Key(200000.0, "float", "default", "wall penalty stiffness"),
-    "data.drop_height": Key(0.2, "float", "default", "initial gap above the wall"),
-    "data.initial_velocity": Key(-1.0, "float", "default", "initial vertical velocity"),
-    "data.seed": Key(1234, "int", "default", "dataset seed"),
+    "data.kind": Key("default", "dataset family: impact or chain", default="impact"),
+    "data.n_train": Key("paper", "training trajectories", default=18),
+    "data.n_test": Key("paper", "test trajectories", default=10),
+    "data.rows": Key("default", "lattice rows (desk scale)"),
+    "data.cols": Key("default", "lattice cols (desk scale)"),
+    "data.spacing": Key("default", "lattice spacing"),
+    "data.frames": Key("default", "stored frames per trajectory"),
+    "data.substeps": Key("default", "fine integrator steps per stored frame"),
+    "data.dt": Key("default", "fine integrator step"),
+    "data.mass": Key("default", "node mass"),
+    "data.stiffness_base": Key("default", "spring stiffness at kappa=1"),
+    "data.yield_strain": Key("default", "elastic strain at yield"),
+    "data.hardening_ratio": Key("default", "hardening modulus / stiffness"),
+    "data.damping": Key("default", "per-node viscous coefficient"),
+    "data.gravity": Key("default", "gravitational acceleration"),
+    "data.wall_stiffness": Key("default", "wall penalty stiffness"),
+    "data.drop_height": Key("default", "initial gap above the wall"),
+    "data.initial_velocity": Key("default", "initial vertical velocity"),
+    "data.seed": Key("default", "dataset seed", default=1234),
     # dataset generation: long-range chain
-    "chain.n_nodes": Key(400, "int", "default", "chain length"),
-    "chain.driven_nodes": Key(16, "int", "default", "rigid driven head segment size"),
-    "chain.frames": Key(60, "int", "default", "stored frames per trajectory"),
-    "chain.n_train": Key(6, "int", "default", "training trajectories"),
-    "chain.n_test": Key(2, "int", "default", "test trajectories"),
-    "chain.stiffness_base": Key(100.0, "float", "default", "chain stiffness at kappa=1"),
-    "chain.load": Key(0.5, "float", "default", "constant axial load per node"),
-    "chain.drive_std": Key(0.25, "float", "default", "std of per-frame drive increments"),
-    "chain.relax_tol": Key(1e-10, "float", "default", "relaxation residual tolerance"),
-    "chain.seed": Key(99, "int", "default", "chain dataset seed"),
+    "chain.n_nodes": Key("default", "chain length"),
+    "chain.driven_nodes": Key("default", "rigid driven head segment size"),
+    "chain.frames": Key("default", "stored frames per trajectory"),
+    "chain.n_train": Key("default", "training trajectories", default=6),
+    "chain.n_test": Key("default", "test trajectories", default=2),
+    "chain.stiffness_base": Key("default", "chain stiffness at kappa=1"),
+    "chain.load": Key("default", "constant axial load per node"),
+    "chain.drive_std": Key("default", "std of per-frame drive increments"),
+    "chain.relax_tol": Key("default", "relaxation residual tolerance"),
+    "chain.seed": Key("default", "chain dataset seed", default=99),
     # graph construction
-    "graph.tied_k": Key(3, "int", "default", "tied-edge nearest neighbors"),
-    "graph.tied_cutoff_factor": Key(3.0, "float", "default",
-                                    "tied interface cutoff, x median edge"),
-    "graph.contact_radius": Key(0.0, "float", "default",
-                                "contact radius; 0 means factor x median edge"),
-    "graph.contact_radius_factor": Key(1.5, "float", "default",
-                                       "contact radius as multiple of median edge"),
-    "graph.n_frequencies": Key(8, "int", "default", "positional encoding frequencies"),
-    "graph.use_contact": Key(True, "bool", "default", "detect contact edges"),
+    "graph.tied_k": Key("default", "tied-edge nearest neighbors"),
+    "graph.tied_cutoff_factor": Key("default", "tied interface cutoff, x median edge"),
+    "graph.contact_radius": Key("default", "contact radius; 0 means factor x median edge",
+                                default=0.0),
+    "graph.contact_radius_factor": Key("default", "contact radius as multiple of median edge"),
+    "graph.n_frequencies": Key("default", "positional encoding frequencies"),
+    "graph.use_contact": Key("default", "detect contact edges"),
     # model
-    "model.latent_dim": Key(112, "int", "default",
-                            "node/edge latent width (sized to the 0.5M budget)"),
-    "model.mpnn_pre": Key(2, "int", "paper", "pre-processing message-passing iterations"),
-    "model.mpnn_refine": Key(2, "int", "paper", "refinement message-passing iterations"),
-    "model.blocks": Key(2, "int", "paper", "token-attention blocks"),
-    "model.heads": Key(4, "int", "paper", "attention heads"),
-    "model.tokens": Key(32, "int", "paper", "slice token count"),
-    "model.dims": Key((64, 32, 64), "ints", "paper",
-                      "block width, attention width, feed-forward width"),
-    "model.tau0": Key(0.5, "float", "default", "base slice temperature"),
-    "model.tau_min": Key(0.01, "float", "default", "temperature clamp"),
-    "model.leaky_slope": Key(0.01, "float", "default", "LeakyReLU negative slope"),
+    "model.latent_dim": Key("default", "node/edge latent width (sized to the 0.5M budget)"),
+    "model.mpnn_pre": Key("paper", "pre-processing message-passing iterations"),
+    "model.mpnn_refine": Key("paper", "refinement message-passing iterations"),
+    "model.blocks": Key("paper", "token-attention blocks", field="n_transformer_blocks"),
+    "model.heads": Key("paper", "attention heads", field="n_heads"),
+    "model.tokens": Key("paper", "slice token count", field="n_tokens"),
+    "model.dims": Key("paper", "block width, attention width, feed-forward width",
+                      field="transformer_dims"),
+    "model.tau0": Key("default", "base slice temperature"),
+    "model.tau_min": Key("default", "temperature clamp"),
+    "model.leaky_slope": Key("default", "LeakyReLU negative slope"),
     # training
-    "train.steps": Key(2000, "int", "default", "optimizer steps"),
-    "train.batch_size": Key(4, "int", "default", "snapshots per batch (one trajectory)"),
-    "train.lr": Key(1e-4, "float", "default", "initial learning rate"),
-    "train.lr_min": Key(1e-6, "float", "default", "final learning rate (exp decay)"),
-    "train.noise_scale": Key(0.003, "float", "default", "input noise in feature-std units"),
-    "train.seed": Key(0, "int", "default", "training seed"),
-    "train.target_mode": Key("absolute", "str", "default",
-                             "absolute next-step states, or delta for increments"),
-    "train.checkpoint_every": Key(500, "int", "default", "steps between checkpoints"),
-    "train.log_every": Key(50, "int", "default", "steps between log lines"),
+    "train.steps": Key("default", "optimizer steps"),
+    "train.batch_size": Key("default", "snapshots per batch (one trajectory)"),
+    "train.lr": Key("default", "initial learning rate"),
+    "train.lr_min": Key("default", "final learning rate (exp decay)"),
+    "train.noise_scale": Key("default", "input noise in feature-std units"),
+    "train.seed": Key("default", "training seed"),
+    "train.target_mode": Key("default", "absolute next-step states, or delta for increments"),
+    "train.checkpoint_every": Key("default", "steps between checkpoints"),
+    "train.log_every": Key("default", "steps between log lines"),
     # evaluation / rollout
-    "eval.horizon": Key(0, "int", "default", "rollout horizon; 0 means full trajectory"),
+    "eval.horizon": Key("default", "rollout horizon; 0 means full trajectory", default=0),
 }
+
+SEED_KEYS = ("data.seed", "chain.seed", "train.seed")
+
+
+def _class_field(key: str):
+    """The config-class field a key stands for, or None if no class carries it."""
+    section, name = key.split(".", 1)
+    by_name = {f.name: f for f in fields(SECTIONS[section])} if section in SECTIONS else {}
+    return by_name.get(SCHEMA[key].field or name)
+
+
+_FIELDS = {key: f.name for key in SCHEMA if (f := _class_field(key)) is not None}
+_DEFAULTS = {key: _class_field(key).default if spec.default is None else spec.default
+             for key, spec in SCHEMA.items()}
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in raw.replace(",", " ").split())
+
+
+_PARSERS = {int: int, float: float, bool: _bool, str: str, tuple: _ints}
 
 
 def _coerce(key: str, raw: str):
-    spec = SCHEMA[key]
+    parse = _PARSERS[type(_DEFAULTS[key])]
     try:
-        if spec.kind == "int":
-            return int(raw)
-        if spec.kind == "float":
-            return float(raw)
-        if spec.kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if spec.kind == "ints":
-            return tuple(int(p) for p in raw.replace(",", " ").split())
-        return raw
+        return parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} (expected {spec.kind})") from exc
+        raise ConfigError(f"bad value for {key}: {raw!r} "
+                          f"(expected {parse.__name__.strip('_')})") from exc
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
     """Defaults, then file values, then explicit overrides, then MGNT_SEED."""
-    resolved = {k: spec.default for k, spec in SCHEMA.items()}
+    resolved = dict(_DEFAULTS)
     if path is not None:
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
@@ -145,8 +167,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
             seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"MGNT_SEED must be an integer, got {env_seed!r}") from exc
-        for key in ("data.seed", "chain.seed", "train.seed"):
-            resolved[key] = seed
+        resolved.update(dict.fromkeys(SEED_KEYS, seed))
     return resolved
 
 
@@ -167,57 +188,11 @@ def write_resolved(cfg: dict, out_dir: str) -> None:
         f.write(format_config(cfg))
 
 
-# ---------------------------------------------------------------------------
-# typed views
-
-def oracle_config(cfg: dict) -> OracleConfig:
-    return OracleConfig(
-        rows=cfg["data.rows"], cols=cfg["data.cols"], spacing=cfg["data.spacing"],
-        mass=cfg["data.mass"], stiffness_base=cfg["data.stiffness_base"],
-        yield_strain=cfg["data.yield_strain"],
-        hardening_ratio=cfg["data.hardening_ratio"], damping=cfg["data.damping"],
-        gravity=cfg["data.gravity"], wall_stiffness=cfg["data.wall_stiffness"],
-        drop_height=cfg["data.drop_height"],
-        initial_velocity=cfg["data.initial_velocity"], dt=cfg["data.dt"],
-        substeps=cfg["data.substeps"], frames=cfg["data.frames"],
-        seed=cfg["data.seed"])
-
-
-def chain_config(cfg: dict) -> ChainConfig:
-    return ChainConfig(
-        n_nodes=cfg["chain.n_nodes"], driven_nodes=cfg["chain.driven_nodes"],
-        stiffness_base=cfg["chain.stiffness_base"],
-        load=cfg["chain.load"], drive_std=cfg["chain.drive_std"],
-        frames=cfg["chain.frames"], relax_tol=cfg["chain.relax_tol"],
-        seed=cfg["chain.seed"])
-
-
-def graph_config(cfg: dict) -> GraphConfig:
-    radius = cfg["graph.contact_radius"]
-    return GraphConfig(
-        tied_k=cfg["graph.tied_k"],
-        tied_cutoff_factor=cfg["graph.tied_cutoff_factor"],
-        contact_radius=None if radius == 0.0 else radius,
-        contact_radius_factor=cfg["graph.contact_radius_factor"],
-        n_frequencies=cfg["graph.n_frequencies"],
-        use_contact=cfg["graph.use_contact"])
-
-
-def model_config(cfg: dict, dims: dict[str, int]) -> ModelConfig:
-    return ModelConfig(
-        latent_dim=cfg["model.latent_dim"], mpnn_pre=cfg["model.mpnn_pre"],
-        mpnn_refine=cfg["model.mpnn_refine"],
-        n_transformer_blocks=cfg["model.blocks"], n_heads=cfg["model.heads"],
-        n_tokens=cfg["model.tokens"], transformer_dims=cfg["model.dims"],
-        tau0=cfg["model.tau0"], tau_min=cfg["model.tau_min"],
-        leaky_slope=cfg["model.leaky_slope"], **dims)
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        steps=cfg["train.steps"], batch_size=cfg["train.batch_size"],
-        lr=cfg["train.lr"], lr_min=cfg["train.lr_min"],
-        noise_scale=cfg["train.noise_scale"], seed=cfg["train.seed"],
-        target_mode=cfg["train.target_mode"],
-        checkpoint_every=cfg["train.checkpoint_every"],
-        log_every=cfg["train.log_every"])
+def section(cfg: dict, name: str, **extra):
+    """The config class of section ``name`` built from the resolved keys;
+    ``extra`` supplies the fields no key carries (the model's feature
+    dimensions).  ``graph.contact_radius = 0`` means None."""
+    values = {_FIELDS[key]: cfg[key] for key in _FIELDS if key.startswith(name + ".")}
+    if name == "graph":
+        values["contact_radius"] = values["contact_radius"] or None
+    return SECTIONS[name](**values, **extra)

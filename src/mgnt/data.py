@@ -30,8 +30,8 @@ import numpy as np
 
 from .container import meta_to_json, read_arrays, write_arrays
 from .errors import ValidationError
-from .mesh import (NODE_DEFORMABLE, GraphSample, Mesh, MeshGraph, build_graph_sample,
-                   one_hot_types, prepare_mesh)
+from .mesh import (NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
+                   build_graph_sample, one_hot_types, prepare_mesh)
 
 N_TYPES = 4
 
@@ -58,18 +58,6 @@ class Trajectory:
     def load(cls, path: str) -> "Trajectory":
         arrays, meta = read_arrays(path)
         return cls(arrays=arrays, meta=meta)
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    """Graph construction knobs shared by training, eval and rollout."""
-
-    tied_k: int = 3
-    tied_cutoff_factor: float = 3.0
-    contact_radius: float | None = None     # None: contact_radius_factor x median edge
-    contact_radius_factor: float = 1.5
-    n_frequencies: int = 8
-    use_contact: bool = True
 
 
 class ImpactSchema:
@@ -182,7 +170,7 @@ SCHEMAS = {"impact": ImpactSchema(), "chain": ChainSchema()}
 
 
 def get_schema(name: str):
-    if name not in SCHEMAS:
+    if not isinstance(name, str) or name not in SCHEMAS:
         raise ValidationError(f"unknown dataset schema {name!r}")
     return SCHEMAS[name]
 
@@ -231,14 +219,8 @@ class PreparedTrajectory:
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
     a = traj.arrays
-    graph = prepare_mesh(
-        Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
-        tied_k=graph_cfg.tied_k,
-        tied_cutoff_factor=graph_cfg.tied_cutoff_factor,
-        contact_radius=graph_cfg.contact_radius,
-        contact_radius_factor=graph_cfg.contact_radius_factor,
-        n_frequencies=graph_cfg.n_frequencies,
-    )
+    graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
+                         graph_cfg)
     return PreparedTrajectory(traj=traj, schema=schema, graph=graph, graph_cfg=graph_cfg)
 
 

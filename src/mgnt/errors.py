@@ -25,10 +25,6 @@ class SchemaFormatError(MgntError):
     """A binary container or dataset file does not match the expected layout."""
 
 
-class BatchContractError(MgntError):
-    """A training batch mixes samples from different trajectories."""
-
-
 class TrainingAbort(MgntError):
     """Training hit a non-finite loss; carries step diagnostics."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 # node type codes used across the package
 NODE_DEFORMABLE = 0
@@ -301,10 +301,27 @@ class MeshGraph:
     median_edge: float
 
 
-def prepare_mesh(mesh: Mesh, tied_k: int = 3, tied_cutoff_factor: float = 3.0,
-                 contact_radius: float | None = None,
-                 contact_radius_factor: float = 1.5,
-                 n_frequencies: int = 8) -> MeshGraph:
+@dataclass(frozen=True)
+class GraphConfig:
+    """Graph construction knobs shared by training, eval and rollout."""
+
+    tied_k: int = 3
+    tied_cutoff_factor: float = 3.0
+    contact_radius: float | None = None     # None: contact_radius_factor x median edge
+    contact_radius_factor: float = 1.5
+    n_frequencies: int = 8
+    use_contact: bool = True
+
+    def __post_init__(self):
+        if self.tied_k < 1:
+            raise ConfigError(f"graph tied_k must be >= 1, got {self.tied_k}")
+        if self.n_frequencies < 1:
+            raise ConfigError(f"graph n_frequencies must be >= 1, got {self.n_frequencies}")
+        if self.contact_radius is not None and not self.contact_radius > 0:
+            raise ConfigError(f"graph contact_radius must be > 0, got {self.contact_radius}")
+
+
+def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
     """Build the static graph data reused by every frame of a trajectory.
 
     Contact is never sought between mesh-edge endpoints nor between any two
@@ -313,13 +330,13 @@ def prepare_mesh(mesh: Mesh, tied_k: int = 3, tied_cutoff_factor: float = 3.0,
     med = median_edge_length(mesh)
     edges = np.concatenate([
         build_mesh_edges(mesh),
-        build_tied_edges(mesh, k=tied_k, interface_cutoff=tied_cutoff_factor * med)])
+        build_tied_edges(mesh, k=cfg.tied_k, interface_cutoff=cfg.tied_cutoff_factor * med)])
     edges = _pairs(edges[:, 0], edges[:, 1], n)
     a, b = np.nonzero(~np.eye(mesh.elements.shape[1], dtype=bool))
     excluded = _pairs(np.concatenate([edges[:, 0], mesh.elements[:, a].ravel()]),
                       np.concatenate([edges[:, 1], mesh.elements[:, b].ravel()]), n)
-    r_c = contact_radius if contact_radius is not None else contact_radius_factor * med
-    pe = positional_encoding(mesh.reference_positions, mesh.component_id, n_frequencies)
+    r_c = cfg.contact_radius if cfg.contact_radius is not None else cfg.contact_radius_factor * med
+    pe = positional_encoding(mesh.reference_positions, mesh.component_id, cfg.n_frequencies)
     return MeshGraph(mesh=mesh, mesh_edges=edges, excluded_pairs=excluded,
                      positional=pe, contact_radius=r_c, median_edge=med)
 

@@ -54,6 +54,9 @@ class ModelConfig:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.transformer_dims)
         object.__setattr__(self, "transformer_dims", dims)
+        if len(dims) != 3:
+            raise ConfigError(f"transformer dims need 3 entries (block, attention, "
+                              f"feed-forward width), got {len(dims)}")
         positive = (self.node_feat_dim, self.mesh_edge_feat_dim, self.contact_edge_feat_dim,
                     self.output_dim, self.latent_dim, self.n_heads, self.n_tokens) + dims
         if any(v <= 0 for v in positive):
@@ -61,6 +64,8 @@ class ModelConfig:
         if dims[1] % self.n_heads != 0:
             raise ConfigError(
                 f"attention width {dims[1]} not divisible by {self.n_heads} heads")
+        if not 0 < self.leaky_slope < 1:
+            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
 
     @property
     def head_dim(self) -> int:

@@ -17,12 +17,12 @@ iterative relaxation is cross-checked against a dense direct solve.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import Trajectory, write_manifest
-from .errors import NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .mesh import NODE_ACTUATOR, NODE_DEFORMABLE, NODE_OBSTACLE
 
 # Both generators draw each trajectory's stiffness scale kappa uniformly
@@ -54,6 +54,10 @@ class OracleConfig:
     frames: int = 50
     wall_margin_nodes: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.frames < 2:
+            raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
 
 
 def return_map_1d(k: float, hardening: float, yield_force: float,
@@ -205,37 +209,46 @@ def gen_dataset(n_train: int, n_test: int, base: OracleConfig, seed: int,
                 out_dir: str, workers: int = 1) -> str:
     """Generate a train/test split with kappa drawn uniformly from
     KAPPA_RANGE; per-trajectory seeds are disjoint.  Returns the manifest path."""
+    return _write_split("impact", "traj", (), n_train, n_test, base, seed, out_dir, workers)
+
+
+def _write_split(schema: str, prefix: str, salt: tuple, n_train: int, n_test: int,
+                 base, seed: int, out_dir: str, workers: int) -> str:
+    """Simulate trajectory i of ``n_train + n_test`` from ``base`` with its own
+    kappa (drawn from the generator seeded by (seed, *salt, i)) and seed
+    ``seed + i``; write ``<prefix>_<split>_<i>.mgnt`` files and the manifest."""
     if n_train < 1 or n_test < 1:
         raise ValidationError("need at least one trajectory per split")
     os.makedirs(out_dir, exist_ok=True)
+    files: dict[str, list[str]] = {"train": [], "test": []}
     jobs = []
     for i in range(n_train + n_test):
-        rng = np.random.default_rng([int(seed), i])
-        kappa = float(rng.uniform(*KAPPA_RANGE))
-        cfg = OracleConfig(**{**asdict(base), "kappa": kappa, "seed": int(seed) + i})
+        kappa = float(np.random.default_rng([int(seed), *salt, i]).uniform(*KAPPA_RANGE))
         split = "train" if i < n_train else "test"
-        fname = f"traj_{split}_{i:03d}.mgnt"
-        jobs.append((cfg, os.path.join(out_dir, fname), fname, split))
+        fname = f"{prefix}_{split}_{i:03d}.mgnt"
+        files[split].append(fname)
+        jobs.append((replace(base, kappa=kappa, seed=int(seed) + i),
+                     os.path.join(out_dir, fname)))
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_gen_one, jobs))
+            list(pool.map(_gen_one, jobs))
     else:
-        results = [_gen_one(job) for job in jobs]
+        for job in jobs:
+            _gen_one(job)
 
-    train_files = [f for f, s in results if s == "train"]
-    test_files = [f for f, s in results if s == "test"]
     manifest = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest, "impact", asdict(base) | {"seed": int(seed)},
-                   train_files, test_files)
+    write_manifest(manifest, schema, asdict(base) | {"seed": int(seed)},
+                   files["train"], files["test"])
     return manifest
 
 
-def _gen_one(job):
-    cfg, path, fname, split = job
-    simulate_impact(cfg).save(path)
-    return fname, split
+def _gen_one(job) -> None:
+    # looked up per call, so a rebinding of the module's simulate_* is honoured
+    cfg, path = job
+    simulate = simulate_chain if isinstance(cfg, ChainConfig) else simulate_impact
+    simulate(cfg).save(path)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +266,10 @@ class ChainConfig:
     frames: int = 60
     relax_tol: float = 1e-10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.frames < 2:
+            raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
 
 
 def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,
@@ -352,21 +369,6 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
 
 
 def gen_chain_dataset(n_train: int, n_test: int, base: ChainConfig, seed: int,
-                      out_dir: str) -> str:
+                      out_dir: str, workers: int = 1) -> str:
     """Long-range benchmark split; kappa varies per trajectory like the impact set."""
-    if n_train < 1 or n_test < 1:
-        raise ValidationError("need at least one trajectory per split")
-    os.makedirs(out_dir, exist_ok=True)
-    train_files, test_files = [], []
-    for i in range(n_train + n_test):
-        rng = np.random.default_rng([int(seed), 7, i])
-        kappa = float(rng.uniform(*KAPPA_RANGE))
-        cfg = ChainConfig(**{**asdict(base), "kappa": kappa, "seed": int(seed) + i})
-        split = "train" if i < n_train else "test"
-        fname = f"chain_{split}_{i:03d}.mgnt"
-        simulate_chain(cfg).save(os.path.join(out_dir, fname))
-        (train_files if split == "train" else test_files).append(fname)
-    manifest = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest, "chain", asdict(base) | {"seed": int(seed)},
-                   train_files, test_files)
-    return manifest
+    return _write_split("chain", "chain", (7,), n_train, n_test, base, seed, out_dir, workers)

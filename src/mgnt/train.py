@@ -20,8 +20,7 @@ import numpy as np
 from . import tensor as T
 from .container import meta_to_json, read_arrays, write_arrays
 from .data import PreparedTrajectory
-from .errors import (BatchContractError, ConfigError, SchemaFormatError,
-                     TrainingAbort, ValidationError)
+from .errors import ConfigError, SchemaFormatError, TrainingAbort, ValidationError
 from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples
 from .model import ModelConfig, forward, init_params
 from .tensor import Tape, Tensor
@@ -51,8 +50,12 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+        for name in ("steps", "batch_size", "checkpoint_every", "log_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "lr_min"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"train {name} must be > 0, got {getattr(self, name)}")
         if self.noise_scale < 0:
             raise ConfigError("noise scale must be >= 0")
         if self.target_mode not in ("absolute", "delta"):
@@ -187,18 +190,6 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
     merged = merge_samples(samples)
     mask = np.concatenate([deform] * len(step_indices))
     return merged, np.concatenate(targets), mask
-
-
-def make_batch_from_pairs(preps: list[PreparedTrajectory], pairs, target_mode: str,
-                          **kwargs):
-    """Batch assembly from (trajectory index, step) pairs; snapshots must all
-    come from one trajectory."""
-    traj_ids = {int(i) for i, _ in pairs}
-    if len(traj_ids) != 1:
-        raise BatchContractError(
-            f"batch mixes trajectories {sorted(traj_ids)}; snapshots must share one")
-    (tid,) = traj_ids
-    return make_batch(preps[tid], [t for _, t in pairs], target_mode, **kwargs)
 
 
 def _step_rng(seed: int, step: int, salt: int = 0) -> np.random.Generator:

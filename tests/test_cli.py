@@ -10,9 +10,12 @@ import pytest
 
 from mgnt.cli import _build_parser, main
 from mgnt.container import MAGIC, read_arrays, write_arrays
-from mgnt.config import SCHEMA, format_config, load_config
-from mgnt.data import Trajectory
+from mgnt.config import SCHEMA, format_config, load_config, section
+from mgnt.data import GraphConfig, Trajectory
 from mgnt.errors import ConfigError
+from mgnt.model import ModelConfig
+from mgnt.oracle import ChainConfig, OracleConfig
+from mgnt.train import TrainConfig
 
 TINY_DATA = """
 data.n_train = 2
@@ -36,6 +39,72 @@ train.lr_min = 0.0005
 train.noise_scale = 0
 train.checkpoint_every = 6
 """
+
+# format_config(load_config(None)) as the package has always written it
+DEFAULT_RESOLVED = """\
+# resolved configuration (provenance after each value)
+data.kind = impact  # default: dataset family: impact or chain
+data.n_train = 18  # paper: training trajectories
+data.n_test = 10  # paper: test trajectories
+data.rows = 8  # default: lattice rows (desk scale)
+data.cols = 8  # default: lattice cols (desk scale)
+data.spacing = 0.1  # default: lattice spacing
+data.frames = 50  # default: stored frames per trajectory
+data.substeps = 40  # default: fine integrator steps per stored frame
+data.dt = 0.00025  # default: fine integrator step
+data.mass = 1.0  # default: node mass
+data.stiffness_base = 100000.0  # default: spring stiffness at kappa=1
+data.yield_strain = 0.05  # default: elastic strain at yield
+data.hardening_ratio = 0.2  # default: hardening modulus / stiffness
+data.damping = 1.2  # default: per-node viscous coefficient
+data.gravity = 9.81  # default: gravitational acceleration
+data.wall_stiffness = 200000.0  # default: wall penalty stiffness
+data.drop_height = 0.2  # default: initial gap above the wall
+data.initial_velocity = -1.0  # default: initial vertical velocity
+data.seed = 1234  # default: dataset seed
+chain.n_nodes = 400  # default: chain length
+chain.driven_nodes = 16  # default: rigid driven head segment size
+chain.frames = 60  # default: stored frames per trajectory
+chain.n_train = 6  # default: training trajectories
+chain.n_test = 2  # default: test trajectories
+chain.stiffness_base = 100.0  # default: chain stiffness at kappa=1
+chain.load = 0.5  # default: constant axial load per node
+chain.drive_std = 0.25  # default: std of per-frame drive increments
+chain.relax_tol = 1e-10  # default: relaxation residual tolerance
+chain.seed = 99  # default: chain dataset seed
+graph.tied_k = 3  # default: tied-edge nearest neighbors
+graph.tied_cutoff_factor = 3.0  # default: tied interface cutoff, x median edge
+graph.contact_radius = 0.0  # default: contact radius; 0 means factor x median edge
+graph.contact_radius_factor = 1.5  # default: contact radius as multiple of median edge
+graph.n_frequencies = 8  # default: positional encoding frequencies
+graph.use_contact = True  # default: detect contact edges
+model.latent_dim = 112  # default: node/edge latent width (sized to the 0.5M budget)
+model.mpnn_pre = 2  # paper: pre-processing message-passing iterations
+model.mpnn_refine = 2  # paper: refinement message-passing iterations
+model.blocks = 2  # paper: token-attention blocks
+model.heads = 4  # paper: attention heads
+model.tokens = 32  # paper: slice token count
+model.dims = 64,32,64  # paper: block width, attention width, feed-forward width
+model.tau0 = 0.5  # default: base slice temperature
+model.tau_min = 0.01  # default: temperature clamp
+model.leaky_slope = 0.01  # default: LeakyReLU negative slope
+train.steps = 2000  # default: optimizer steps
+train.batch_size = 4  # default: snapshots per batch (one trajectory)
+train.lr = 0.0001  # default: initial learning rate
+train.lr_min = 1e-06  # default: final learning rate (exp decay)
+train.noise_scale = 0.003  # default: input noise in feature-std units
+train.seed = 0  # default: training seed
+train.target_mode = absolute  # default: absolute next-step states, or delta for increments
+train.checkpoint_every = 500  # default: steps between checkpoints
+train.log_every = 50  # default: steps between log lines
+eval.horizon = 0  # default: rollout horizon; 0 means full trajectory
+"""
+
+DIMS = dict(node_feat_dim=10, mesh_edge_feat_dim=6, contact_edge_feat_dim=3, pe_dim=32,
+            output_dim=5)
+
+CHAIN_DATA = ("data.kind = chain\nchain.n_nodes = 120\nchain.frames = 4\n"
+              "chain.n_train = 1\nchain.n_test = 1\n")
 
 
 def _write(tmp_path, name, text):
@@ -94,6 +163,61 @@ class TestConfig:
         path = _write(tmp_path, "c.txt", "# hello\n\ntrain.steps = 7 # trailing\n")
         assert load_config(path)["train.steps"] == 7
 
+    def test_default_resolved_text_unchanged(self, monkeypatch):
+        monkeypatch.delenv("MGNT_SEED", raising=False)
+        assert format_config(load_config(None)) == DEFAULT_RESOLVED
+
+    @pytest.mark.parametrize("name, expected", [
+        ("data", OracleConfig(seed=1234)),
+        ("chain", ChainConfig(seed=99)),
+        ("graph", GraphConfig()),
+        ("model", ModelConfig(**DIMS)),
+        ("train", TrainConfig()),
+    ])
+    def test_sections_take_class_defaults(self, monkeypatch, name, expected):
+        # only the two dataset seeds and contact_radius (0 for None) differ
+        monkeypatch.delenv("MGNT_SEED", raising=False)
+        extra = DIMS if name == "model" else {}
+        assert section(load_config(None), name, **extra) == expected
+
+    def test_section_maps_renamed_keys(self):
+        cfg = load_config(None, {"model.blocks": 3, "model.heads": 2, "model.tokens": 5,
+                                 "model.dims": (8, 4, 8), "graph.contact_radius": 0.5})
+        mcfg = section(cfg, "model", **DIMS)
+        assert (mcfg.n_transformer_blocks, mcfg.n_heads, mcfg.n_tokens,
+                mcfg.transformer_dims) == (3, 2, 5, (8, 4, 8))
+        assert section(cfg, "graph").contact_radius == 0.5
+
+    @pytest.mark.parametrize("command, line", [
+        ("train", "model.dims = 8,4"),
+        ("train", "model.dims = 8,4,8,8"),
+        ("train", "train.lr = 0"),
+        ("train", "train.lr_min = 0"),
+        ("train", "train.lr_min = -0.001"),
+        ("train", "train.checkpoint_every = 0"),
+        ("train", "train.log_every = 0"),
+        ("train", "train.steps = 0"),
+        ("gen-data", "data.frames = 1"),
+        ("gen-chain", "chain.frames = 1"),
+        ("train", "graph.tied_k = 0"),
+        ("train", "graph.n_frequencies = 0"),
+        ("train", "graph.contact_radius = -0.1"),
+        ("train", "model.leaky_slope = 0"),
+        ("train", "model.leaky_slope = 1"),
+    ])
+    def test_bad_value_exit_2(self, trained, tmp_path, capsys, command, line):
+        root, _, data_dir, _ = trained
+        out = str(tmp_path / "o")
+        if command == "train":
+            cfg = _write(tmp_path, "bad.txt", TINY_TRAIN + line + "\n")
+            argv = ["train", "--config", cfg, "--data", data_dir, "--out", out]
+        else:
+            base = CHAIN_DATA if command == "gen-chain" else TINY_DATA
+            cfg = _write(tmp_path, "bad.txt", base + line + "\n")
+            argv = ["gen-data", "--config", cfg, "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it
@@ -134,6 +258,16 @@ class TestGenData:
         assert main(["gen-data", "--config", cfg, "--out", out]) == 0
         doc = json.load(open(os.path.join(out, "manifest.json")))
         assert doc["schema"] == "chain"
+
+    def test_chain_workers_identical(self, tmp_path):
+        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.n_train = 2\n")
+        outs = [str(tmp_path / f"w{n}") for n in (1, 2)]
+        for out, n in zip(outs, ("1", "2")):
+            assert main(["gen-data", "--config", cfg, "--out", out, "--workers", n]) == 0
+        hashes = [_hash_dir(out) for out in outs]
+        assert len(hashes[0]) == 3 and hashes[0] == hashes[1]
+        manifests = [open(os.path.join(out, "manifest.json")).read() for out in outs]
+        assert manifests[0] == manifests[1]
 
 
 class TestTrain:
@@ -193,7 +327,12 @@ class TestEval:
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: meta["graph_config"].update(bogus=1), "'bogus'"),
         (lambda meta: meta.update(train_config=5), "'train_config'"),
-    ], ids=["graph_config_unknown_key", "train_config_not_object"])
+        (lambda meta: meta["train_config"].update(lr=0.0), "'train_config'"),
+        (lambda meta: meta.pop("schema"), "'schema'"),
+        (lambda meta: meta.update(schema="bogus"), "'schema'"),
+        (lambda meta: meta.update(schema=["impact"]), "'schema'"),
+    ], ids=["graph_config_unknown_key", "train_config_not_object", "train_config_bad_lr",
+            "schema_missing", "schema_unknown", "schema_not_a_string"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
         root, cfg, data_dir, run_dir = trained
         arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))

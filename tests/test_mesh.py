@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgnt.errors import ValidationError
-from mgnt.mesh import (Mesh, build_mesh_edges, build_tied_edges,
+from mgnt.mesh import (GraphConfig, Mesh, build_mesh_edges, build_tied_edges,
                        contact_edge_features, detect_contact_edges,
                        detect_contact_edges_bruteforce, mesh_edge_features,
                        one_hot_types, positional_encoding, prepare_mesh)
@@ -251,21 +251,21 @@ class TestPreparedMesh:
     def test_contact_excludes_mesh_neighbors(self):
         # a dense triangle: all pairs are mesh edges, so no contact pairs emerge
         m = _mesh([[0, 0], [0.1, 0], [0, 0.1]], [[0, 1, 2]])
-        graph = prepare_mesh(m, contact_radius=1.0)
+        graph = prepare_mesh(m, GraphConfig(contact_radius=1.0))
         from mgnt.mesh import detect_contact_edges as dce
         assert dce(m.reference_positions, graph.contact_radius,
                    graph.excluded_pairs).shape == (0, 2)
 
     def test_quad_diagonals_never_contact(self):
         m = _mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
-        graph = prepare_mesh(m, contact_radius=2.0)
+        graph = prepare_mesh(m, GraphConfig(contact_radius=2.0))
         assert {(0, 2), (2, 0), (1, 3), (3, 1)} <= set(map(tuple, graph.excluded_pairs))
         assert detect_contact_edges(m.reference_positions, graph.contact_radius,
                                     graph.excluded_pairs).shape == (0, 2)
 
     def test_default_radius_from_median_edge(self):
         m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        graph = prepare_mesh(m, contact_radius_factor=1.5)
+        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=1.5))
         assert graph.contact_radius == pytest.approx(1.5 * graph.median_edge)
 
     def test_one_hot(self):

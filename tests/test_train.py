@@ -6,13 +6,13 @@ import pytest
 
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.container import read_arrays, write_arrays
-from mgnt.errors import BatchContractError, ConfigError, SchemaFormatError, ValidationError
+from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
 from mgnt.train import (Normalizer, TrainConfig, compute_loss, config_from_meta, fit,
-                        load_checkpoint, make_batch, make_batch_from_pairs,
-                        save_checkpoint, evaluate_one_step_loss, write_history_csv)
+                        load_checkpoint, make_batch, save_checkpoint,
+                        evaluate_one_step_loss, write_history_csv)
 
 
 class TestComputeLoss:
@@ -84,14 +84,6 @@ class TestMakeBatch:
         make_batch(tiny_prep, [last], "absolute")  # fine
         with pytest.raises(ValidationError, match="last valid index"):
             make_batch(tiny_prep, [last + 1], "absolute")
-
-    def test_mixed_trajectories_rejected(self, tiny_prep):
-        with pytest.raises(BatchContractError):
-            make_batch_from_pairs([tiny_prep, tiny_prep], [(0, 0), (1, 1)], "absolute")
-
-    def test_pairs_single_trajectory_ok(self, tiny_prep):
-        sample, _, _ = make_batch_from_pairs([tiny_prep], [(0, 0), (0, 1)], "absolute")
-        assert len(sample.sample_ranges) == 2
 
     def test_delta_targets(self, tiny_prep):
         a = tiny_prep.traj.arrays
