@@ -78,6 +78,20 @@ def _checkpoint_context(path: str):
     return state, schema, gcfg, target_mode
 
 
+def _check_schema(source: str, name, schema) -> None:
+    if name != schema.name:
+        raise SchemaFormatError(
+            f"{source} schema {name!r} does not match checkpoint schema {schema.name!r}")
+
+
+def _prepared_trajectory(path: str, schema, gcfg):
+    """The trajectory at ``path``, checked against the checkpoint's schema
+    and prepared for it."""
+    traj = Trajectory.load(path)
+    _check_schema("trajectory", traj.meta.get("schema"), schema)
+    return prepare_trajectory(traj, schema, gcfg)
+
+
 _GENERATORS = {"impact": ("data", gen_dataset), "chain": ("chain", gen_chain_dataset)}
 
 
@@ -91,22 +105,15 @@ def _cmd_gen_data(args, cfg) -> int:
     return 0
 
 
-def _prepare_split(manifest_dir: str, gcfg, split_names=("train", "test")):
-    manifest = os.path.join(manifest_dir, "manifest.json")
-    schema, split, ds_cfg = load_split(manifest)
-    prepared = {name: [prepare_trajectory(t, schema, gcfg) for t in split[name]]
-                for name in split_names}
-    return schema, prepared, ds_cfg
-
-
 def _cmd_train(args, cfg) -> int:
     gcfg = C.section(cfg, "graph")
-    schema, prepared, _ = _prepare_split(args.data, gcfg)
-    if not prepared["train"]:
+    schema, split, _ = load_split(os.path.join(args.data, "manifest.json"))
+    preps = [prepare_trajectory(t, schema, gcfg) for t in split["train"]]
+    if not preps:
         raise ConfigError("dataset has no training trajectories")
     mcfg = C.section(cfg, "model", **feature_dims(schema, gcfg))
     tcfg = C.section(cfg, "train")
-    result = fit(prepared["train"], mcfg, tcfg, out_dir=args.out,
+    result = fit(preps, mcfg, tcfg, out_dir=args.out,
                  resume=args.resume, progress=True,
                  extra_meta={"graph_config": asdict(gcfg)})
     write_history_csv(os.path.join(args.out, "loss_history.csv"), result.history)
@@ -118,10 +125,7 @@ def _cmd_eval(args, cfg) -> int:
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
     manifest = os.path.join(args.data, "manifest.json")
     ds_schema, split, _ = load_split(manifest)
-    if ds_schema.name != schema.name:
-        raise SchemaFormatError(
-            f"checkpoint schema {schema.name!r} does not match dataset "
-            f"schema {ds_schema.name!r}")
+    _check_schema("dataset", ds_schema.name, schema)
     preps = [prepare_trajectory(t, schema, gcfg) for t in split[args.split]]
     if not preps:
         raise ConfigError(f"split {args.split!r} is empty")
@@ -157,12 +161,8 @@ def _write_consistency_csv(path: str, report: dict) -> None:
 
 def _cmd_rollout(args, cfg) -> int:
     state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
-    traj = Trajectory.load(args.trajectory)
-    if traj.meta.get("schema") != schema.name:
-        raise SchemaFormatError(
-            f"trajectory schema {traj.meta.get('schema')!r} does not match "
-            f"checkpoint schema {schema.name!r}")
-    prep = prepare_trajectory(traj, schema, gcfg)
+    prep = _prepared_trajectory(args.trajectory, schema, gcfg)
+    traj = prep.traj
     result = rollout(state["params"], state["model_config"], state["normalizer"], prep,
                      args.horizon, target_mode, collect_weights=args.export_weights)
     arrays = horizon_arrays(traj, schema, args.horizon, result.frames)
@@ -200,8 +200,7 @@ def _write_step_error_csv(path: str, schema, pred: dict, gt: dict, horizon: int)
 
 def _cmd_export_attention(args, cfg) -> int:
     state, schema, gcfg, _ = _checkpoint_context(args.checkpoint)
-    traj = Trajectory.load(args.trajectory)
-    prep = prepare_trajectory(traj, schema, gcfg)
+    prep = _prepared_trajectory(args.trajectory, schema, gcfg)
     positions, weights = export_attention(state["params"], state["model_config"],
                                           state["normalizer"], prep, args.frame,
                                           args.block)

@@ -30,10 +30,8 @@ import numpy as np
 
 from .container import meta_to_json, read_arrays, write_arrays
 from .errors import ValidationError
-from .mesh import (NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
+from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
                    build_graph_sample, one_hot_types, prepare_mesh)
-
-N_TYPES = 4
 
 
 @dataclass
@@ -75,7 +73,7 @@ class ImpactSchema:
     variable_groups = {"u": (0, 2), "v": (2, 4), "alpha": (4, 5)}
 
     def node_feature_dim(self) -> int:
-        return 2 + 2 + 1 + 1 + N_TYPES
+        return 2 + 2 + 1 + 1 + N_NODE_TYPES
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
@@ -131,7 +129,7 @@ class ChainSchema:
     variable_groups = {"u": (0, 1)}
 
     def node_feature_dim(self) -> int:
-        return 1 + 1 + N_TYPES
+        return 1 + 1 + N_NODE_TYPES
 
     def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
         a = traj.arrays
@@ -193,6 +191,9 @@ class PreparedTrajectory:
         return self.graph.mesh.node_type == NODE_DEFORMABLE
 
     def frame(self, t: int) -> dict[str, np.ndarray]:
+        if not 0 <= t < self.traj.n_frames:
+            raise ValidationError(
+                f"frame index {t} out of range; last valid index is {self.traj.n_frames - 1}")
         return self.schema.frame(self.traj, t)
 
     def sample_from_frame(self, frame: dict) -> GraphSample:
@@ -201,8 +202,6 @@ class PreparedTrajectory:
                                   self.graph_cfg.use_contact)
 
     def sample(self, t: int) -> GraphSample:
-        if not 0 <= t < self.traj.n_frames:
-            raise ValidationError(f"frame index {t} out of range")
         return self.sample_from_frame(self.frame(t))
 
     def target(self, t: int, target_mode: str) -> np.ndarray:

@@ -69,7 +69,6 @@ class GraphSample:
     contact_edges: np.ndarray         # [Ec, 2]
     contact_edge_features: np.ndarray  # [Ec, d+1]
     positional_encoding: np.ndarray   # [N, 2*d*n_frequencies]
-    node_type: np.ndarray             # [N]
     sample_ranges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
@@ -118,13 +117,13 @@ def build_mesh_edges(mesh: Mesh) -> np.ndarray:
     return _both_ways(mesh.elements[:, a].ravel(), mesh.elements[:, b].ravel(), mesh.n_nodes)
 
 
-def build_tied_edges(mesh: Mesh, k: int = 3, interface_cutoff: float | None = None) -> np.ndarray:
+def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
     """Permanent cross-component coupling edges from a k-nearest-neighbor scan.
 
-    Only nodes within ``interface_cutoff`` of some other component are tied
-    (default: 3x the median mesh edge length); for each such node, edges to
-    its k nearest nodes of other components (ties to the lower node id),
-    symmetrized.  A single-component mesh yields no edges.
+    Only nodes within ``interface_cutoff`` of some other component are tied;
+    for each such node, edges to its k nearest nodes of other components
+    (ties to the lower node id), symmetrized.  A single-component mesh
+    yields no edges.
     """
     if k < 1:
         raise ValidationError(f"tied-edge neighbor count must be >= 1, got {k}")
@@ -132,8 +131,6 @@ def build_tied_edges(mesh: Mesh, k: int = 3, interface_cutoff: float | None = No
     if comps.size < 2:
         return np.zeros((0, 2), dtype=np.int64)
     X = mesh.reference_positions
-    if interface_cutoff is None:
-        interface_cutoff = 3.0 * median_edge_length(mesh)
     diff = X[:, None, :] - X[None, :, :]
     other = mesh.component_id[:, None] != mesh.component_id[None, :]
     dist = np.where(other, np.sqrt((diff * diff).sum(-1)), np.inf)
@@ -280,11 +277,11 @@ def positional_encoding(X: np.ndarray, component_id: np.ndarray,
     return out
 
 
-def one_hot_types(node_type: np.ndarray, n_types: int = N_NODE_TYPES) -> np.ndarray:
+def one_hot_types(node_type: np.ndarray) -> np.ndarray:
     node_type = np.asarray(node_type, dtype=np.int64)
-    if node_type.size and (node_type.min() < 0 or node_type.max() >= n_types):
-        raise ValidationError(f"node type out of range [0, {n_types})")
-    out = np.zeros((node_type.shape[0], n_types))
+    if node_type.size and (node_type.min() < 0 or node_type.max() >= N_NODE_TYPES):
+        raise ValidationError(f"node type out of range [0, {N_NODE_TYPES})")
+    out = np.zeros((node_type.shape[0], N_NODE_TYPES))
     out[np.arange(node_type.shape[0]), node_type] = 1.0
     return out
 
@@ -315,6 +312,12 @@ class GraphConfig:
     def __post_init__(self):
         if self.tied_k < 1:
             raise ConfigError(f"graph tied_k must be >= 1, got {self.tied_k}")
+        if not self.tied_cutoff_factor >= 0:
+            raise ConfigError(
+                f"graph tied_cutoff_factor must be >= 0, got {self.tied_cutoff_factor}")
+        if not self.contact_radius_factor > 0:
+            raise ConfigError(
+                f"graph contact_radius_factor must be > 0, got {self.contact_radius_factor}")
         if self.n_frequencies < 1:
             raise ConfigError(f"graph n_frequencies must be >= 1, got {self.n_frequencies}")
         if self.contact_radius is not None and not self.contact_radius > 0:
@@ -358,7 +361,6 @@ def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
         contact_edges=contact,
         contact_edge_features=contact_edge_features(x_t, contact),
         positional_encoding=graph.positional,
-        node_type=graph.mesh.node_type,
     )
 
 
@@ -384,7 +386,6 @@ def merge_samples(samples: list[GraphSample]) -> GraphSample:
         contact_edges=contact,
         contact_edge_features=np.concatenate([s.contact_edge_features for s in samples]),
         positional_encoding=np.concatenate([s.positional_encoding for s in samples]),
-        node_type=np.concatenate([s.node_type for s in samples]),
         sample_ranges=ranges,
     )
 
@@ -405,6 +406,5 @@ def permute_sample(sample: GraphSample, perm: np.ndarray) -> GraphSample:
         contact_edge_features=sample.contact_edge_features[order_c]
         if sample.contact_edges.size else sample.contact_edge_features,
         positional_encoding=sample.positional_encoding[inv],
-        node_type=sample.node_type[inv],
         sample_ranges=sample.sample_ranges,
     )

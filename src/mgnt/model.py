@@ -48,8 +48,6 @@ class ModelConfig:
     tau0: float = 0.5
     tau_min: float = 0.01
     leaky_slope: float = 0.01
-    ln_eps: float = 1e-5
-    decoder_layer_norm: bool = False
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.transformer_dims)
@@ -143,7 +141,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.ffn_b1"] = (w1,)
         shapes[f"{p}.out_w"] = (w1, L)
         shapes[f"{p}.out_b"] = (L,)
-    _mlp_shapes(shapes, "dec", L, L, cfg.output_dim, cfg.decoder_layer_norm)
+    _mlp_shapes(shapes, "dec", L, L, cfg.output_dim, False)
     return shapes
 
 
@@ -191,7 +189,7 @@ def _mlp(params, prefix: str, x: Tensor, cfg: ModelConfig, with_ln: bool = True)
     h = T.leaky_relu(h, cfg.leaky_slope)
     h = T.add(T.matmul(h, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
     if with_ln:
-        h = T.layer_norm(h, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"], cfg.ln_eps)
+        h = T.layer_norm(h, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
     return h
 
 
@@ -303,7 +301,7 @@ def transformer_block(lat_nodes: Tensor, pe: np.ndarray, params: dict[str, Tenso
         parts.append(T.add(h, update))
         weights.append(w.data)
     h1 = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-    normed = T.layer_norm(h1, params[f"{p}.ln_g"], params[f"{p}.ln_b"], cfg.ln_eps)
+    normed = T.layer_norm(h1, params[f"{p}.ln_g"], params[f"{p}.ln_b"])
     hidden = T.leaky_relu(T.add(T.matmul(normed, params[f"{p}.ffn_w0"]),
                                 params[f"{p}.ffn_b0"]), cfg.leaky_slope)
     ffn_out = T.add(T.matmul(hidden, params[f"{p}.ffn_w1"]), params[f"{p}.ffn_b1"])
@@ -322,19 +320,16 @@ def sample_gumbel(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 
 def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
             train_mode: bool = False, rng: np.random.Generator | None = None,
-            gumbel: list[np.ndarray] | None = None,
             collect_weights: bool = False) -> tuple[Tensor, dict]:
     """Full pass; returns per-node predictions and an aux dict.
 
-    In train mode the slice logits receive Gumbel noise, drawn from ``rng``
-    unless explicit per-block arrays are supplied (as grad checks need a
-    frozen draw).  Eval mode is deterministic.
+    In train mode the slice logits of every block receive Gumbel noise, all
+    drawn from ``rng`` before the pass starts.  Eval mode is deterministic.
     """
-    if train_mode and gumbel is None:
-        if rng is None:
-            raise ValidationError("train mode needs an rng or explicit gumbel noise")
-        gumbel = [sample_gumbel(rng, (sample.n_nodes, cfg.n_tokens))
-                  for _ in range(cfg.n_transformer_blocks)]
+    if train_mode and rng is None:
+        raise ValidationError("train mode needs an rng")
+    gumbel = [sample_gumbel(rng, (sample.n_nodes, cfg.n_tokens)) if train_mode else None
+              for _ in range(cfg.n_transformer_blocks)]
     with _scope("encode"):
         lat = encode(sample, params, cfg)
     with _scope("mpnn_pre"):
@@ -343,16 +338,15 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
     collect: list[np.ndarray] | None = [] if collect_weights else None
     nodes = lat.nodes
     for b in range(cfg.n_transformer_blocks):
-        g = gumbel[b] if (train_mode and gumbel is not None) else None
         nodes = transformer_block(nodes, sample.positional_encoding, params, b, cfg,
-                                  sample.sample_ranges, g, collect)
+                                  sample.sample_ranges, gumbel[b], collect)
     lat = LatentGraph(nodes=nodes, mesh_edges=lat.mesh_edges,
                       contact_edges=lat.contact_edges)
     with _scope("mpnn_refine"):
         for i in range(cfg.mpnn_refine):
             lat = mpnn_iteration(lat, sample, params, cfg.mpnn_pre + i, cfg)
     with _scope("decode"):
-        y = _mlp(params, "dec", lat.nodes, cfg, with_ln=cfg.decoder_layer_norm)
+        y = _mlp(params, "dec", lat.nodes, cfg, with_ln=False)
     aux = {"slice_weights": collect if collect is not None else []}
     return y, aux
 

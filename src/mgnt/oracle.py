@@ -29,6 +29,14 @@ from .mesh import NODE_ACTUATOR, NODE_DEFORMABLE, NODE_OBSTACLE
 # from this range.
 KAPPA_RANGE = (0.1, 0.3)
 
+# The impact wall is a row of static nodes at height WALL_Y that reaches
+# WALL_MARGIN_NODES lattice spacings past the block on either side.
+WALL_Y = 0.0
+WALL_MARGIN_NODES = 4
+
+# Rest spacing of the chain's nodes.
+CHAIN_SPACING = 1.0
+
 
 # ---------------------------------------------------------------------------
 # elastoplastic impact lattice
@@ -45,19 +53,21 @@ class OracleConfig:
     hardening_ratio: float = 0.2      # H = hardening_ratio * spring stiffness
     damping: float = 1.2              # per-node viscous coefficient
     gravity: float = 9.81
-    wall_y: float = 0.0
     wall_stiffness: float = 200000.0
     drop_height: float = 0.2
     initial_velocity: float = -1.0    # initial vertical velocity of the lattice
     dt: float = 2.5e-4
     substeps: int = 40
     frames: int = 50
-    wall_margin_nodes: int = 4
     seed: int = 0
 
     def __post_init__(self):
         if self.frames < 2:
             raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
+        if self.substeps < 1:
+            raise ConfigError(f"data substeps must be >= 1, got {self.substeps}")
+        if not self.dt > 0:
+            raise ConfigError(f"data dt must be > 0, got {self.dt}")
 
 
 def return_map_1d(k: float, hardening: float, yield_force: float,
@@ -85,7 +95,7 @@ def _lattice(cfg: OracleConfig):
     plus a row of static wall nodes below it."""
     a = cfg.spacing
     xs = np.arange(cfg.cols) * a
-    ys = np.arange(cfg.rows) * a + cfg.wall_y + cfg.drop_height
+    ys = np.arange(cfg.rows) * a + WALL_Y + cfg.drop_height
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
     n_lat = lattice.shape[0]
@@ -104,9 +114,9 @@ def _lattice(cfg: OracleConfig):
                 springs.append((nid(r, c), nid(r + 1, c + 1)))
                 springs.append((nid(r, c + 1), nid(r + 1, c)))
 
-    m = cfg.wall_margin_nodes
+    m = WALL_MARGIN_NODES
     wall_x = (np.arange(cfg.cols + 2 * m) - m) * a
-    wall = np.stack([wall_x, np.full_like(wall_x, cfg.wall_y)], axis=1)
+    wall = np.stack([wall_x, np.full_like(wall_x, WALL_Y)], axis=1)
     wall_elems = [(n_lat + i, n_lat + i + 1) for i in range(wall.shape[0] - 1)]
 
     X = np.concatenate([lattice, wall])
@@ -174,7 +184,7 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
             np.add.at(force, src, -fvec)
             np.add.at(force, dst, fvec)
 
-            pen = cfg.wall_y - x[:, 1]
+            pen = WALL_Y - x[:, 1]
             contact = deform & (pen > 0.0)
             force[contact, 1] += cfg.wall_stiffness * pen[contact]
             force[contact, 1] -= c_wall * v[contact, 1]
@@ -258,7 +268,6 @@ def _gen_one(job) -> None:
 class ChainConfig:
     n_nodes: int = 400
     driven_nodes: int = 16           # rigid actuator segment at the chain head
-    spacing: float = 1.0
     stiffness_base: float = 100.0    # chain stiffness = kappa * stiffness_base
     kappa: float = 0.2
     load: float = 0.5                # constant axial load per free node
@@ -291,8 +300,7 @@ def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,
 
 
 def solve_chain_relaxation(k: float, load: float, u0: float, n_nodes: int,
-                           driven: int = 1, tol: float = 1e-10,
-                           max_iter: int = 200000) -> np.ndarray:
+                           driven: int = 1, tol: float = 1e-10) -> np.ndarray:
     """Conjugate-gradient relaxation of the same equilibrium system."""
     m = n_nodes - driven
 
@@ -311,7 +319,7 @@ def solve_chain_relaxation(k: float, load: float, u0: float, n_nodes: int,
     p = r.copy()
     rs = r @ r
     b_norm = np.sqrt(b @ b) or 1.0
-    for _ in range(max_iter):
+    for _ in range(200000):  # far past the m steps CG takes in exact arithmetic
         if np.sqrt(rs) <= tol * b_norm:
             break
         Ap = matvec(p)
@@ -335,7 +343,7 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
     if not 1 <= cfg.driven_nodes < cfg.n_nodes // 4:
         raise ValidationError("driven segment must be short relative to the chain")
     n = cfg.n_nodes
-    X = np.stack([np.arange(n) * cfg.spacing, np.zeros(n)], axis=1)
+    X = np.stack([np.arange(n) * CHAIN_SPACING, np.zeros(n)], axis=1)
     elements = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
     node_type = np.full(n, NODE_DEFORMABLE, dtype=np.int64)
     node_type[:cfg.driven_nodes] = NODE_ACTUATOR

@@ -2,14 +2,16 @@
 
 Rollout feeds each prediction back as the next input: contact edges are
 rebuilt from the predicted positions every step, deformable nodes take the
-denormalized network output, and non-deformable nodes follow the boundary
-driver (by default, their ground-truth kinematics replayed verbatim).
+denormalized network output, and non-deformable nodes replay their stored
+ground-truth kinematics verbatim.
 
 Metrics: RMSE over one-step predictions (always restarted from ground
 truth), RMSE over full rollouts, relative RMSE normalized per trajectory by
 the ground-truth infinity norm, the per-step hardening sum with its
 monotonicity violation count, and the kinetic proxy (sum over nodes of the
-squared velocity norm; the plain norm sum is exported alongside).
+squared velocity norm; the plain norm sum is exported alongside).  In both
+RMSEs the non-deformable nodes carry ground truth, so they add zero
+residuals to the mean.
 """
 
 from __future__ import annotations
@@ -44,21 +46,16 @@ def horizon_arrays(traj: Trajectory, schema, horizon: int,
 
 def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
             prep: PreparedTrajectory, horizon: int, target_mode: str,
-            collect_weights: bool = False, boundary_driver=None) -> RolloutResult:
-    """Integrate ``horizon`` steps from the trajectory's initial frame.
-
-    ``boundary_driver(t)`` must return the full frame dict whose
-    non-deformable rows (and control features) are authoritative for step t;
-    it defaults to replaying the stored ground truth.
-    """
+            collect_weights: bool = False) -> RolloutResult:
+    """Integrate ``horizon`` steps from the trajectory's initial frame; the
+    stored frame t supplies the non-deformable rows and control features of
+    step t."""
     if horizon < 1:
         raise ValidationError("rollout horizon must be >= 1")
     if horizon > prep.n_transitions:
         raise ValidationError(
             f"horizon {horizon} exceeds stored ground truth "
             f"({prep.n_transitions} transitions)")
-    if boundary_driver is None:
-        boundary_driver = prep.frame
     schema = prep.schema
     deform = prep.deformable
     X = prep.graph.mesh.reference_positions
@@ -82,7 +79,7 @@ def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
         state = normalizer.denormalize_targets(pred.data)
         if target_mode == "delta":
             state = schema.state_vector(frame, X) + state
-        frame = schema.advance(state, X, boundary_driver(t + 1), deform)
+        frame = schema.advance(state, X, prep.frame(t + 1), deform)
         frames.append(frame)
     return RolloutResult(frames=frames, contact_counts=counts, slice_weights=weights)
 
@@ -127,7 +124,9 @@ def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, 
 def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
            preps: list[PreparedTrajectory], target_mode: str) -> dict[str, dict]:
     """One forward step from every ground-truth frame; same reduction as
-    rmse_all over the one-step residuals, in denormalized target units."""
+    rmse_all over the one-step residuals, in denormalized target units.
+    Non-deformable rows take ground truth, as in a rollout, so their
+    residual is zero."""
     schema = preps[0].schema
     per_var: dict[str, list[float]] = {name: [] for name in schema.variable_groups}
     for prep in preps:
@@ -139,6 +138,7 @@ def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
             normed = normalizer.normalize_sample(sample)
             pred, _ = forward(normed, params, model_cfg, train_mode=False)
             resid = normalizer.denormalize_targets(pred.data) - target
+            resid[~deform] = 0.0
             for name, (lo, hi) in schema.variable_groups.items():
                 block = resid[:, lo:hi]
                 sq_sums[name] += float((block * block).sum())
@@ -172,12 +172,11 @@ def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, di
 # ---------------------------------------------------------------------------
 # physical consistency
 
-def hardening_monotonicity(alpha: np.ndarray, tol: float | None = None
-                           ) -> tuple[np.ndarray, int]:
-    """Per-step hardening sums and the count of decreases beyond tolerance."""
+def hardening_monotonicity(alpha: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-step hardening sums and the count of decreases by more than 1e-9
+    of the largest sum."""
     sums = alpha.sum(axis=1)
-    if tol is None:
-        tol = 1e-9 * max(float(sums.max()), 1e-30)
+    tol = 1e-9 * max(float(sums.max()), 1e-30)
     drops = sums[1:] < sums[:-1] - tol
     return sums, int(drops.sum())
 

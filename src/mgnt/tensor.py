@@ -379,13 +379,12 @@ def sum_all(x) -> Tensor:
     return _emit(np.array(x.data.sum()), (x,), backward, "sum_all", x.size)
 
 
-def sum_axis(x, axis: int, keepdims: bool = False) -> Tensor:
+def sum_axis(x, axis: int) -> Tensor:
     x = _wrap(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
 
     def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return [(x, np.broadcast_to(gg, x.data.shape).copy())]
+        return [(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())]
 
     return _emit(out, (x,), backward, "sum_axis", x.size)
 

@@ -21,14 +21,19 @@ from . import tensor as T
 from .container import meta_to_json, read_arrays, write_arrays
 from .data import PreparedTrajectory
 from .errors import ConfigError, SchemaFormatError, TrainingAbort, ValidationError
-from .mesh import NODE_DEFORMABLE, GraphSample, merge_samples
+from .mesh import GraphSample, merge_samples
 from .model import ModelConfig, forward, init_params
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT = "mgnt-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _STD_FLOOR = 1e-8
+
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # The only train_config fields a resumed run may change.
 _RESUMABLE_FIELDS = ("steps", "checkpoint_every", "log_every")
@@ -45,9 +50,6 @@ class TrainConfig:
     target_mode: str = "absolute"   # "delta" retrains on state increments
     checkpoint_every: int = 500
     log_every: int = 50
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         for name in ("steps", "batch_size", "checkpoint_every", "log_every"):
@@ -201,7 +203,6 @@ class FitResult:
     params: dict[str, Tensor]
     normalizer: Normalizer
     history: np.ndarray   # columns: step, loss, lr, grad_norm
-    model_config: ModelConfig
 
 
 def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -261,7 +262,7 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
             grads = tape.gradients(loss, [params[k_] for k_ in names])
 
         grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-        b1, b2, eps = train_cfg.adam_beta1, train_cfg.adam_beta2, train_cfg.adam_eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         tcount = step + 1
         for name, g in zip(names, grads):
             adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
@@ -283,8 +284,7 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
                             extra_meta=run_meta)
 
     history = np.array(history_rows).reshape(-1, 4)
-    return FitResult(params=params, normalizer=normalizer, history=history,
-                     model_config=model_cfg)
+    return FitResult(params=params, normalizer=normalizer, history=history)
 
 
 def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -305,23 +305,6 @@ def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
             if old != new:
                 raise ConfigError(f"cannot resume: {name} is {old!r} in the checkpoint "
                                   f"but {new!r} in this run")
-
-
-def evaluate_one_step_loss(params, model_cfg: ModelConfig, normalizer: Normalizer,
-                           trajs: list[PreparedTrajectory], target_mode: str) -> float:
-    """Deterministic (eval-mode, noise-free) normalized one-step loss over
-    every transition of the given trajectories."""
-    total, count = 0.0, 0
-    for prep in trajs:
-        for t in range(prep.n_transitions):
-            sample, target, mask = make_batch(prep, [t], target_mode)
-            sample = normalizer.normalize_sample(sample)
-            target = normalizer.normalize_targets(target)
-            pred, _ = forward(sample, params, model_cfg, train_mode=False)
-            loss = compute_loss(pred, target, mask, sample.sample_ranges)
-            total += loss.item()
-            count += 1
-    return total / count
 
 
 def write_history_csv(path: str, history: np.ndarray) -> None:
@@ -382,6 +365,9 @@ def load_checkpoint(path: str) -> dict:
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise SchemaFormatError(f"{path}: checkpoint format version {meta.get('version')!r}; "
+                                f"this version of mgnt reads version {CHECKPOINT_VERSION}")
     if type(meta.get("step")) is not int or meta["step"] < 0:
         raise SchemaFormatError(f"{path}: checkpoint meta 'step' is {meta.get('step')!r}, "
                                 "not a step count")

@@ -6,7 +6,6 @@ is sized to finish in well under a minute."""
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def _tiny_setup(seed: int = 0):
     return prep, mcfg, params
 
 
-def run_checks(verbose: bool = True) -> list[tuple[str, bool, str]]:
+def run_checks() -> list[tuple[str, bool, str]]:
     results: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(2024)
 

@@ -4,14 +4,15 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mgnt.cli import _build_parser, main
 from mgnt.container import MAGIC, read_arrays, write_arrays
-from mgnt.config import SCHEMA, format_config, load_config, section
-from mgnt.data import GraphConfig, Trajectory
+from mgnt.config import SCHEMA, SECTIONS, format_config, load_config, section
+from mgnt.data import GraphConfig, Trajectory, feature_dims, get_schema
 from mgnt.errors import ConfigError
 from mgnt.model import ModelConfig
 from mgnt.oracle import ChainConfig, OracleConfig
@@ -188,6 +189,16 @@ class TestConfig:
                 mcfg.transformer_dims) == (3, 2, 5, (8, 4, 8))
         assert section(cfg, "graph").contact_radius == 0.5
 
+    def test_every_class_field_has_a_setter(self):
+        # a field is set by its config key or filled in by the program
+        # (model feature dimensions, the per-trajectory kappa and seed)
+        filled = set(feature_dims(get_schema("impact"), GraphConfig())) | {"kappa", "seed"}
+        for name, cls in SECTIONS.items():
+            keyed = {SCHEMA[key].field or key.split(".", 1)[1]
+                     for key in SCHEMA if key.startswith(name + ".")}
+            unset = {f.name for f in fields(cls)} - keyed - filled
+            assert not unset, f"{cls.__name__} fields nothing sets: {sorted(unset)}"
+
     @pytest.mark.parametrize("command, line", [
         ("train", "model.dims = 8,4"),
         ("train", "model.dims = 8,4,8,8"),
@@ -202,6 +213,11 @@ class TestConfig:
         ("train", "graph.tied_k = 0"),
         ("train", "graph.n_frequencies = 0"),
         ("train", "graph.contact_radius = -0.1"),
+        ("train", "graph.contact_radius_factor = 0"),
+        ("train", "graph.tied_cutoff_factor = -1"),
+        ("gen-data", "data.substeps = 0"),
+        ("gen-data", "data.dt = 0"),
+        ("gen-data", "data.dt = -0.00025"),
         ("train", "model.leaky_slope = 0"),
         ("train", "model.leaky_slope = 1"),
     ])
@@ -331,8 +347,9 @@ class TestEval:
         (lambda meta: meta.pop("schema"), "'schema'"),
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
+        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 2"),
     ], ids=["graph_config_unknown_key", "train_config_not_object", "train_config_bad_lr",
-            "schema_missing", "schema_unknown", "schema_not_a_string"])
+            "schema_missing", "schema_unknown", "schema_not_a_string", "version_1"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
         root, cfg, data_dir, run_dir = trained
         arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
@@ -459,6 +476,33 @@ class TestExportAttention:
         arrays, meta = read_arrays(os.path.join(out, files[0]))
         assert set(arrays) == {"positions", "weights"}
         np.testing.assert_allclose(arrays["weights"].sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("frame", ["6", "99", "-1"])
+    def test_frame_out_of_range_exit_1(self, trained, tmp_path, capsys, frame):
+        root, cfg, data_dir, run_dir = trained
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        out = str(tmp_path / "attn")
+        code = main(["export-attention", "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.mgnt"),
+                     "--trajectory", os.path.join(data_dir, doc["test"][0]),
+                     "--frame", frame, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: frame index {frame} out of range; "
+                                           "last valid index is 5\n")
+        assert not [f for f in os.listdir(out) if f.startswith("attention")]
+
+    @pytest.mark.parametrize("command", ["rollout", "export-attention"])
+    def test_trajectory_of_other_schema_exit_4(self, trained, tmp_path, capsys, command):
+        root, cfg, data_dir, run_dir = trained
+        chain_data = str(tmp_path / "chain_data")
+        assert main(["gen-data", "--config", _write(tmp_path, "chain.txt", CHAIN_DATA),
+                     "--out", chain_data]) == 0
+        doc = json.load(open(os.path.join(chain_data, "manifest.json")))
+        argv = [command, "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
+                "--trajectory", os.path.join(chain_data, doc["test"][0]),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + (["--horizon", "1"] if command == "rollout" else [])) == 4
+        assert "trajectory schema 'chain'" in capsys.readouterr().err
 
 
 def test_verify_command_exit_zero():

@@ -51,13 +51,13 @@ class TestTiedEdges:
     def test_coincident_nodes_both_directions(self):
         m = _mesh([[0, 0], [0, 0], [1, 0], [1, 0]], [[0, 2], [1, 3]],
                   comps=[0, 1, 0, 1])
-        tied = build_tied_edges(m, k=1)
+        tied = build_tied_edges(m, k=1, interface_cutoff=3.0)
         pairs = set(map(tuple, tied))
         assert (0, 1) in pairs and (1, 0) in pairs
 
     def test_single_component_empty(self):
         m = _mesh([[0, 0], [1, 0]], [[0, 1]])
-        assert build_tied_edges(m, k=1).shape == (0, 2)
+        assert build_tied_edges(m, k=1, interface_cutoff=3.0).shape == (0, 2)
 
     def test_three_components_on_line_matches_bruteforce(self):
         # components of two nodes each along a line; k=1 ties nearest foreign node
@@ -84,7 +84,7 @@ class TestTiedEdges:
     def test_far_components_not_tied(self):
         m = _mesh([[0, 0], [1, 0], [50, 0], [51, 0]], [[0, 1], [2, 3]],
                   comps=[0, 0, 1, 1])
-        assert build_tied_edges(m, k=2).shape == (0, 2)
+        assert build_tied_edges(m, k=2, interface_cutoff=3.0).shape == (0, 2)
 
 
 class TestContactDetection:

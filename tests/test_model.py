@@ -33,7 +33,6 @@ def _toy_sample(rng, n=10, cfg=None):
         contact_edges=np.zeros((0, 2), dtype=np.int64),
         contact_edge_features=np.zeros((0, cfg.contact_edge_feat_dim)),
         positional_encoding=rng.standard_normal((n, cfg.pe_dim)),
-        node_type=np.zeros(n, dtype=np.int64),
     )
 
 
@@ -51,7 +50,6 @@ def _path_sample(n, cfg, rng):
         contact_edges=np.zeros((0, 2), dtype=np.int64),
         contact_edge_features=np.zeros((0, cfg.contact_edge_feat_dim)),
         positional_encoding=rng.standard_normal((n, cfg.pe_dim)),
-        node_type=np.zeros(n, dtype=np.int64),
     )
 
 

@@ -213,6 +213,23 @@ class TestRmse1:
         b = rmse_1(params, mcfg, norm, [prep], "absolute")
         assert a == b
 
+    def test_boundary_rows_not_scored(self, fitted, monkeypatch):
+        # rollout overwrites wall rows from ground truth and the loss masks
+        # them, so whatever the network predicts there must not count
+        prep, mcfg, params, norm = fitted
+        clean = rmse_1(params, mcfg, norm, [prep], "absolute")
+        rigid = ~prep.deformable
+        assert rigid.any()
+
+        def garbage_on_boundary(sample, params, cfg, **kwargs):
+            pred, aux = forward(sample, params, cfg, **kwargs)
+            out = pred.data.copy()
+            out[rigid] = 1e6
+            return Tensor(out), aux
+
+        monkeypatch.setattr(R, "forward", garbage_on_boundary)
+        assert rmse_1(params, mcfg, norm, [prep], "absolute") == clean
+
 
 class TestRRmse:
     def test_zero_for_identical(self, tiny_traj):

@@ -11,8 +11,7 @@ from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
 from mgnt.train import (Normalizer, TrainConfig, compute_loss, config_from_meta, fit,
-                        load_checkpoint, make_batch, save_checkpoint,
-                        evaluate_one_step_loss, write_history_csv)
+                        load_checkpoint, make_batch, save_checkpoint, write_history_csv)
 
 
 class TestComputeLoss:
@@ -256,13 +255,6 @@ class TestFit:
         prep, mcfg, tcfg = _fit_setup(steps=5)
         with pytest.raises(ValidationError, match="checkpoint"):
             fit([prep], mcfg, tcfg, out_dir=str(tmp_path), resume=True)
-
-    def test_eval_loss_helper(self):
-        prep, mcfg, tcfg = _fit_setup(steps=30)
-        result = fit([prep], mcfg, tcfg)
-        val = evaluate_one_step_loss(result.params, mcfg, result.normalizer, [prep],
-                                     tcfg.target_mode)
-        assert np.isfinite(val) and val >= 0
 
     def test_history_csv(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=5)
