@@ -22,7 +22,7 @@ print(f"nodes: {traj.n_nodes} ({int(deform.sum())} deformable)")
 print(f"frames: {traj.n_frames}, stored dt: {a['dt'][0]:.4f}s")
 
 u = a["x"][:, deform] - a["X"][None, deform]
-ke = kinetic_proxy(a["v"][:, deform])["sum_v2"]
+ke = kinetic_proxy(a["v"][:, deform])
 sums, violations = hardening_monotonicity(a["alpha"])
 lowest = a["x"][:, deform, 1].min(axis=1)
 

@@ -23,12 +23,11 @@ import numpy as np
 
 from . import config as C
 from .container import write_arrays
-from .data import (GraphConfig, Trajectory, feature_dims, get_schema, load_split,
-                   prepare_trajectory)
-from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort, ValidationError
+from .data import Trajectory, feature_dims, load_split, prepare_trajectory
+from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort
 from .oracle import gen_chain_dataset, gen_dataset
 from .rollout import evaluate, export_attention, horizon_arrays, metric_series, rollout
-from .train import TrainConfig, config_from_meta, fit, load_checkpoint, write_history_csv
+from .train import fit, load_checkpoint, write_history_csv
 from .verify import main_verify
 
 
@@ -65,31 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checkpoint_context(path: str):
-    state = load_checkpoint(path)
-    meta = state["meta"]
-    try:
-        schema = get_schema(meta.get("schema"))
-    except ValidationError as exc:
-        raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
-    gcfg = config_from_meta(path, meta, "graph_config", GraphConfig, default={})
-    target_mode = config_from_meta(path, meta, "train_config", TrainConfig,
-                                   default={}).target_mode
-    return state, schema, gcfg, target_mode
-
-
 def _check_schema(source: str, name, schema) -> None:
     if name != schema.name:
         raise SchemaFormatError(
             f"{source} schema {name!r} does not match checkpoint schema {schema.name!r}")
 
 
-def _prepared_trajectory(path: str, schema, gcfg):
-    """The trajectory at ``path``, checked against the checkpoint's schema
-    and prepared for it."""
+def _prepared_trajectory(path: str, state: dict):
+    """The trajectory at ``path``, checked against the loaded checkpoint's
+    schema and prepared with its graph config."""
     traj = Trajectory.load(path)
-    _check_schema("trajectory", traj.meta.get("schema"), schema)
-    return prepare_trajectory(traj, schema, gcfg)
+    _check_schema("trajectory", traj.meta.get("schema"), state["schema"])
+    return prepare_trajectory(traj, state["schema"], state["graph_config"])
 
 
 _GENERATORS = {"impact": ("data", gen_dataset), "chain": ("chain", gen_chain_dataset)}
@@ -107,7 +93,7 @@ def _cmd_gen_data(args, cfg) -> int:
 
 def _cmd_train(args, cfg) -> int:
     gcfg = C.section(cfg, "graph")
-    schema, split, _ = load_split(os.path.join(args.data, "manifest.json"))
+    schema, split, _ = load_split(os.path.join(args.data, "manifest.json"), ("train",))
     preps = [prepare_trajectory(t, schema, gcfg) for t in split["train"]]
     if not preps:
         raise ConfigError("dataset has no training trajectories")
@@ -122,16 +108,17 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_eval(args, cfg) -> int:
-    state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
+    state = load_checkpoint(args.checkpoint)
+    schema = state["schema"]
     manifest = os.path.join(args.data, "manifest.json")
-    ds_schema, split, _ = load_split(manifest)
+    ds_schema, split, _ = load_split(manifest, (args.split,))
     _check_schema("dataset", ds_schema.name, schema)
-    preps = [prepare_trajectory(t, schema, gcfg) for t in split[args.split]]
+    preps = [prepare_trajectory(t, schema, state["graph_config"]) for t in split[args.split]]
     if not preps:
         raise ConfigError(f"split {args.split!r} is empty")
     horizon = cfg["eval.horizon"] or None
     report = evaluate(state["params"], state["model_config"], state["normalizer"],
-                      preps, target_mode, horizon=horizon)
+                      preps, state["train_config"].target_mode, horizon=horizon)
     report["split"] = args.split
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump(report, f, indent=2)
@@ -160,11 +147,13 @@ def _write_consistency_csv(path: str, report: dict) -> None:
 
 
 def _cmd_rollout(args, cfg) -> int:
-    state, schema, gcfg, target_mode = _checkpoint_context(args.checkpoint)
-    prep = _prepared_trajectory(args.trajectory, schema, gcfg)
+    state = load_checkpoint(args.checkpoint)
+    schema = state["schema"]
+    prep = _prepared_trajectory(args.trajectory, state)
     traj = prep.traj
     result = rollout(state["params"], state["model_config"], state["normalizer"], prep,
-                     args.horizon, target_mode, collect_weights=args.export_weights)
+                     args.horizon, state["train_config"].target_mode,
+                     collect_weights=args.export_weights)
     arrays = horizon_arrays(traj, schema, args.horizon, result.frames)
     arrays["contact_counts"] = result.contact_counts
     out_traj = Trajectory(arrays=arrays, meta={**traj.meta, "format": "mgnt-rollout",
@@ -199,8 +188,8 @@ def _write_step_error_csv(path: str, schema, pred: dict, gt: dict, horizon: int)
 
 
 def _cmd_export_attention(args, cfg) -> int:
-    state, schema, gcfg, _ = _checkpoint_context(args.checkpoint)
-    prep = _prepared_trajectory(args.trajectory, schema, gcfg)
+    state = load_checkpoint(args.checkpoint)
+    prep = _prepared_trajectory(args.trajectory, state)
     positions, weights = export_attention(state["params"], state["model_config"],
                                           state["normalizer"], prep, args.frame,
                                           args.block)

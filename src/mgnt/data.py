@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import meta_to_json, read_arrays, write_arrays
-from .errors import ValidationError
+from .errors import SchemaFormatError, ValidationError
 from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
                    build_graph_sample, one_hot_types, prepare_mesh)
 
@@ -251,13 +251,28 @@ def write_manifest(path: str, schema_name: str, config: dict,
         f.write("\n")
 
 
-def load_split(manifest_path: str) -> tuple[object, dict[str, list[Trajectory]], dict]:
-    """Load every trajectory referenced by a manifest, keyed by split."""
-    with open(manifest_path) as f:
-        doc = json.load(f)
-    schema = get_schema(doc["schema"])
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    split: dict[str, list[Trajectory]] = {}
+def load_split(manifest_path: str, splits: tuple[str, ...] = ("train", "test")
+               ) -> tuple[object, dict[str, list[Trajectory]], dict]:
+    """Load the trajectories of the named splits of a manifest, keyed by
+    split.  A manifest that is not a JSON object, names no known schema or
+    lists a split as anything but file names raises SchemaFormatError."""
+    try:
+        with open(manifest_path) as f:
+            doc = json.load(f)
+    except ValueError as exc:
+        raise SchemaFormatError(f"{manifest_path}: manifest is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaFormatError(f"{manifest_path}: manifest is not a JSON object")
+    try:
+        schema = get_schema(doc.get("schema"))
+    except ValidationError as exc:
+        raise SchemaFormatError(f"{manifest_path}: manifest 'schema': {exc}") from exc
     for key in ("train", "test"):
-        split[key] = [Trajectory.load(os.path.join(base, rel)) for rel in doc.get(key, [])]
+        files = doc.get(key)
+        if not (isinstance(files, list) and all(isinstance(name, str) for name in files)):
+            raise SchemaFormatError(
+                f"{manifest_path}: manifest {key!r} is not a list of file names")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    split = {key: [Trajectory.load(os.path.join(base, rel)) for rel in doc[key]]
+             for key in splits}
     return schema, split, doc.get("config", {})

@@ -143,15 +143,6 @@ def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
     return _both_ways(src[foreign], dst[foreign], mesh.n_nodes)
 
 
-def median_edge_length(mesh: Mesh) -> float:
-    edges = build_mesh_edges(mesh)
-    if edges.shape[0] == 0:
-        raise ValidationError("mesh has no edges")
-    X = mesh.reference_positions
-    d = X[edges[:, 0]] - X[edges[:, 1]]
-    return float(np.median(np.sqrt((d * d).sum(-1))))
-
-
 def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
                                     excluded) -> np.ndarray:
     """Reference O(N^2) scan; the cell search is validated against this.
@@ -221,27 +212,17 @@ def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np
     return _pairs(src, dst, n)
 
 
+def contact_edge_features(x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Per edge (i, j): offset x_i - x_j and its norm."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    offset = x_t[edges[:, 0]] - x_t[edges[:, 1]]
+    return np.concatenate([offset, np.sqrt((offset * offset).sum(-1, keepdims=True))], axis=1)
+
+
 def mesh_edge_features(X: np.ndarray, x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Per edge (i, j): reference offset and norm, current offset and norm."""
-    X = np.asarray(X, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if edges.shape[0] == 0:
-        return np.zeros((0, 2 * (X.shape[1] + 1)))
-    dref = X[edges[:, 0]] - X[edges[:, 1]]
-    dcur = x_t[edges[:, 0]] - x_t[edges[:, 1]]
-    nref = np.sqrt((dref * dref).sum(-1, keepdims=True))
-    ncur = np.sqrt((dcur * dcur).sum(-1, keepdims=True))
-    return np.concatenate([dref, nref, dcur, ncur], axis=1)
-
-
-def contact_edge_features(x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per edge (i, j): current offset and its norm."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    if edges.shape[0] == 0:
-        return np.zeros((0, x_t.shape[1] + 1))
-    dcur = x_t[edges[:, 0]] - x_t[edges[:, 1]]
-    ncur = np.sqrt((dcur * dcur).sum(-1, keepdims=True))
-    return np.concatenate([dcur, ncur], axis=1)
+    return np.concatenate([contact_edge_features(X, edges),
+                           contact_edge_features(x_t, edges)], axis=1)
 
 
 def positional_encoding(X: np.ndarray, component_id: np.ndarray,
@@ -330,10 +311,12 @@ def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
     Contact is never sought between mesh-edge endpoints nor between any two
     nodes of one element (quad diagonals included)."""
     n = mesh.n_nodes
-    med = median_edge_length(mesh)
-    edges = np.concatenate([
-        build_mesh_edges(mesh),
-        build_tied_edges(mesh, k=cfg.tied_k, interface_cutoff=cfg.tied_cutoff_factor * med)])
+    edges = build_mesh_edges(mesh)
+    if edges.shape[0] == 0:
+        raise ValidationError("mesh has no edges")
+    med = float(np.median(contact_edge_features(mesh.reference_positions, edges)[:, -1]))
+    tied = build_tied_edges(mesh, k=cfg.tied_k, interface_cutoff=cfg.tied_cutoff_factor * med)
+    edges = np.concatenate([edges, tied])
     edges = _pairs(edges[:, 0], edges[:, 1], n)
     a, b = np.nonzero(~np.eye(mesh.elements.shape[1], dtype=bool))
     excluded = _pairs(np.concatenate([edges[:, 0], mesh.elements[:, a].ravel()]),

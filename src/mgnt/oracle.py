@@ -70,24 +70,20 @@ class OracleConfig:
             raise ConfigError(f"data dt must be > 0, got {self.dt}")
 
 
-def return_map_1d(k: float, hardening: float, yield_force: float,
-                  stretch: float, plastic: float, alpha: float
-                  ) -> tuple[float, float, float]:
-    """Scalar elastoplastic update for one spring.
+def return_map_1d(k: float, hardening: float, yield_force, stretch, plastic, alpha):
+    """Elastoplastic update for one spring, or elementwise for arrays of them.
 
     Given total stretch, prior plastic stretch and prior hardening, returns
-    (force, new plastic stretch, new hardening).  The yield level grows
-    linearly with hardening; excess trial force is returned to the (expanded)
-    yield surface and the plastic increment is |trial excess| / (k + H).
+    (force, new plastic stretch, new hardening, plastic increment).  The yield
+    level grows linearly with hardening; excess trial force is returned to the
+    (expanded) yield surface and the plastic increment is
+    |trial excess| / (k + H).
     """
     trial = k * (stretch - plastic)
-    excess = abs(trial) - (yield_force + hardening * alpha)
-    if excess <= 0.0:
-        return trial, plastic, alpha
-    dgamma = excess / (k + hardening)
+    excess = np.abs(trial) - (yield_force + hardening * alpha)
+    dgamma = np.where(excess > 0.0, excess / (k + hardening), 0.0)
     plastic = plastic + dgamma * np.sign(trial)
-    alpha = alpha + dgamma
-    return k * (stretch - plastic), plastic, alpha
+    return k * (stretch - plastic), plastic, alpha + dgamma, dgamma
 
 
 def _lattice(cfg: OracleConfig):
@@ -170,16 +166,10 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
             delta = x[src] - x[dst]
             length = np.sqrt((delta * delta).sum(-1))
             direction = delta / length[:, None]
-            stretch = length - rest
-            trial = k_spring * (stretch - plastic)
-            excess = np.abs(trial) - (yield_force + hardening * alpha_spring)
-            yielding = excess > 0.0
-            dgamma = np.where(yielding, excess / (k_spring + hardening), 0.0)
-            plastic = plastic + dgamma * np.sign(trial)
-            alpha_spring = alpha_spring + dgamma
+            f_spring, plastic, alpha_spring, dgamma = return_map_1d(
+                k_spring, hardening, yield_force, length - rest, plastic, alpha_spring)
             np.add.at(alpha_node, src, 0.5 * dgamma)
             np.add.at(alpha_node, dst, 0.5 * dgamma)
-            f_spring = k_spring * (stretch - plastic)
             fvec = f_spring[:, None] * direction
             np.add.at(force, src, -fvec)
             np.add.at(force, dst, fvec)

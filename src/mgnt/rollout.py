@@ -9,9 +9,8 @@ Metrics: RMSE over one-step predictions (always restarted from ground
 truth), RMSE over full rollouts, relative RMSE normalized per trajectory by
 the ground-truth infinity norm, the per-step hardening sum with its
 monotonicity violation count, and the kinetic proxy (sum over nodes of the
-squared velocity norm; the plain norm sum is exported alongside).  In both
-RMSEs the non-deformable nodes carry ground truth, so they add zero
-residuals to the mean.
+squared velocity norm).  In both RMSEs the non-deformable nodes carry ground
+truth, so they add zero residuals to the mean.
 """
 
 from __future__ import annotations
@@ -181,10 +180,12 @@ def hardening_monotonicity(alpha: np.ndarray) -> tuple[np.ndarray, int]:
     return sums, int(drops.sum())
 
 
-def kinetic_proxy(v: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-step sums over nodes of |v|^2 (energy-like proxy) and |v|."""
+def kinetic_proxy(v: np.ndarray) -> np.ndarray:
+    """Per-step sum over nodes of |v|^2 (energy-like proxy)."""
+    # squares the rounded norm: summing v * v directly would move the last
+    # bits of every reported value
     norms = np.sqrt((v * v).sum(axis=-1))
-    return {"sum_v2": (norms * norms).sum(axis=1), "sum_vnorm": norms.sum(axis=1)}
+    return (norms * norms).sum(axis=1)
 
 
 def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,
@@ -231,8 +232,8 @@ def evaluate(params, model_cfg: ModelConfig, normalizer: Normalizer,
                 "hardening_violations_gt": viol_gt,
             })
         if "v" in pred:
-            entry["kinetic_pred"] = kinetic_proxy(pred["v"])["sum_v2"].tolist()
-            entry["kinetic_gt"] = kinetic_proxy(gt["v"])["sum_v2"].tolist()
+            entry["kinetic_pred"] = kinetic_proxy(pred["v"]).tolist()
+            entry["kinetic_gt"] = kinetic_proxy(gt["v"]).tolist()
         consistency.append(entry)
     report = {
         "n_trajectories": len(preps),

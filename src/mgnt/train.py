@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .container import meta_to_json, read_arrays, write_arrays
-from .data import PreparedTrajectory
+from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
 from .errors import ConfigError, SchemaFormatError, TrainingAbort, ValidationError
 from .mesh import GraphSample, merge_samples
 from .model import ModelConfig, forward, init_params
@@ -80,13 +80,12 @@ class Normalizer:
     @classmethod
     def fit(cls, trajs: list[PreparedTrajectory], target_mode: str) -> "Normalizer":
         """Single streaming pass over every frame of the training split."""
-        sums: dict[str, list] = {}
+        dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
+        sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0] for key, dim in (
+            ("node", "node_feat_dim"), ("mesh", "mesh_edge_feat_dim"),
+            ("contact", "contact_edge_feat_dim"), ("target", "output_dim"))}
 
         def push(key, mat):
-            if mat.shape[0] == 0:
-                return
-            if key not in sums:
-                sums[key] = [np.zeros(mat.shape[1]), np.zeros(mat.shape[1]), 0]
             s = sums[key]
             s[0] += mat.sum(axis=0)
             s[1] += (mat * mat).sum(axis=0)
@@ -101,24 +100,15 @@ class Normalizer:
                 if t < prep.n_transitions:
                     push("target", prep.target(t, target_mode))
 
-        def stats(key, dim):
-            if key not in sums:
-                return np.zeros(dim), np.ones(dim)
+        def stats(key):
             s, sq, n = sums[key]
+            if n == 0:
+                return np.zeros_like(s), np.ones_like(s)
             mean = s / n
             var = np.maximum(sq / n - mean * mean, 0.0)
             return mean, np.maximum(np.sqrt(var), _STD_FLOOR)
 
-        first = trajs[0].sample(0)
-        target_dim = trajs[0].schema.output_dim
-        node_mean, node_std = stats("node", first.node_features.shape[1])
-        mesh_mean, mesh_std = stats("mesh", first.mesh_edge_features.shape[1])
-        contact_mean, contact_std = stats("contact", first.contact_edge_features.shape[1]
-                                          if first.contact_edge_features.size
-                                          else trajs[0].graph.mesh.dim + 1)
-        target_mean, target_std = stats("target", target_dim)
-        return cls(node_mean, node_std, mesh_mean, mesh_std,
-                   contact_mean, contact_std, target_mean, target_std)
+        return cls(*stats("node"), *stats("mesh"), *stats("contact"), *stats("target"))
 
     def normalize_sample(self, sample: GraphSample) -> GraphSample:
         """Whitened copy of a sample (positional encodings left untouched)."""
@@ -173,22 +163,18 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
     perturbed with input noise; targets always come from the clean successor
     frame.  All snapshots share the trajectory's mesh.
     """
-    last = prep.n_transitions - 1
-    for t in step_indices:
-        if not 0 <= t <= last:
-            raise ValidationError(
-                f"step index {t} out of range; last valid index is {last}")
     if noise_scale > 0.0 and (normalizer is None or rng is None):
         raise ValidationError("input noise needs a fitted normalizer and an rng")
     samples, targets = [], []
     deform = prep.deformable
     stds = prep.schema.noise_stds(normalizer) if noise_scale > 0.0 else None
     for t in step_indices:
+        # target first: its step bound is the tighter one, so it reports any bad t
+        targets.append(prep.target(t, target_mode))
         frame = prep.frame(t)
         if noise_scale > 0.0:
             frame = prep.schema.inject_noise(frame, noise_scale, stds, rng, deform)
         samples.append(prep.sample_from_frame(frame))
-        targets.append(prep.target(t, target_mode))
     merged = merge_samples(samples)
     mask = np.concatenate([deform] * len(step_indices))
     return merged, np.concatenate(targets), mask
@@ -371,6 +357,11 @@ def load_checkpoint(path: str) -> dict:
     if type(meta.get("step")) is not int or meta["step"] < 0:
         raise SchemaFormatError(f"{path}: checkpoint meta 'step' is {meta.get('step')!r}, "
                                 "not a step count")
+    model_cfg = config_from_meta(path, meta, "model_config", ModelConfig)
+    try:
+        schema = get_schema(meta.get("schema"))
+    except ValidationError as exc:
+        raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
     params = {k.split(".", 1)[1]: Tensor(v, requires_grad=True)
               for k, v in arrays.items() if k.startswith("param.")}
     adam_m = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_m.")}
@@ -380,7 +371,10 @@ def load_checkpoint(path: str) -> dict:
         "adam_m": adam_m,
         "adam_v": adam_v,
         "normalizer": Normalizer.from_arrays(arrays),
-        "model_config": config_from_meta(path, meta, "model_config", ModelConfig),
+        "model_config": model_cfg,
+        "schema": schema,
+        "graph_config": config_from_meta(path, meta, "graph_config", GraphConfig, default={}),
+        "train_config": config_from_meta(path, meta, "train_config", TrainConfig, default={}),
         "history": arrays.get("history", np.zeros((0, 4))),
         "meta": meta,
     }

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import struct
 from dataclasses import fields
 
@@ -313,6 +314,47 @@ class TestTrain:
         lines = open(os.path.join(rerun, "loss_history.csv")).read().splitlines()
         assert len(lines) == 19
 
+    def test_resume_malformed_meta_exit_4(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        meta["graph_config"]["bogus"] = 1
+        rerun = tmp_path / "resume"
+        rerun.mkdir()
+        write_arrays(str(rerun / "checkpoint.mgnt"), arrays, meta=meta)
+        assert main(["train", "--config", cfg, "--data", data_dir, "--out", str(rerun),
+                     "--resume"]) == 4
+        assert "'bogus'" in capsys.readouterr().err
+
+    def test_reads_only_train_split(self, trained, tmp_path):
+        root, cfg, data_dir, _ = trained
+        data = str(tmp_path / "data")
+        shutil.copytree(data_dir, data)
+        for name in json.load(open(os.path.join(data, "manifest.json")))["test"]:
+            os.remove(os.path.join(data, name))
+        assert main(["train", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("content, named", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "schema"}, "'schema'"),
+        (lambda doc: {**doc, "schema": "bogus"}, "'bogus'"),
+        (lambda doc: {**doc, "train": doc["train"][0]}, "'train'"),
+        (lambda doc: {**doc, "test": [1]}, "'test'"),
+        (lambda doc: [doc], "not a JSON object"),
+        (None, "not JSON"),
+    ], ids=["schema_missing", "schema_unknown", "train_not_a_list", "test_not_names",
+            "not_an_object", "not_json"])
+    def test_malformed_manifest_exit_4(self, trained, tmp_path, capsys, content, named):
+        root, cfg, data_dir, _ = trained
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text("{" if content is None
+                                            else json.dumps(content(doc)))
+        assert main(["train", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 4
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
+
 
 class TestEval:
     def test_report_written(self, trained, tmp_path):
@@ -328,6 +370,16 @@ class TestEval:
         for entry in report["consistency"]:
             assert entry["hardening_violations_gt"] == 0
         assert os.path.exists(os.path.join(out, "consistency.csv"))
+
+    def test_reads_only_the_named_split(self, trained, tmp_path):
+        root, cfg, data_dir, run_dir = trained
+        data = str(tmp_path / "data")
+        shutil.copytree(data_dir, data)
+        for name in json.load(open(os.path.join(data, "manifest.json")))["train"]:
+            os.remove(os.path.join(data, name))
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.mgnt"), "--data", data,
+                     "--split", "test", "--out", str(tmp_path / "eval")]) == 0
 
     def test_schema_mismatch_exit_4(self, trained, tmp_path):
         root, cfg, data_dir, run_dir = trained

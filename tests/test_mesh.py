@@ -263,6 +263,11 @@ class TestPreparedMesh:
         assert detect_contact_edges(m.reference_positions, graph.contact_radius,
                                     graph.excluded_pairs).shape == (0, 2)
 
+    def test_mesh_without_elements_rejected(self):
+        m = _mesh([[0, 0], [1, 0]], np.zeros((0, 2)))
+        with pytest.raises(ValidationError, match="mesh has no edges"):
+            prepare_mesh(m, GraphConfig())
+
     def test_default_radius_from_median_edge(self):
         m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
         graph = prepare_mesh(m, GraphConfig(contact_radius_factor=1.5))

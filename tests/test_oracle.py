@@ -1,19 +1,23 @@
 """Synthetic ground-truth generators: lattice impact physics and the driven
 chain with its dense-solve oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from mgnt.data import GraphConfig, get_schema, prepare_trajectory
 from mgnt.errors import NumericError, ValidationError
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_chain_dataset, gen_dataset,
                          return_map_1d, simulate_chain, simulate_impact,
                          solve_chain_dense, solve_chain_relaxation)
+from mgnt.train import Normalizer
 
 
 class TestReturnMapping:
     def test_below_yield_stays_elastic(self):
         k, H, fy = 100.0, 20.0, 5.0
-        force, plastic, alpha = return_map_1d(k, H, fy, stretch=0.01, plastic=0.0, alpha=0.0)
+        force, plastic, alpha, _ = return_map_1d(k, H, fy, stretch=0.01, plastic=0.0, alpha=0.0)
         assert force == pytest.approx(1.0)
         assert plastic == 0.0 and alpha == 0.0
 
@@ -22,8 +26,8 @@ class TestReturnMapping:
         # force is 2*fy, the excess fy, and dgamma = fy / (k + H)
         k, H, fy = 100.0, 20.0, 5.0
         e_y = fy / k
-        force, plastic, alpha = return_map_1d(k, H, fy, stretch=2 * e_y,
-                                              plastic=0.0, alpha=0.0)
+        force, plastic, alpha, _ = return_map_1d(k, H, fy, stretch=2 * e_y,
+                                                 plastic=0.0, alpha=0.0)
         dgamma = fy / (k + H)
         assert plastic == pytest.approx(dgamma)
         assert alpha == pytest.approx(dgamma)
@@ -33,19 +37,38 @@ class TestReturnMapping:
 
     def test_compression_symmetric(self):
         k, H, fy = 100.0, 20.0, 5.0
-        f_pos, p_pos, a_pos = return_map_1d(k, H, fy, 0.2, 0.0, 0.0)
-        f_neg, p_neg, a_neg = return_map_1d(k, H, fy, -0.2, 0.0, 0.0)
+        f_pos, p_pos, a_pos, _ = return_map_1d(k, H, fy, 0.2, 0.0, 0.0)
+        f_neg, p_neg, a_neg, _ = return_map_1d(k, H, fy, -0.2, 0.0, 0.0)
         assert f_neg == pytest.approx(-f_pos)
         assert p_neg == pytest.approx(-p_pos)
         assert a_neg == pytest.approx(a_pos)
 
     def test_hardening_raises_yield_level(self):
         k, H, fy = 100.0, 50.0, 5.0
-        _, p1, a1 = return_map_1d(k, H, fy, 0.2, 0.0, 0.0)
+        _, p1, a1, _ = return_map_1d(k, H, fy, 0.2, 0.0, 0.0)
         # from the hardened state, the same stretch no longer yields
-        force, p2, a2 = return_map_1d(k, H, fy, 0.2, p1, a1)
+        force, p2, a2, _ = return_map_1d(k, H, fy, 0.2, p1, a1)
         assert p2 == p1 and a2 == a1
         assert abs(force) <= fy + H * a1 + 1e-12
+
+    def test_array_of_springs_hand_computed(self):
+        # elastic, tensile yield, compressive yield, and a spring past the
+        # virgin yield stretch e_y = 0.05 that its hardening keeps elastic
+        k, H, fy = 100.0, 20.0, 5.0
+        dg = 5.0 / (k + H)  # trial force 10 at stretch 0.1: excess 5
+        stretch = np.array([0.01, 0.1, -0.1, 0.06])
+        plastic = np.zeros(4)
+        alpha = np.array([0.0, 0.0, 0.0, 0.1])
+        out = return_map_1d(k, H, fy, stretch, plastic, alpha)
+        expected = ([1.0, k * (0.1 - dg), -k * (0.1 - dg), 6.0],  # force
+                    [0.0, dg, -dg, 0.0],                          # plastic
+                    [0.0, dg, dg, 0.1],                           # alpha
+                    [0.0, dg, dg, 0.0])                           # increment
+        for got, want in zip(out, expected):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        for i in range(4):
+            scalar = return_map_1d(k, H, fy, stretch[i], plastic[i], alpha[i])
+            assert [float(a[i]) for a in out] == [float(a) for a in scalar]
 
 
 class TestImpactOracle:
@@ -189,3 +212,34 @@ class TestChainBenchmark:
         assert len(split["train"]) == 1 and len(split["test"]) == 1
         traj = split["train"][0]
         assert traj.arrays["node_type"][0] == 3  # driven end is the actuator
+
+
+def _digest(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        a = np.ascontiguousarray(arrays[name])
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """Byte digests of a small lattice that yields (final hardening sum
+    0.028) and of the normalizer fitted on it.  A change to the oracle's or
+    the normalizer's arithmetic that moves a single bit fails here; such a
+    change must say so and re-pin."""
+
+    CFG = OracleConfig(rows=3, cols=3, frames=6, substeps=10, drop_height=0.02,
+                       initial_velocity=-3.0)
+
+    def test_impact_trajectory_bytes(self):
+        traj = simulate_impact(self.CFG)
+        assert traj.arrays["alpha"][-1].sum() == pytest.approx(0.0284, abs=1e-4)
+        assert _digest(traj.arrays) == (
+            "584f31ea0467c71230938360d5ba173a5182162e9acf8ae4aebcc5cd729fe792")
+
+    def test_normalizer_bytes(self):
+        prep = prepare_trajectory(simulate_impact(self.CFG), get_schema("impact"),
+                                  GraphConfig())
+        assert _digest(Normalizer.fit([prep], "absolute").to_arrays()) == (
+            "92d15dbaf22f86687ab86cc2abe9307db17c261493208b2407bfdd04d375d793")

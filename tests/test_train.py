@@ -81,8 +81,9 @@ class TestMakeBatch:
     def test_boundary_index_rejected(self, tiny_prep):
         last = tiny_prep.n_transitions - 1
         make_batch(tiny_prep, [last], "absolute")  # fine
-        with pytest.raises(ValidationError, match="last valid index"):
-            make_batch(tiny_prep, [last + 1], "absolute")
+        for t in (last + 1, tiny_prep.traj.n_frames, -1):
+            with pytest.raises(ValidationError, match="step index.*last valid index"):
+                make_batch(tiny_prep, [t], "absolute")
 
     def test_delta_targets(self, tiny_prep):
         a = tiny_prep.traj.arrays
@@ -323,8 +324,7 @@ class TestCheckpointIO:
                                                tiny_model_cfg, tiny_prep):
         path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
                                   lambda meta: meta["graph_config"].update(bogus=1))
-        meta = load_checkpoint(path)["meta"]
         with pytest.raises(SchemaFormatError, match="'bogus'.*'graph_config'"):
-            config_from_meta(path, meta, "graph_config", GraphConfig, default={})
+            load_checkpoint(path)
         assert config_from_meta(path, {}, "graph_config", GraphConfig,
                                 default={}) == GraphConfig()
