@@ -17,7 +17,7 @@ print(f"static mesh edges (directed): {prep.graph.mesh_edges.shape[0]}")
 
 for t in (0, traj.n_frames // 2, traj.n_frames - 1):
     sample = prep.sample(t)
-    # cross-check the spatial hash against the quadratic scan
+    # cross-check the cell-sort contact search against the quadratic scan
     brute = detect_contact_edges_bruteforce(
         traj.arrays["x"][t], prep.graph.contact_radius, prep.graph.excluded_pairs)
     assert np.array_equal(sample.contact_edges, brute)

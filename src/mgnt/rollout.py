@@ -182,10 +182,7 @@ def hardening_monotonicity(alpha: np.ndarray) -> tuple[np.ndarray, int]:
 
 def kinetic_proxy(v: np.ndarray) -> np.ndarray:
     """Per-step sum over nodes of |v|^2 (energy-like proxy)."""
-    # squares the rounded norm: summing v * v directly would move the last
-    # bits of every reported value
-    norms = np.sqrt((v * v).sum(axis=-1))
-    return (norms * norms).sum(axis=1)
+    return (v * v).sum(axis=-1).sum(axis=1)
 
 
 def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,

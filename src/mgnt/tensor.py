@@ -98,7 +98,18 @@ class Tape:
         return {s: {k: (v[0], v[1]) for k, v in ops.items()} for s, ops in self.counts.items()}
 
     def gradients(self, root: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
-        """Reverse pass from a scalar root; returns one gradient per entry of wrt."""
+        """Reverse pass from a scalar root; returns one gradient per entry of wrt.
+
+        Each tensor's accumulator is an array that nothing else holds, so
+        later contributions add into it in place.  A first contribution is
+        kept without a copy when it is an ndarray that shares no memory with
+        the output gradient ``g``: closures build such arrays fresh.  The
+        first pass-through of ``g`` itself (``add``, ``sub``) takes ``g``,
+        which the tape no longer holds.  Every other first contribution is
+        copied: a second hand-out of ``g``, views of ``g`` (``np.split``,
+        ``.T``, ``reshape``) and numpy scalars, which a product of 0-d arrays
+        yields.
+        """
         if root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
         grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
@@ -106,10 +117,15 @@ class Tape:
             g = grads.pop(id(out), None)
             if g is None:
                 continue
+            g_free = True
             for t, contrib in backward(g):
                 acc = grads.get(id(t))
                 if acc is None:
-                    grads[id(t)] = np.array(contrib, dtype=np.float64, copy=True)
+                    if contrib is g and g_free:
+                        g_free = False
+                    elif type(contrib) is not np.ndarray or np.may_share_memory(contrib, g):
+                        contrib = np.array(contrib, dtype=np.float64, copy=True)
+                    grads[id(t)] = contrib
                 else:
                     acc += contrib
         return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
@@ -290,6 +306,20 @@ def softmax(x, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 # gather / scatter / layout
 
+def _scatter_rows(rows: Array, ids: Array, n: int) -> Array:
+    """``out[ids[i]] += rows[i]`` into ``n`` zero rows, adding in input order.
+
+    ``np.bincount`` over the flat keys ``id * d + column`` sums its weights in
+    input order, as the unbuffered ``ufunc.at`` scatter does, so the two agree
+    bit for bit.
+    """
+    d = rows.shape[1]
+    keys = (ids[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(keys, weights=rows.ravel(), minlength=n * d)
+    # bincount returns int64 zeros when it gets no keys
+    return out.astype(np.float64, copy=False).reshape(n, d)
+
+
 def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:
     """Sum value rows into ``n_segments`` buckets; empty buckets stay zero.
 
@@ -306,8 +336,7 @@ def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:
         raise ValidationError(
             f"segment id out of range: ids span [{ids.min()}, {ids.max()}], n_segments={n_segments}"
         )
-    out = np.zeros((n_segments, values.data.shape[1]))
-    np.add.at(out, ids, values.data)
+    out = _scatter_rows(values.data, ids, n_segments)
 
     def backward(g):
         return [(values, g[ids])]
@@ -326,9 +355,7 @@ def gather_rows(x, index: Array) -> Tensor:
     out = x.data[idx]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return [(x, gx)]
+        return [(x, _scatter_rows(g, idx, x.data.shape[0]))]
 
     return _emit(out, (x,), backward, "gather_rows", out.size)
 

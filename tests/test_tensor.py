@@ -156,6 +156,59 @@ class TestSegmentSum:
         assert np.array_equal(a, b)
 
 
+def _add_at(rows, ids, n):
+    """Reference scatter-add: numpy's unbuffered in-order ``np.add.at``."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, ids, rows)
+    return out
+
+
+def _scatter_cases():
+    """Repeated and skipped ids, magnitudes from 1e-8 to 1e8, and gradients
+    that are column slices of a wider array, as ``concat`` hands them out."""
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        e = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 6))
+        ids = rng.integers(0, n, size=e)
+        ids[: e // 3] = ids[0]             # many rows into one bucket
+        wide = rng.standard_normal((e, d + 3)) * 10.0 ** rng.integers(-8, 9, size=(e, 1))
+        rows = wide[:, 1:1 + d] if trial % 2 else np.ascontiguousarray(wide[:, :d])
+        yield rows, ids, n
+
+
+class TestScatterBits:
+    def test_segment_sum_matches_add_at_bit_for_bit(self):
+        for rows, ids, n in _scatter_cases():
+            out = T.segment_sum(Tensor(rows), ids, n).data
+            assert out.dtype == np.float64
+            assert np.array_equal(out.view(np.int64), _add_at(rows, ids, n).view(np.int64))
+
+    def test_gather_rows_backward_matches_add_at_bit_for_bit(self):
+        for g, ids, n in _scatter_cases():
+            x = Tensor(np.zeros((n, g.shape[1])), requires_grad=True)
+            with Tape() as tape:
+                y = T.gather_rows(x, ids)
+                (gx,) = tape.gradients(T.sum_all(T.mul(y, g)), [x])
+            assert np.array_equal(gx.view(np.int64), _add_at(g, ids, n).view(np.int64))
+
+    def test_skipped_ids_stay_zero(self):
+        out = T.segment_sum(Tensor([[1e8], [1e-8], [-1e8]]), np.array([3, 3, 3]), 5).data
+        assert out[3, 0] == (1e8 + 1e-8) - 1e8
+        assert not out[[0, 1, 2, 4]].any()
+
+    def test_empty_gather_backward_gives_float64_zeros(self):
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape() as tape:
+            total = T.sum_all(x)
+            y = T.gather_rows(x, np.zeros(0, dtype=np.int64))
+            # the empty scatter is x's first contribution; the ones add into it
+            (gx,) = tape.gradients(T.add(total, T.sum_all(y)), [x])
+        assert gx.dtype == np.float64
+        np.testing.assert_array_equal(gx, np.ones((4, 3)))
+
+
 class TestGradCheck:
     def test_square_at_three(self):
         err = grad_check(lambda x: T.mul(x, x), [Tensor([3.0])])
@@ -224,6 +277,43 @@ class TestTapeMechanics:
             y = T.add(T.mul(x, x), T.mul(x, x))
             (g,) = tape.gradients(T.sum_all(y), [x])
         assert g[0] == pytest.approx(8.0)
+
+    def test_scalar_products_accumulate(self):
+        # a product of 0-d arrays is a numpy scalar; it must not become the
+        # accumulator as is, or the second term's sum is lost
+        x = Tensor(3.0, requires_grad=True)
+        with Tape() as tape:
+            (g,) = tape.gradients(T.add(T.mul(x, x), T.mul(x, x)), [x])
+        assert g == 12.0
+
+    def test_add_same_tensor_twice(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        with Tape() as tape:
+            (g,) = tape.gradients(T.sum_all(T.add(x, x)), [x])
+        np.testing.assert_array_equal(g, [2.0, 2.0])
+
+    def test_add_operands_get_unaliased_gradients(self):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        w = rng.standard_normal((3, 2))
+        with Tape() as tape:
+            ga, gb = tape.gradients(T.sum_all(T.mul(T.add(a, b), w)), [a, b])
+        np.testing.assert_array_equal(ga, w)
+        np.testing.assert_array_equal(gb, w)
+        assert not np.may_share_memory(ga, gb)
+
+    def test_concat_parts_get_unaliased_gradients(self):
+        rng = np.random.default_rng(13)
+        a = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = rng.standard_normal((4, 5))
+        with Tape() as tape:
+            c = T.concat([a, b], axis=1)
+            ga, gb = tape.gradients(T.sum_all(T.mul(c, w)), [a, b])
+        np.testing.assert_array_equal(ga, w[:, :2])
+        np.testing.assert_array_equal(gb, w[:, 2:])
+        assert not np.may_share_memory(ga, gb)
 
     def test_tapes_do_not_nest(self):
         with Tape():

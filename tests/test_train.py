@@ -1,6 +1,8 @@
 """Training: loss contract, batching, normalization, noise, the fit loop and
 checkpointing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,46 @@ class TestMakeBatch:
             assert np.abs(delta).max() > 0  # the drive moves the chain every frame
         with pytest.raises(ValidationError, match="last valid index is 2"):
             prep.target(3, "delta")
+
+
+class TestPinnedStepBytes:
+    """Byte digest of one train-mode step: the loss and every parameter
+    gradient of ``forward`` + ``compute_loss`` + ``Tape.gradients``, with the
+    default model on the 3x3 lattice that ``test_oracle.TestPinnedBytes``
+    pins, a fixed batch and a fixed rng.  A change to the tape's arithmetic
+    that moves a single bit fails here; such a change must say so and re-pin.
+    The default contact radius finds no contact edges in this batch (the
+    empty-scatter path); twice the median edge length finds 14."""
+
+    @pytest.mark.parametrize("radius_factor, n_contact, digest", [
+        (1.5, 0, "78fee497eef63227feb32b15a94650420fee6a9ced083e0081888210f7c5d1e7"),
+        (2.0, 14, "5630b6f7155cb8641dd6d0ab5bc96c37d5e5d849a1b9cc83d1b333e514eef8eb"),
+    ], ids=["no-contact", "contact"])
+    def test_train_step_bytes(self, radius_factor, n_contact, digest):
+        traj = simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
+                                            drop_height=0.02, initial_velocity=-3.0))
+        schema = get_schema("impact")
+        gcfg = GraphConfig(contact_radius_factor=radius_factor)
+        prep = prepare_trajectory(traj, schema, gcfg)
+        normalizer = Normalizer.fit([prep], "absolute")
+        mcfg = ModelConfig(**feature_dims(schema, gcfg))
+        params = init_params(mcfg, seed=0)
+        rng = np.random.default_rng(11)
+        sample, target, mask = make_batch(prep, [1, 4], "absolute", normalizer=normalizer,
+                                          noise_scale=0.003, rng=rng)
+        assert sample.contact_edges.shape[0] == n_contact
+        sample = normalizer.normalize_sample(sample)
+        target = normalizer.normalize_targets(target)
+        names = sorted(params)
+        with Tape() as tape:
+            pred, _ = forward(sample, params, mcfg, train_mode=True, rng=rng)
+            loss = compute_loss(pred, target, mask, sample.sample_ranges)
+            grads = tape.gradients(loss, [params[k] for k in names])
+        h = hashlib.sha256(loss.data.tobytes())
+        for name, g in zip(names, grads):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(g).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestNormalizer:
