@@ -67,7 +67,6 @@ SCHEMA: dict[str, Key] = {
     "chain.stiffness_base": Key("default", "chain stiffness at kappa=1"),
     "chain.load": Key("default", "constant axial load per node"),
     "chain.drive_std": Key("default", "std of per-frame drive increments"),
-    "chain.relax_tol": Key("default", "relaxation residual tolerance"),
     "chain.seed": Key("default", "chain dataset seed", default=99),
     # graph construction
     "graph.tied_k": Key("default", "tied-edge nearest neighbors"),

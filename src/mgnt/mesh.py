@@ -358,10 +358,7 @@ def merge_samples(samples: list[GraphSample]) -> GraphSample:
     offsets = np.cumsum([0] + [s.n_nodes for s in samples])
     ranges = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(len(samples)))
     mesh_edges = np.concatenate([s.mesh_edges + offsets[i] for i, s in enumerate(samples)])
-    contact_parts = [s.contact_edges + offsets[i] for i, s in enumerate(samples)
-                     if s.contact_edges.shape[0]]
-    contact = (np.concatenate(contact_parts) if contact_parts
-               else np.zeros((0, 2), dtype=np.int64))
+    contact = np.concatenate([s.contact_edges + offsets[i] for i, s in enumerate(samples)])
     return GraphSample(
         node_features=np.concatenate([s.node_features for s in samples]),
         mesh_edges=mesh_edges,
@@ -384,10 +381,8 @@ def permute_sample(sample: GraphSample, perm: np.ndarray) -> GraphSample:
         node_features=sample.node_features[inv],
         mesh_edges=perm[sample.mesh_edges][order_m],
         mesh_edge_features=sample.mesh_edge_features[order_m],
-        contact_edges=perm[sample.contact_edges][order_c] if sample.contact_edges.size
-        else sample.contact_edges,
-        contact_edge_features=sample.contact_edge_features[order_c]
-        if sample.contact_edges.size else sample.contact_edge_features,
+        contact_edges=perm[sample.contact_edges][order_c],
+        contact_edge_features=sample.contact_edge_features[order_c],
         positional_encoding=sample.positional_encoding[inv],
         sample_ranges=sample.sample_ranges,
     )

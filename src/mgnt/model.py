@@ -168,7 +168,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
             data = rng.uniform(-bound, bound, size=shape)
             if name == "dec.w1":
                 data = data * 0.1
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data)
     return params
 
 
@@ -202,17 +202,13 @@ def encode(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig) -> 
         raise ConfigError(
             f"mesh edge feature dim {sample.mesh_edge_features.shape[1]} "
             f"!= config {cfg.mesh_edge_feat_dim}")
-    if (sample.contact_edge_features.shape[0]
-            and sample.contact_edge_features.shape[1] != cfg.contact_edge_feat_dim):
+    if sample.contact_edge_features.shape[1] != cfg.contact_edge_feat_dim:
         raise ConfigError(
             f"contact edge feature dim {sample.contact_edge_features.shape[1]} "
             f"!= config {cfg.contact_edge_feat_dim}")
     nodes = _mlp(params, "enc_node", Tensor(sample.node_features), cfg)
     mesh = _mlp(params, "enc_mesh", Tensor(sample.mesh_edge_features), cfg)
-    contact_feats = sample.contact_edge_features
-    if contact_feats.shape[0] == 0:
-        contact_feats = np.zeros((0, cfg.contact_edge_feat_dim))
-    contact = _mlp(params, "enc_contact", Tensor(contact_feats), cfg)
+    contact = _mlp(params, "enc_contact", Tensor(sample.contact_edge_features), cfg)
     return LatentGraph(nodes=nodes, mesh_edges=mesh, contact_edges=contact)
 
 

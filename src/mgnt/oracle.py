@@ -9,9 +9,10 @@ hardening is non-decreasing by construction.
 
 The chain benchmark produces a quasi-static 1-D elastic chain whose driven
 end receives a random displacement increment each stored frame; the rest of
-the chain follows through a global equilibrium solve, so the response at the
-far end depends on the driven end's state within a single frame.  The
-iterative relaxation is cross-checked against a dense direct solve.
+the chain follows in global static equilibrium, so the response at the far
+end depends on the driven end's state within a single frame.  The
+equilibrium has a closed form (each free spring carries the load of every
+free node beyond it); tests cross-check it against a dense direct solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import Trajectory, write_manifest
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError
 from .mesh import NODE_ACTUATOR, NODE_DEFORMABLE, NODE_OBSTACLE
 
 # Both generators draw each trajectory's stiffness scale kappa uniformly
@@ -62,6 +63,15 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ConfigError(f"data rows and cols must be >= 1, got {self.rows}x{self.cols}")
+        if not self.spacing > 0:
+            raise ConfigError(f"data spacing must be > 0, got {self.spacing}")
+        if not self.mass > 0:
+            raise ConfigError(f"data mass must be > 0, got {self.mass}")
+        if not self.drop_height >= 0:
+            raise ConfigError(f"data drop_height must be >= 0 (lattice starts above "
+                              f"the wall), got {self.drop_height}")
         if self.frames < 2:
             raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
         if self.substeps < 1:
@@ -128,8 +138,6 @@ def _lattice(cfg: OracleConfig):
 
 def simulate_impact(cfg: OracleConfig) -> Trajectory:
     """Integrate one drop-and-impact run and package it as a trajectory."""
-    if cfg.drop_height < 0:
-        raise ValidationError("lattice must start above the wall")
     X, elements, node_type, component, n_lat, n_springs = _lattice(cfg)
     n = X.shape[0]
     deform = node_type == NODE_DEFORMABLE
@@ -218,7 +226,8 @@ def _write_split(schema: str, prefix: str, salt: tuple, n_train: int, n_test: in
     kappa (drawn from the generator seeded by (seed, *salt, i)) and seed
     ``seed + i``; write ``<prefix>_<split>_<i>.mgnt`` files and the manifest."""
     if n_train < 1 or n_test < 1:
-        raise ValidationError("need at least one trajectory per split")
+        raise ConfigError(f"need at least one trajectory per split, got "
+                          f"{n_train} train and {n_test} test")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, list[str]] = {"train": [], "test": []}
     jobs = []
@@ -263,10 +272,18 @@ class ChainConfig:
     load: float = 0.5                # constant axial load per free node
     drive_std: float = 0.25          # std of the per-frame drive increment
     frames: int = 60
-    relax_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_nodes < 100:
+            raise ConfigError(f"chain n_nodes must be >= 100, got {self.n_nodes}")
+        if not 1 <= self.driven_nodes < self.n_nodes // 4:
+            raise ConfigError(f"chain driven_nodes must lie in [1, n_nodes // 4), "
+                              f"got {self.driven_nodes} of {self.n_nodes}")
+        if not self.stiffness_base > 0:
+            raise ConfigError(f"chain stiffness_base must be > 0, got {self.stiffness_base}")
+        if not self.drive_std >= 0:
+            raise ConfigError(f"chain drive_std must be >= 0, got {self.drive_std}")
         if self.frames < 2:
             raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
 
@@ -289,49 +306,18 @@ def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,
     return np.concatenate([np.full(driven, u0), u])
 
 
-def solve_chain_relaxation(k: float, load: float, u0: float, n_nodes: int,
-                           driven: int = 1, tol: float = 1e-10) -> np.ndarray:
-    """Conjugate-gradient relaxation of the same equilibrium system."""
+def solve_chain(k: float, load: float, u0: float, n_nodes: int,
+                driven: int = 1) -> np.ndarray:
+    """Closed form of the same equilibrium: free spring i carries the load of
+    the ``m - i`` free nodes beyond it, so its stretch is load * (m - i) / k."""
     m = n_nodes - driven
-
-    def matvec(u):
-        out = np.empty(m)
-        out[:] = 2.0 * k * u
-        out[-1] = k * u[-1]
-        out[:-1] -= k * u[1:]
-        out[1:] -= k * u[:-1]
-        return out
-
-    b = np.full(m, load)
-    b[0] += k * u0
-    u = np.zeros(m)
-    r = b - matvec(u)
-    p = r.copy()
-    rs = r @ r
-    b_norm = np.sqrt(b @ b) or 1.0
-    for _ in range(200000):  # far past the m steps CG takes in exact arithmetic
-        if np.sqrt(rs) <= tol * b_norm:
-            break
-        Ap = matvec(p)
-        alpha = rs / (p @ Ap)
-        u += alpha * p
-        r -= alpha * Ap
-        rs_new = r @ r
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    else:
-        raise NumericError(
-            f"chain relaxation did not reach tol={tol}; residual {np.sqrt(rs):.3e}")
+    u = u0 + np.cumsum(load * (m - np.arange(m)) / k)
     return np.concatenate([np.full(driven, u0), u])
 
 
 def simulate_chain(cfg: ChainConfig) -> Trajectory:
-    """One driven-chain run: random drive increments on a rigid head segment,
-    global relaxation of the free remainder each frame."""
-    if cfg.n_nodes < 100:
-        raise ValidationError("chain length must be at least 100 nodes")
-    if not 1 <= cfg.driven_nodes < cfg.n_nodes // 4:
-        raise ValidationError("driven segment must be short relative to the chain")
+    """One driven-chain run: random drive increments on a rigid head segment;
+    every frame is the static stretch shifted by the head's displacement."""
     n = cfg.n_nodes
     X = np.stack([np.arange(n) * CHAIN_SPACING, np.zeros(n)], axis=1)
     elements = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
@@ -342,16 +328,12 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
     k = cfg.kappa * cfg.stiffness_base
     rng = np.random.default_rng([cfg.seed, 0xC4A1])
     increments = rng.normal(0.0, cfg.drive_std, size=cfg.frames)
-
-    xs = np.empty((cfg.frames, n, 2))
+    # head displacement before frame t's increment: 0, inc_0, inc_0 + inc_1, ...
+    u0 = np.concatenate([[0.0], np.cumsum(increments[:-1])])
+    u = solve_chain(k, cfg.load, 0.0, n, driven=cfg.driven_nodes) + u0[:, None]
+    xs = X + np.stack([u, np.zeros_like(u)], axis=-1)
     drive = np.zeros((cfg.frames, n))
-    u0 = 0.0
-    for t in range(cfg.frames):
-        u = solve_chain_relaxation(k, cfg.load, u0, n, driven=cfg.driven_nodes,
-                                   tol=cfg.relax_tol)
-        xs[t] = X + np.stack([u, np.zeros(n)], axis=1)
-        drive[t, :cfg.driven_nodes] = increments[t]
-        u0 += increments[t]
+    drive[:, :cfg.driven_nodes] = increments[:, None]
 
     arrays = {
         "X": X,

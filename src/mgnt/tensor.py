@@ -25,13 +25,12 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A shaped block of float64 values, optionally marked trainable."""
+    """A shaped block of float64 values."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -48,7 +47,7 @@ class Tensor:
         return float(self.data.item())
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
@@ -154,7 +153,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def _emit(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable,
           name: str, flops: int) -> Tensor:
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    out = Tensor(out_data)
     tape = _tape()
     if tape is not None:
         tape.record(out, inputs, backward, name, flops)
@@ -429,7 +428,7 @@ def grad_check(f: Callable, inputs: Sequence[Tensor], step: float = 1e-5) -> flo
     if not 1e-7 <= step <= 1e-3:
         raise ValidationError(f"finite-difference step {step} outside [1e-7, 1e-3]")
     inputs = [ _wrap(t) for t in inputs ]
-    probes = [Tensor(t.data.copy(), requires_grad=True) for t in inputs]
+    probes = [Tensor(t.data.copy()) for t in inputs]
     with Tape() as tape:
         out = f(*probes)
         if out.data.size != 1:

@@ -112,13 +112,12 @@ class Normalizer:
 
     def normalize_sample(self, sample: GraphSample) -> GraphSample:
         """Whitened copy of a sample (positional encodings left untouched)."""
-        contact = sample.contact_edge_features
         return replace(
             sample,
             node_features=(sample.node_features - self.node_mean) / self.node_std,
             mesh_edge_features=(sample.mesh_edge_features - self.mesh_mean) / self.mesh_std,
-            contact_edge_features=(contact - self.contact_mean) / self.contact_std
-            if contact.shape[0] else contact)
+            contact_edge_features=(sample.contact_edge_features - self.contact_mean)
+            / self.contact_std)
 
     def normalize_targets(self, y: np.ndarray) -> np.ndarray:
         return (y - self.target_mean) / self.target_std
@@ -255,9 +254,7 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
             adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
             m_hat = adam_m[name] / (1 - b1 ** tcount)
             v_hat = adam_v[name] / (1 - b2 ** tcount)
-            params[name] = Tensor(
-                params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps),
-                requires_grad=True)
+            params[name] = Tensor(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
 
         history_rows.append([float(step), loss_val, lr, grad_norm])
         if progress and (step % train_cfg.log_every == 0 or step == train_cfg.steps - 1):
@@ -362,8 +359,7 @@ def load_checkpoint(path: str) -> dict:
         schema = get_schema(meta.get("schema"))
     except ValidationError as exc:
         raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
-    params = {k.split(".", 1)[1]: Tensor(v, requires_grad=True)
-              for k, v in arrays.items() if k.startswith("param.")}
+    params = {k.split(".", 1)[1]: Tensor(v) for k, v in arrays.items() if k.startswith("param.")}
     adam_m = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_m.")}
     adam_v = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_v.")}
     return {

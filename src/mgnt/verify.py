@@ -19,7 +19,7 @@ from .tensor import Tensor, grad_check
 
 def _sabotaged_square(x: Tensor) -> Tensor:
     """Elementwise square whose registered gradient rule is wrong on purpose."""
-    out = Tensor(x.data * x.data, requires_grad=x.requires_grad)
+    out = Tensor(x.data * x.data)
     tape = T.Tape._active
     if tape is not None:
         tape.record(out, (x,), lambda g: [(x, g)], "sabotaged_square", x.size)

@@ -72,7 +72,6 @@ chain.n_test = 2  # default: test trajectories
 chain.stiffness_base = 100.0  # default: chain stiffness at kappa=1
 chain.load = 0.5  # default: constant axial load per node
 chain.drive_std = 0.25  # default: std of per-frame drive increments
-chain.relax_tol = 1e-10  # default: relaxation residual tolerance
 chain.seed = 99  # default: chain dataset seed
 graph.tied_k = 3  # default: tied-edge nearest neighbors
 graph.tied_cutoff_factor = 3.0  # default: tied interface cutoff, x median edge
@@ -221,6 +220,18 @@ class TestConfig:
         ("gen-data", "data.dt = -0.00025"),
         ("train", "model.leaky_slope = 0"),
         ("train", "model.leaky_slope = 1"),
+        ("gen-data", "data.mass = 0"),
+        ("gen-data", "data.rows = 0"),
+        ("gen-data", "data.cols = 0"),
+        ("gen-data", "data.spacing = 0"),
+        ("gen-data", "data.drop_height = -0.1"),
+        ("gen-data", "data.n_train = 0"),
+        ("gen-chain", "chain.drive_std = -0.1"),
+        ("gen-chain", "chain.n_nodes = 50"),
+        ("gen-chain", "chain.driven_nodes = 0"),
+        ("gen-chain", "chain.driven_nodes = 30"),
+        ("gen-chain", "chain.stiffness_base = 0"),
+        ("gen-chain", "chain.n_train = 0"),
     ])
     def test_bad_value_exit_2(self, trained, tmp_path, capsys, command, line):
         root, _, data_dir, _ = trained
@@ -235,9 +246,10 @@ class TestConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max"])
+    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
-        # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it
+        # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
+        # and the chain's closed-form equilibrium has no tolerance to set
         cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 

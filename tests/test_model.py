@@ -93,6 +93,12 @@ class TestEncode:
                              "sample_ranges": ()})
         with pytest.raises(ConfigError, match="node feature dim"):
             encode(bad, small_params, small_cfg)
+        # the width is checked even when there are no contact rows
+        no_contact = GraphSample(**{**sample.__dict__,
+                                    "contact_edge_features": np.zeros((0, 4)),
+                                    "sample_ranges": ()})
+        with pytest.raises(ConfigError, match="contact edge feature dim"):
+            encode(no_contact, small_params, small_cfg)
 
 
 class TestMpnn:

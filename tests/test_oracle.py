@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from mgnt.data import GraphConfig, get_schema, prepare_trajectory
-from mgnt.errors import NumericError, ValidationError
+from mgnt.errors import ConfigError, NumericError
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_chain_dataset, gen_dataset,
-                         return_map_1d, simulate_chain, simulate_impact,
-                         solve_chain_dense, solve_chain_relaxation)
+                         return_map_1d, simulate_chain, simulate_impact, solve_chain,
+                         solve_chain_dense)
 from mgnt.train import Normalizer
 
 
@@ -124,8 +124,8 @@ class TestImpactOracle:
             simulate_impact(cfg)
 
     def test_negative_drop_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_impact(OracleConfig(drop_height=-1.0))
+        with pytest.raises(ConfigError, match="drop_height"):
+            OracleConfig(drop_height=-1.0)
 
     def test_trajectory_schema_arrays(self):
         traj = simulate_impact(OracleConfig(rows=3, cols=3, frames=4, substeps=2))
@@ -173,9 +173,9 @@ class TestChainBenchmark:
 
     def test_unit_step_matches_dense_solve(self):
         k, load, n = 30.0, 0.4, 150
-        relaxed = solve_chain_relaxation(k, load, 1.0, n, tol=1e-12)
+        closed = solve_chain(k, load, 1.0, n)
         dense = solve_chain_dense(k, load, 1.0, n)
-        np.testing.assert_allclose(relaxed, dense, atol=1e-8)
+        np.testing.assert_allclose(closed, dense, atol=1e-8)
         # a unit end step shifts the whole equilibrium by one unit
         base = solve_chain_dense(k, load, 0.0, n)
         np.testing.assert_allclose(dense - base, 1.0, atol=1e-8)
@@ -189,19 +189,39 @@ class TestChainBenchmark:
         assert drive > 0
         assert delta == pytest.approx(drive, rel=1e-6)
 
-    def test_relaxation_tolerance_vs_dense_per_frame(self):
+    def test_closed_form_vs_dense_per_frame(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             k = rng.uniform(10, 200)
             load = rng.uniform(0.1, 1.0)
             u0 = rng.uniform(-2, 2)
             np.testing.assert_allclose(
-                solve_chain_relaxation(k, load, u0, 200, tol=1e-12),
+                solve_chain(k, load, u0, 200),
                 solve_chain_dense(k, load, u0, 200), atol=1e-8)
 
+    def test_closed_form_equilibrium_residual(self):
+        # A u = b for the free nodes: row i reads k (2 u_i - u_{i-1} - u_{i+1})
+        # = load, the last row k (u_{m-1} - u_{m-2}) = load, and u_{-1} = u0
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            k = rng.uniform(1, 500)
+            load = rng.uniform(-2, 2)
+            u0 = rng.uniform(-5, 5)
+            n = int(rng.integers(20, 1001))
+            driven = int(rng.integers(1, n // 4))
+            u = solve_chain(k, load, u0, n, driven=driven)
+            np.testing.assert_array_equal(u[:driven], u0)
+            free = u[driven:]
+            left = np.concatenate([[u0], free[:-1]])
+            right = np.concatenate([free[1:], free[-1:]])
+            residual = k * (2.0 * free - left - right) - load
+            b = np.full(free.size, load)
+            b[0] += k * u0
+            assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(b)
+
     def test_minimum_length_enforced(self):
-        with pytest.raises(ValidationError):
-            simulate_chain(ChainConfig(n_nodes=50))
+        with pytest.raises(ConfigError, match="n_nodes"):
+            ChainConfig(n_nodes=50)
 
     def test_chain_dataset_round_trip(self, tmp_path):
         cfg = ChainConfig(n_nodes=120, frames=4)
@@ -225,9 +245,9 @@ def _digest(arrays: dict) -> str:
 
 class TestPinnedBytes:
     """Byte digests of a small lattice that yields (final hardening sum
-    0.028) and of the normalizer fitted on it.  A change to the oracle's or
-    the normalizer's arithmetic that moves a single bit fails here; such a
-    change must say so and re-pin."""
+    0.028), of the normalizer fitted on it and of a short driven chain.  A
+    change to the oracles' or the normalizer's arithmetic that moves a single
+    bit fails here; such a change must say so and re-pin."""
 
     CFG = OracleConfig(rows=3, cols=3, frames=6, substeps=10, drop_height=0.02,
                        initial_velocity=-3.0)
@@ -237,6 +257,11 @@ class TestPinnedBytes:
         assert traj.arrays["alpha"][-1].sum() == pytest.approx(0.0284, abs=1e-4)
         assert _digest(traj.arrays) == (
             "584f31ea0467c71230938360d5ba173a5182162e9acf8ae4aebcc5cd729fe792")
+
+    def test_chain_trajectory_bytes(self):
+        traj = simulate_chain(ChainConfig(n_nodes=120, frames=6, seed=3))
+        assert _digest(traj.arrays) == (
+            "486e69fcaa280fafd8999add0711f0edb2f9c142f82dd77ccb5b427152be2dec")
 
     def test_normalizer_bytes(self):
         prep = prepare_trajectory(simulate_impact(self.CFG), get_schema("impact"),

@@ -187,7 +187,7 @@ class TestScatterBits:
 
     def test_gather_rows_backward_matches_add_at_bit_for_bit(self):
         for g, ids, n in _scatter_cases():
-            x = Tensor(np.zeros((n, g.shape[1])), requires_grad=True)
+            x = Tensor(np.zeros((n, g.shape[1])))
             with Tape() as tape:
                 y = T.gather_rows(x, ids)
                 (gx,) = tape.gradients(T.sum_all(T.mul(y, g)), [x])
@@ -199,7 +199,7 @@ class TestScatterBits:
         assert not out[[0, 1, 2, 4]].any()
 
     def test_empty_gather_backward_gives_float64_zeros(self):
-        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        x = Tensor(np.ones((4, 3)))
         with Tape() as tape:
             total = T.sum_all(x)
             y = T.gather_rows(x, np.zeros(0, dtype=np.int64))
@@ -229,7 +229,7 @@ class TestGradCheck:
 
     def test_wrong_gradient_rule_detected(self):
         def bad_square(x):
-            out = Tensor(x.data * x.data, requires_grad=True)
+            out = Tensor(x.data * x.data)
             tape = Tape._active
             if tape is not None:
                 tape.record(out, (x,), lambda g: [(x, g)], "bad_square", x.size)
@@ -262,7 +262,7 @@ class TestItem:
 
 class TestTapeMechanics:
     def test_backward_visits_each_record_once(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((2, 2)))
         with Tape() as tape:
             y = T.mul(x, x)
             z = T.add(y, y)
@@ -272,7 +272,7 @@ class TestTapeMechanics:
         assert n_records == 3
 
     def test_gradient_accumulates_over_reuse(self):
-        x = Tensor([2.0], requires_grad=True)
+        x = Tensor([2.0])
         with Tape() as tape:
             y = T.add(T.mul(x, x), T.mul(x, x))
             (g,) = tape.gradients(T.sum_all(y), [x])
@@ -281,21 +281,21 @@ class TestTapeMechanics:
     def test_scalar_products_accumulate(self):
         # a product of 0-d arrays is a numpy scalar; it must not become the
         # accumulator as is, or the second term's sum is lost
-        x = Tensor(3.0, requires_grad=True)
+        x = Tensor(3.0)
         with Tape() as tape:
             (g,) = tape.gradients(T.add(T.mul(x, x), T.mul(x, x)), [x])
         assert g == 12.0
 
     def test_add_same_tensor_twice(self):
-        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        x = Tensor(np.array([1.5, -2.0]))
         with Tape() as tape:
             (g,) = tape.gradients(T.sum_all(T.add(x, x)), [x])
         np.testing.assert_array_equal(g, [2.0, 2.0])
 
     def test_add_operands_get_unaliased_gradients(self):
         rng = np.random.default_rng(12)
-        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        a = Tensor(rng.standard_normal((3, 2)))
+        b = Tensor(rng.standard_normal((3, 2)))
         w = rng.standard_normal((3, 2))
         with Tape() as tape:
             ga, gb = tape.gradients(T.sum_all(T.mul(T.add(a, b), w)), [a, b])
@@ -305,8 +305,8 @@ class TestTapeMechanics:
 
     def test_concat_parts_get_unaliased_gradients(self):
         rng = np.random.default_rng(13)
-        a = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        a = Tensor(rng.standard_normal((4, 2)))
+        b = Tensor(rng.standard_normal((4, 3)))
         w = rng.standard_normal((4, 5))
         with Tape() as tape:
             c = T.concat([a, b], axis=1)
