@@ -108,6 +108,10 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_eval(args, cfg) -> int:
+    horizon = cfg["eval.horizon"]
+    if horizon < 0:
+        raise ConfigError(f"eval horizon must be >= 0 (0 means the full trajectory), "
+                          f"got {horizon}")
     state = load_checkpoint(args.checkpoint)
     schema = state["schema"]
     manifest = os.path.join(args.data, "manifest.json")
@@ -116,9 +120,8 @@ def _cmd_eval(args, cfg) -> int:
     preps = [prepare_trajectory(t, schema, state["graph_config"]) for t in split[args.split]]
     if not preps:
         raise ConfigError(f"split {args.split!r} is empty")
-    horizon = cfg["eval.horizon"] or None
     report = evaluate(state["params"], state["model_config"], state["normalizer"],
-                      preps, state["train_config"].target_mode, horizon=horizon)
+                      preps, state["train_config"].target_mode, horizon=horizon or None)
     report["split"] = args.split
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump(report, f, indent=2)

@@ -4,14 +4,14 @@ Files contain ``key = value`` lines (``#`` starts a comment).  A key
 ``section.name`` stands for the field ``name`` of its section's config class
 (``data`` -> ``OracleConfig``, ``chain`` -> ``ChainConfig``, ``graph`` ->
 ``GraphConfig``, ``model`` -> ``ModelConfig``, ``train`` -> ``TrainConfig``)
-and takes its default and its value type from that field; ``SCHEMA`` adds the
-order, a provenance note distinguishing values taken from the reference
-experiment tables from package defaults, and a help line.  Unknown keys are
-rejected; a value the config class rejects raises ``ConfigError`` (exit 2)
-when the command builds that section.  The environment variable
-``MGNT_SEED`` overrides every seed key.  The resolved configuration is echoed
-verbatim next to every command's outputs so runs can be reproduced from
-their artifacts alone.
+and takes its default, its value type and its domain from that field;
+``SCHEMA`` adds the order, a provenance note distinguishing values taken from
+the reference experiment tables from package defaults, and a help line.
+Unknown keys are rejected; a value the config class rejects raises
+``ConfigError`` (exit 2) when the command builds that section.  The
+environment variable ``MGNT_SEED`` overrides every seed key.  The resolved
+configuration is echoed verbatim next to every command's outputs so runs can
+be reproduced from their artifacts alone.
 """
 
 from __future__ import annotations

@@ -217,7 +217,23 @@ class PreparedTrajectory:
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
+    """Build the trajectory's static graph.  A trajectory that lacks a static
+    array or one of ``schema.series``, or whose series are not shaped
+    ``[T >= 2, N, ...]`` with N the row count of the ``[N, d]`` array ``X``,
+    raises SchemaFormatError."""
     a = traj.arrays
+    for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
+        if key not in a:
+            raise SchemaFormatError(f"trajectory has no {key!r} array")
+    if a["X"].ndim != 2:
+        raise SchemaFormatError(f"trajectory array 'X' has shape {list(a['X'].shape)}, "
+                                "not [N, d]")
+    n = a["X"].shape[0]
+    for key in schema.series:
+        shape = a[key].shape
+        if len(shape) < 2 or shape[0] < 2 or shape[1] != n:
+            raise SchemaFormatError(f"trajectory array {key!r} has shape {list(shape)}, "
+                                    f"not [T >= 2, {n}, ...]")
     graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
                          graph_cfg)
     return PreparedTrajectory(traj=traj, schema=schema, graph=graph, graph_cfg=graph_cfg)

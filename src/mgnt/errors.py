@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the per-field domain rule
+every config class enforces."""
+
+import math
+import operator
+from dataclasses import MISSING, field, fields
 
 
 class MgntError(Exception):
@@ -31,3 +36,31 @@ class TrainingAbort(MgntError):
 
 class RolloutAbort(MgntError):
     """Autoregressive rollout produced a non-finite prediction."""
+
+
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "lt": (operator.lt, "<")}
+
+
+def setting(default=MISSING, *, ge=None, gt=None, lt=None):
+    """A config-class field whose numbers must be >= ``ge``, > ``gt`` and
+    < ``lt``, where given; ``check_settings`` enforces the bounds."""
+    bounds = {"ge": ge, "gt": gt, "lt": lt}
+    return field(default=default, metadata={k: v for k, v in bounds.items() if v is not None})
+
+
+def check_settings(obj, section: str) -> None:
+    """Raise ConfigError unless every float of the config object ``obj`` is
+    finite and every number, each entry of a tuple too, lies within its
+    field's bounds.  None stands for unset where the field defaults to it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{section} {f.name} must be finite, got {value}")
+            for name, bound in f.metadata.items():
+                test, symbol = _BOUNDS[name]
+                if not test(v, bound):
+                    raise ConfigError(f"{section} {f.name} must be {symbol} {bound}, "
+                                      f"got {value}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError, check_settings, setting
 
 # node type codes used across the package
 NODE_DEFORMABLE = 0
@@ -283,26 +283,15 @@ class MeshGraph:
 class GraphConfig:
     """Graph construction knobs shared by training, eval and rollout."""
 
-    tied_k: int = 3
-    tied_cutoff_factor: float = 3.0
-    contact_radius: float | None = None     # None: contact_radius_factor x median edge
-    contact_radius_factor: float = 1.5
-    n_frequencies: int = 8
+    tied_k: int = setting(3, ge=1)
+    tied_cutoff_factor: float = setting(3.0, ge=0)
+    contact_radius: float | None = setting(None, gt=0)  # None: contact_radius_factor x median edge
+    contact_radius_factor: float = setting(1.5, gt=0)
+    n_frequencies: int = setting(8, ge=1)
     use_contact: bool = True
 
     def __post_init__(self):
-        if self.tied_k < 1:
-            raise ConfigError(f"graph tied_k must be >= 1, got {self.tied_k}")
-        if not self.tied_cutoff_factor >= 0:
-            raise ConfigError(
-                f"graph tied_cutoff_factor must be >= 0, got {self.tied_cutoff_factor}")
-        if not self.contact_radius_factor > 0:
-            raise ConfigError(
-                f"graph contact_radius_factor must be > 0, got {self.contact_radius_factor}")
-        if self.n_frequencies < 1:
-            raise ConfigError(f"graph n_frequencies must be >= 1, got {self.n_frequencies}")
-        if self.contact_radius is not None and not self.contact_radius > 0:
-            raise ConfigError(f"graph contact_radius must be > 0, got {self.contact_radius}")
+        check_settings(self, "graph")
 
 
 def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:

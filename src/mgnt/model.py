@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_settings, setting
 from .mesh import GraphSample
 from .tensor import Tape, Tensor
 
@@ -33,21 +33,21 @@ class ModelConfig:
     """Network architecture.  The defaults are the paper's Table 2 setting:
     2+2 message passing, 2 blocks, 4 heads, 32 tokens."""
 
-    node_feat_dim: int
-    mesh_edge_feat_dim: int
-    contact_edge_feat_dim: int
-    pe_dim: int
-    output_dim: int
-    latent_dim: int = 112
-    mpnn_pre: int = 2
-    mpnn_refine: int = 2
-    n_transformer_blocks: int = 2
-    n_heads: int = 4
-    n_tokens: int = 32
-    transformer_dims: tuple[int, int, int] = (64, 32, 64)
-    tau0: float = 0.5
-    tau_min: float = 0.01
-    leaky_slope: float = 0.01
+    node_feat_dim: int = setting(ge=1)
+    mesh_edge_feat_dim: int = setting(ge=1)
+    contact_edge_feat_dim: int = setting(ge=1)
+    pe_dim: int = setting(ge=0)
+    output_dim: int = setting(ge=1)
+    latent_dim: int = setting(112, ge=1)
+    mpnn_pre: int = setting(2, ge=0)
+    mpnn_refine: int = setting(2, ge=0)
+    n_transformer_blocks: int = setting(2, ge=0)
+    n_heads: int = setting(4, ge=1)
+    n_tokens: int = setting(32, ge=1)
+    transformer_dims: tuple[int, int, int] = setting((64, 32, 64), ge=1)
+    tau0: float = setting(0.5, gt=0)
+    tau_min: float = setting(0.01, gt=0)
+    leaky_slope: float = setting(0.01, gt=0, lt=1)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.transformer_dims)
@@ -55,15 +55,10 @@ class ModelConfig:
         if len(dims) != 3:
             raise ConfigError(f"transformer dims need 3 entries (block, attention, "
                               f"feed-forward width), got {len(dims)}")
-        positive = (self.node_feat_dim, self.mesh_edge_feat_dim, self.contact_edge_feat_dim,
-                    self.output_dim, self.latent_dim, self.n_heads, self.n_tokens) + dims
-        if any(v <= 0 for v in positive):
-            raise ConfigError("all model dimensions must be positive")
+        check_settings(self, "model")
         if dims[1] % self.n_heads != 0:
             raise ConfigError(
                 f"attention width {dims[1]} not divisible by {self.n_heads} heads")
-        if not 0 < self.leaky_slope < 1:
-            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
 
     @property
     def head_dim(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import Trajectory, write_manifest
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_settings, setting
 from .mesh import NODE_ACTUATOR, NODE_DEFORMABLE, NODE_OBSTACLE
 
 # Both generators draw each trajectory's stiffness scale kappa uniformly
@@ -44,40 +44,26 @@ CHAIN_SPACING = 1.0
 
 @dataclass(frozen=True)
 class OracleConfig:
-    rows: int = 8
-    cols: int = 8
-    spacing: float = 0.1
-    mass: float = 1.0
-    stiffness_base: float = 100000.0  # spring stiffness = kappa * stiffness_base
-    kappa: float = 0.2
-    yield_strain: float = 0.05
-    hardening_ratio: float = 0.2      # H = hardening_ratio * spring stiffness
-    damping: float = 1.2              # per-node viscous coefficient
+    rows: int = setting(8, ge=1)
+    cols: int = setting(8, ge=1)
+    spacing: float = setting(0.1, gt=0)
+    mass: float = setting(1.0, gt=0)
+    stiffness_base: float = setting(100000.0, gt=0)  # spring stiffness = kappa * stiffness_base
+    kappa: float = setting(0.2, gt=0)
+    yield_strain: float = setting(0.05, ge=0)
+    hardening_ratio: float = setting(0.2, ge=0)      # H = hardening_ratio * spring stiffness
+    damping: float = setting(1.2, ge=0)              # per-node viscous coefficient
     gravity: float = 9.81
-    wall_stiffness: float = 200000.0
-    drop_height: float = 0.2
+    wall_stiffness: float = setting(200000.0, ge=0)
+    drop_height: float = setting(0.2, ge=0)          # the lattice starts above the wall
     initial_velocity: float = -1.0    # initial vertical velocity of the lattice
-    dt: float = 2.5e-4
-    substeps: int = 40
-    frames: int = 50
-    seed: int = 0
+    dt: float = setting(2.5e-4, gt=0)
+    substeps: int = setting(40, ge=1)
+    frames: int = setting(50, ge=2)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigError(f"data rows and cols must be >= 1, got {self.rows}x{self.cols}")
-        if not self.spacing > 0:
-            raise ConfigError(f"data spacing must be > 0, got {self.spacing}")
-        if not self.mass > 0:
-            raise ConfigError(f"data mass must be > 0, got {self.mass}")
-        if not self.drop_height >= 0:
-            raise ConfigError(f"data drop_height must be >= 0 (lattice starts above "
-                              f"the wall), got {self.drop_height}")
-        if self.frames < 2:
-            raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
-        if self.substeps < 1:
-            raise ConfigError(f"data substeps must be >= 1, got {self.substeps}")
-        if not self.dt > 0:
-            raise ConfigError(f"data dt must be > 0, got {self.dt}")
+        check_settings(self, "data")
 
 
 def return_map_1d(k: float, hardening: float, yield_force, stretch, plastic, alpha):
@@ -265,27 +251,20 @@ def _gen_one(job) -> None:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    n_nodes: int = 400
-    driven_nodes: int = 16           # rigid actuator segment at the chain head
-    stiffness_base: float = 100.0    # chain stiffness = kappa * stiffness_base
-    kappa: float = 0.2
-    load: float = 0.5                # constant axial load per free node
-    drive_std: float = 0.25          # std of the per-frame drive increment
-    frames: int = 60
-    seed: int = 0
+    n_nodes: int = setting(400, ge=100)
+    driven_nodes: int = setting(16, ge=1)          # rigid actuator segment at the chain head
+    stiffness_base: float = setting(100.0, gt=0)   # chain stiffness = kappa * stiffness_base
+    kappa: float = setting(0.2, gt=0)
+    load: float = 0.5                              # constant axial load per free node
+    drive_std: float = setting(0.25, ge=0)         # std of the per-frame drive increment
+    frames: int = setting(60, ge=2)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        if self.n_nodes < 100:
-            raise ConfigError(f"chain n_nodes must be >= 100, got {self.n_nodes}")
-        if not 1 <= self.driven_nodes < self.n_nodes // 4:
-            raise ConfigError(f"chain driven_nodes must lie in [1, n_nodes // 4), "
+        check_settings(self, "chain")
+        if self.driven_nodes >= self.n_nodes // 4:
+            raise ConfigError(f"chain driven_nodes must be < n_nodes // 4, "
                               f"got {self.driven_nodes} of {self.n_nodes}")
-        if not self.stiffness_base > 0:
-            raise ConfigError(f"chain stiffness_base must be > 0, got {self.stiffness_base}")
-        if not self.drive_std >= 0:
-            raise ConfigError(f"chain drive_std must be >= 0, got {self.drive_std}")
-        if self.frames < 2:
-            raise ConfigError(f"need at least 2 frames per trajectory, got {self.frames}")
 
 
 def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,

@@ -20,7 +20,8 @@ import numpy as np
 from . import tensor as T
 from .container import meta_to_json, read_arrays, write_arrays
 from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
-from .errors import ConfigError, SchemaFormatError, TrainingAbort, ValidationError
+from .errors import (ConfigError, SchemaFormatError, TrainingAbort, ValidationError,
+                     check_settings, setting)
 from .mesh import GraphSample, merge_samples
 from .model import ModelConfig, forward, init_params
 from .tensor import Tape, Tensor
@@ -41,25 +42,18 @@ _RESUMABLE_FIELDS = ("steps", "checkpoint_every", "log_every")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 2000
-    batch_size: int = 4
-    lr: float = 1e-4           # unreported upstream; MGN-lineage default
-    lr_min: float = 1e-6
-    noise_scale: float = 0.003  # input noise, in units of feature std
-    seed: int = 0
+    steps: int = setting(2000, ge=1)
+    batch_size: int = setting(4, ge=1)
+    lr: float = setting(1e-4, gt=0)        # unreported upstream; MGN-lineage default
+    lr_min: float = setting(1e-6, gt=0)
+    noise_scale: float = setting(0.003, ge=0)  # input noise, in units of feature std
+    seed: int = setting(0, ge=0)
     target_mode: str = "absolute"   # "delta" retrains on state increments
-    checkpoint_every: int = 500
-    log_every: int = 50
+    checkpoint_every: int = setting(500, ge=1)
+    log_every: int = setting(50, ge=1)
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "checkpoint_every", "log_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"train {name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr", "lr_min"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"train {name} must be > 0, got {getattr(self, name)}")
-        if self.noise_scale < 0:
-            raise ConfigError("noise scale must be >= 0")
+        check_settings(self, "train")
         if self.target_mode not in ("absolute", "delta"):
             raise ConfigError(f"unknown target mode {self.target_mode!r}")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -232,6 +233,14 @@ class TestConfig:
         ("gen-chain", "chain.driven_nodes = 30"),
         ("gen-chain", "chain.stiffness_base = 0"),
         ("gen-chain", "chain.n_train = 0"),
+        ("gen-data", "data.seed = -1"),
+        ("train", "train.seed = -1"),
+        ("train", "model.mpnn_pre = -1"),
+        ("train", "model.blocks = -1"),
+        ("train", "train.noise_scale = nan"),
+        ("gen-data", "data.stiffness_base = 0"),
+        ("gen-data", "data.wall_stiffness = -1"),
+        ("gen-chain", "chain.load = nan"),
     ])
     def test_bad_value_exit_2(self, trained, tmp_path, capsys, command, line):
         root, _, data_dir, _ = trained
@@ -246,12 +255,73 @@ class TestConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_negative_env_seed_exit_2(self, trained, tmp_path, capsys, monkeypatch, command):
+        root, cfg, data_dir, _ = trained
+        monkeypatch.setenv("MGNT_SEED", "-1")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--data", data_dir] if command == "train" else [])) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
         # and the chain's closed-form equilibrium has no tolerance to set
         cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+SWEEP_BASE = {
+    "data": "data.rows = 3\ndata.cols = 3\ndata.frames = 3\ndata.n_train = 1\n"
+            "data.n_test = 1\n",
+    "chain": "data.kind = chain\nchain.n_nodes = 100\nchain.frames = 3\n"
+             "chain.n_train = 1\nchain.n_test = 1\n",
+    "train": TINY_TRAIN + "train.steps = 1\n",
+}
+
+# every numeric key at 0 and -1, and every float key also at nan and inf
+SWEEP = [(key, value) for key, default in load_config(None).items()
+         if type(default) in (int, float)
+         for value in ((0, -1) if type(default) is int else (0.0, -1.0, math.nan, math.inf))]
+
+# the swept values inside their keys' domains; every other one is rejected
+SWEEP_RUNS = {
+    ("data.yield_strain", 0.0), ("data.hardening_ratio", 0.0), ("data.damping", 0.0),
+    ("data.gravity", 0.0), ("data.gravity", -1.0), ("data.wall_stiffness", 0.0),
+    ("data.drop_height", 0.0), ("data.initial_velocity", 0.0),
+    ("data.initial_velocity", -1.0), ("data.seed", 0), ("chain.drive_std", 0.0),
+    ("chain.load", 0.0), ("chain.load", -1.0), ("chain.seed", 0),
+    ("graph.tied_cutoff_factor", 0.0), ("graph.contact_radius", 0.0), ("model.mpnn_pre", 0),
+    ("model.mpnn_refine", 0), ("model.blocks", 0), ("train.noise_scale", 0.0),
+    ("train.seed", 0), ("eval.horizon", 0),
+}
+
+
+@pytest.mark.parametrize("key, value", SWEEP, ids=[f"{k}={v}" for k, v in SWEEP])
+def test_every_numeric_key_exits_2_or_runs_finite(trained, tmp_path, capsys, monkeypatch,
+                                                  key, value):
+    """The smallest command that reads the key either rejects the value with
+    a config error or runs and writes only finite float arrays."""
+    monkeypatch.delenv("MGNT_SEED", raising=False)
+    root, _, data_dir, run_dir = trained
+    section = key.split(".", 1)[0]
+    cfg = _write(tmp_path, "sweep.txt",
+                 SWEEP_BASE.get(section, SWEEP_BASE["train"]) + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    argv = {"data": ["gen-data"], "chain": ["gen-data"],
+            "eval": ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
+                     "--data", data_dir]}.get(section, ["train", "--data", data_dir])
+    code = main(argv + ["--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (0 if (key, value) in SWEEP_RUNS else 2), err
+    if code == 2:
+        assert err.startswith("config error:")
+        return
+    written = [f for f in os.listdir(out) if f.endswith(".mgnt")]
+    assert written or section == "eval"
+    for name in written:
+        for array in read_arrays(str(out / name))[0].values():
+            assert array.dtype.kind != "f" or np.isfinite(array).all(), name
 
 
 class TestGenData:
@@ -408,12 +478,14 @@ class TestEval:
         (lambda meta: meta["graph_config"].update(bogus=1), "'bogus'"),
         (lambda meta: meta.update(train_config=5), "'train_config'"),
         (lambda meta: meta["train_config"].update(lr=0.0), "'train_config'"),
+        (lambda meta: meta["train_config"].update(lr=float("nan")), "'train_config'"),
         (lambda meta: meta.pop("schema"), "'schema'"),
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
         (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 2"),
     ], ids=["graph_config_unknown_key", "train_config_not_object", "train_config_bad_lr",
-            "schema_missing", "schema_unknown", "schema_not_a_string", "version_1"])
+            "train_config_nan_lr", "schema_missing", "schema_unknown", "schema_not_a_string",
+            "version_1"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
         root, cfg, data_dir, run_dir = trained
         arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
@@ -424,6 +496,15 @@ class TestEval:
                      "--out", str(tmp_path / "e")])
         assert code == 4
         assert named in capsys.readouterr().err
+
+    def test_negative_horizon_exit_2(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        bad = _write(tmp_path, "h.txt", "eval.horizon = -1\n")
+        code = main(["eval", "--config", bad, "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.mgnt"), "--data", data_dir,
+                     "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: eval horizon")
 
     def test_corrupt_checkpoint_exit_4(self, trained, tmp_path):
         root, cfg, data_dir, _ = trained
@@ -475,6 +556,35 @@ class TestRolloutCommand:
                      "--out", str(tmp_path / "r3")])
         assert code == 4
         assert "byte_offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        *[(lambda a, key=key: a.pop(key), f"no {key!r} array")
+          for key in ("X", "elements", "node_type", "component_id", "kappa", "x", "v",
+                      "alpha")],
+        (lambda a: a.update(x=a["x"][:, :-1]),
+         "'x' has shape [6, 19, 2], not [T >= 2, 20, ...]"),
+        (lambda a: a.update(v=a["v"][:1]), "'v' has shape [1, 20, 2]"),
+        (lambda a: a.update(X=a["X"][0]), "'X' has shape [2]"),
+    ], ids=["no_X", "no_elements", "no_node_type", "no_component_id", "no_kappa", "no_x",
+            "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d"])
+    @pytest.mark.parametrize("command", ["rollout", "train"])
+    def test_malformed_trajectory_arrays_exit_4(self, trained, tmp_path, capsys, edit,
+                                                named, command):
+        root, cfg, data_dir, run_dir = trained
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        name = json.load(open(data / "manifest.json"))["train"][0]
+        traj = Trajectory.load(str(data / name))
+        edit(traj.arrays)
+        traj.save(str(data / name))
+        if command == "rollout":
+            argv = ["rollout", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
+                    "--trajectory", str(data / name), "--horizon", "1"]
+        else:
+            argv = ["train", "--config", cfg, "--data", str(data)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("schema mismatch: trajectory") and named in err
 
     def test_rollout_artifact_is_a_trajectory(self, trained, tmp_path):
         root, cfg, data_dir, run_dir = trained

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from mgnt import train
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.container import read_arrays, write_arrays
 from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
@@ -273,6 +274,38 @@ class TestFit:
         assert resumed.shape == (40, 4)
         np.testing.assert_array_equal(resumed[:20], first)  # prior history kept
         assert np.isfinite(resumed).all()
+
+    def test_interrupted_run_resumes_bit_for_bit(self, tmp_path, monkeypatch):
+        class Interrupt(Exception):
+            pass
+
+        prep, mcfg, tcfg = _fit_setup(steps=20, checkpoint_every=10, noise_scale=0.003)
+        runs = {name: tmp_path / name for name in ("whole", "cut")}
+        for d in runs.values():
+            d.mkdir()
+        whole = fit([prep], mcfg, tcfg, out_dir=str(runs["whole"]))
+
+        batches = []
+
+        def make_batch_until_step_12(*args, **kwargs):
+            if len(batches) == 12:
+                raise Interrupt
+            batches.append(None)
+            return make_batch(*args, **kwargs)
+
+        monkeypatch.setattr(train, "make_batch", make_batch_until_step_12)
+        with pytest.raises(Interrupt):
+            fit([prep], mcfg, tcfg, out_dir=str(runs["cut"]))
+        monkeypatch.undo()
+        assert load_checkpoint(str(runs["cut"] / "checkpoint.mgnt"))["meta"]["step"] == 10
+        resumed = fit([prep], mcfg, tcfg, out_dir=str(runs["cut"]), resume=True)
+
+        np.testing.assert_array_equal(resumed.history, whole.history)
+        assert resumed.params.keys() == whole.params.keys()
+        for name, p in whole.params.items():
+            np.testing.assert_array_equal(resumed.params[name].data, p.data)
+        ckpt = {name: (d / "checkpoint.mgnt").read_bytes() for name, d in runs.items()}
+        assert ckpt["cut"] == ckpt["whole"]
 
     def test_resume_with_changed_lr_refused(self, tmp_path):
         prep, mcfg, half_cfg = _fit_setup(steps=4, checkpoint_every=2)
