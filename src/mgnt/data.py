@@ -1,23 +1,26 @@
 """Trajectory storage, dataset schemas and graph-sample assembly.
 
 A trajectory is a bag of named arrays in the binary container format plus a
-small meta block.  A schema knows how to turn one stored frame into model
-inputs (node features) and how to push a predicted state back into
-simulation state during rollout.  Two schemas ship with the package:
+small meta block.  A schema knows which stored arrays change per frame, what
+each node feeds the network from them, and how to push a predicted state back
+into simulation state during rollout.  Two schemas ship with the package:
 
 * ``impact``  - 2-D elastoplastic lattice hitting a rigid wall.  Inputs per
-  node: velocity, hardening, stiffness scale, type one-hot.  Targets:
-  next-step displacement, velocity and hardening.
+  node: displacement, velocity, hardening.  Targets: next-step displacement,
+  velocity and hardening.
 * ``chain``   - long 1-D elastic chain driven at one end, used for the
-  long-range benchmark.  Inputs: drive increment (actuator node only),
-  stiffness scale, type one-hot.  Targets: next-step displacement change.
+  long-range benchmark.  Inputs: drive increment (actuator nodes only).
+  Targets: next-step displacement change.
 
 Each schema declares its frame layout once.  ``series`` names the stored
-arrays with a leading frame axis; every other stored array is static.
-``state_vector(frame, X)`` maps those series, for one frame ``[N, ...]`` or
-stacked ``[T, N, ...]``, to the target layout ``[..., output_dim]`` whose
-column blocks ``variable_groups`` names.  Frames, training targets, error
-series, ground-truth cuts and rollout artifacts all derive from these two.
+arrays with a leading frame axis; every other stored array is static, and a
+frame is exactly the series at one time step.  ``state_vector(frame, X)``
+maps those series, for one frame ``[N, ...]`` or stacked ``[T, N, ...]``, to
+the target layout ``[..., output_dim]`` whose column blocks
+``variable_groups`` names.  Frames, training targets, error series,
+ground-truth cuts and rollout artifacts all derive from these two.  A node's
+features are the schema's ``input_dim`` columns of ``node_inputs(frame, X)``
+followed by the static stiffness scale kappa and the node-type one-hot.
 """
 
 from __future__ import annotations
@@ -68,27 +71,17 @@ class ImpactSchema:
 
     name = "impact"
     dim = 2
+    input_dim = 5
     output_dim = 5
     series = ("x", "v", "alpha")
     variable_groups = {"u": (0, 2), "v": (2, 4), "alpha": (4, 5)}
-
-    def node_feature_dim(self) -> int:
-        return 2 + 2 + 1 + 1 + N_NODE_TYPES
-
-    def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
-        a = traj.arrays
-        return {"X": a["X"].copy(), **{k: a[k][t].copy() for k in self.series},
-                "kappa": np.full(traj.n_nodes, float(a["kappa"][0]))}
-
-    def node_features(self, frame: dict, node_type: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [frame["x"] - frame["X"], frame["v"], frame["alpha"][:, None],
-             frame["kappa"][:, None], one_hot_types(node_type)], axis=1)
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
         """State in target layout (u, v, alpha)."""
         return np.concatenate(
             [frame["x"] - X, frame["v"], frame["alpha"][..., None]], axis=-1)
+
+    node_inputs = state_vector
 
     def advance(self, state: np.ndarray, X: np.ndarray, boundary: dict,
                 deformable: np.ndarray) -> dict:
@@ -124,22 +117,13 @@ class ChainSchema:
 
     name = "chain"
     dim = 2
+    input_dim = 1
     output_dim = 1
     series = ("x", "drive")
     variable_groups = {"u": (0, 1)}
 
-    def node_feature_dim(self) -> int:
-        return 1 + 1 + N_NODE_TYPES
-
-    def frame(self, traj: Trajectory, t: int) -> dict[str, np.ndarray]:
-        a = traj.arrays
-        return {**{k: a[k][t].copy() for k in self.series},
-                "kappa": np.full(traj.n_nodes, float(a["kappa"][0]))}
-
-    def node_features(self, frame: dict, node_type: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [frame["drive"][:, None], frame["kappa"][:, None], one_hot_types(node_type)],
-            axis=1)
+    def node_inputs(self, frame: dict, X: np.ndarray) -> np.ndarray:
+        return frame["drive"][:, None]
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
         """State in target layout (u along the chain)."""
@@ -194,10 +178,13 @@ class PreparedTrajectory:
         if not 0 <= t < self.traj.n_frames:
             raise ValidationError(
                 f"frame index {t} out of range; last valid index is {self.traj.n_frames - 1}")
-        return self.schema.frame(self.traj, t)
+        return {k: self.traj.arrays[k][t].copy() for k in self.schema.series}
 
     def sample_from_frame(self, frame: dict) -> GraphSample:
-        features = self.schema.node_features(frame, self.graph.mesh.node_type)
+        mesh = self.graph.mesh
+        kappa = np.full((mesh.n_nodes, 1), float(self.traj.arrays["kappa"][0]))
+        features = np.concatenate([self.schema.node_inputs(frame, mesh.reference_positions),
+                                   kappa, one_hot_types(mesh.node_type)], axis=1)
         return build_graph_sample(self.graph, frame["x"], features,
                                   self.graph_cfg.use_contact)
 
@@ -243,7 +230,7 @@ def feature_dims(schema, graph_cfg: GraphConfig) -> dict[str, int]:
     """Model input/output dimensions implied by a schema and graph config."""
     d = schema.dim
     return {
-        "node_feat_dim": schema.node_feature_dim(),
+        "node_feat_dim": schema.input_dim + 1 + N_NODE_TYPES,
         "mesh_edge_feat_dim": 2 * (d + 1),
         "contact_edge_feat_dim": d + 1,
         "pe_dim": 2 * d * graph_cfg.n_frequencies,

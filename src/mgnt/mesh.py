@@ -54,10 +54,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return self.reference_positions.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.reference_positions.shape[1]
-
 
 @dataclass
 class GraphSample:
@@ -238,24 +234,16 @@ def positional_encoding(X: np.ndarray, component_id: np.ndarray,
         raise ValidationError(f"n_frequencies must be >= 1, got {n_frequencies}")
     X = np.asarray(X, dtype=np.float64)
     component_id = np.asarray(component_id, dtype=np.int64)
-    n, d = X.shape
     u = np.zeros_like(X)
     for comp in np.unique(component_id):
         rows = component_id == comp
         lo = X[rows].min(axis=0)
-        hi = X[rows].max(axis=0)
-        extent = hi - lo
-        for a in range(d):
-            if extent[a] > 0:
-                u[rows, a] = (X[rows, a] - lo[a]) / extent[a]
-    out = np.zeros((n, 2 * d * n_frequencies))
-    col = 0
-    for a in range(d):
-        for m in range(1, n_frequencies + 1):
-            out[:, col] = np.sin(np.pi * m * u[:, a])
-            out[:, col + 1] = np.cos(np.pi * m * u[:, a])
-            col += 2
-    return out
+        extent = X[rows].max(axis=0) - lo
+        u[rows] = np.divide(X[rows] - lo, extent, out=np.zeros_like(X[rows]),
+                            where=extent > 0)
+    # columns per axis: sin, cos for m = 1, then m = 2, ...
+    angles = np.pi * np.arange(1, n_frequencies + 1) * u[:, :, None]
+    return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(X.shape[0], -1)
 
 
 def one_hot_types(node_type: np.ndarray) -> np.ndarray:

@@ -341,19 +341,3 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
     aux = {"slice_weights": collect if collect is not None else []}
     return y, aux
 
-
-def attention_core_census(n_nodes: int, cfg: ModelConfig, seed: int = 0
-                          ) -> dict[str, dict[str, tuple[int, int]]]:
-    """Op census of slice -> token attention -> deslice on random latents."""
-    rng = np.random.default_rng([seed, n_nodes])
-    params = init_params(cfg, seed)
-    h = Tensor(rng.standard_normal((n_nodes, cfg.transformer_dims[0])))
-    with Tape() as tape:
-        with tape.scope("slice"):
-            z, w = slice_tokens(h, params, 0, cfg, None)
-        with tape.scope("token_attention"):
-            z_updated = token_attention(z, params, 0, cfg)
-        with tape.scope("deslice"):
-            deslice(z_updated, w)
-        census = tape.census()
-    return {k: v for k, v in census.items() if k != "main"}

@@ -267,28 +267,12 @@ class ChainConfig:
                               f"got {self.driven_nodes} of {self.n_nodes}")
 
 
-def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,
-                      driven: int = 1) -> np.ndarray:
-    """Direct equilibrium solve: the first ``driven`` nodes are prescribed at
-    u0, the free remainder carries a constant axial load."""
-    m = n_nodes - driven
-    A = np.zeros((m, m))
-    b = np.full(m, load)
-    for i in range(m):
-        A[i, i] = 2.0 * k if i < m - 1 else k
-        if i > 0:
-            A[i, i - 1] = -k
-        if i + 1 < m:
-            A[i, i + 1] = -k
-    b[0] += k * u0
-    u = np.linalg.solve(A, b)
-    return np.concatenate([np.full(driven, u0), u])
-
-
 def solve_chain(k: float, load: float, u0: float, n_nodes: int,
                 driven: int = 1) -> np.ndarray:
-    """Closed form of the same equilibrium: free spring i carries the load of
-    the ``m - i`` free nodes beyond it, so its stretch is load * (m - i) / k."""
+    """Static equilibrium: the first ``driven`` nodes are prescribed at u0,
+    the free remainder carries a constant axial load.  Free spring i carries
+    the load of the ``m - i`` free nodes beyond it, so its stretch is
+    load * (m - i) / k."""
     m = n_nodes - driven
     u = u0 + np.cumsum(load * (m - np.arange(m)) / k)
     return np.concatenate([np.full(driven, u0), u])
@@ -313,6 +297,8 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
     xs = X + np.stack([u, np.zeros_like(u)], axis=-1)
     drive = np.zeros((cfg.frames, n))
     drive[:, :cfg.driven_nodes] = increments[:, None]
+    if not np.isfinite(xs).all():
+        raise NumericError(f"chain oracle overflow: load={cfg.load}, stiffness={k}")
 
     arrays = {
         "X": X,

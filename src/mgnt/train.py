@@ -23,7 +23,7 @@ from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
 from .errors import (ConfigError, SchemaFormatError, TrainingAbort, ValidationError,
                      check_settings, setting)
 from .mesh import GraphSample, merge_samples
-from .model import ModelConfig, forward, init_params
+from .model import ModelConfig, forward, init_params, param_shapes
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT = "mgnt-checkpoint"
@@ -38,6 +38,10 @@ ADAM_EPS = 1e-8
 
 # The only train_config fields a resumed run may change.
 _RESUMABLE_FIELDS = ("steps", "checkpoint_every", "log_every")
+
+# Each normalizer group and the model-config width of the features it whitens.
+_NORM_WIDTHS = (("node", "node_feat_dim"), ("mesh", "mesh_edge_feat_dim"),
+                ("contact", "contact_edge_feat_dim"), ("target", "output_dim"))
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,7 @@ class Normalizer:
     def fit(cls, trajs: list[PreparedTrajectory], target_mode: str) -> "Normalizer":
         """Single streaming pass over every frame of the training split."""
         dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
-        sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0] for key, dim in (
-            ("node", "node_feat_dim"), ("mesh", "mesh_edge_feat_dim"),
-            ("contact", "contact_edge_feat_dim"), ("target", "output_dim"))}
+        sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0] for key, dim in _NORM_WIDTHS}
 
         def push(key, mat):
             s = sums[key]
@@ -196,6 +198,9 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
         if not (ckpt_path and os.path.exists(ckpt_path)):
             raise ValidationError("resume requested but no checkpoint found")
         state = load_checkpoint(ckpt_path)
+        if not (state["adam_m"] and state["adam_v"]):
+            raise SchemaFormatError(f"{ckpt_path}: checkpoint holds no Adam moments to "
+                                    "resume from")
         _check_same_run(state["meta"], model_cfg, train_cfg, run_meta)
         params = state["params"]
         normalizer = state["normalizer"]
@@ -249,6 +254,10 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
             m_hat = adam_m[name] / (1 - b1 ** tcount)
             v_hat = adam_v[name] / (1 - b2 ** tcount)
             params[name] = Tensor(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
+        # a finite grad norm keeps both moments finite; checked before any save
+        if not (np.isfinite(grad_norm) and all(np.isfinite(params[n].data).all() for n in names)):
+            raise TrainingAbort(f"non-finite parameters or gradient norm at step {step} "
+                                f"(lr={lr:.3e}, grad norm={grad_norm:.3e})")
 
         history_rows.append([float(step), loss_val, lr, grad_norm])
         if progress and (step % train_cfg.log_every == 0 or step == train_cfg.steps - 1):
@@ -338,7 +347,32 @@ def config_from_meta(path: str, meta: dict, key: str, cls, default: dict | None 
         raise SchemaFormatError(f"{path}: checkpoint meta {key!r}: {exc}") from exc
 
 
+def _checked_arrays(path: str, arrays: dict, prefix: str, shapes: dict[str, tuple[int, ...]],
+                    optional: bool = False) -> dict[str, np.ndarray]:
+    """The arrays named ``prefix + name``, keyed by name: none at all if
+    ``optional``, else exactly the names and shapes of ``shapes``, or
+    SchemaFormatError."""
+    found = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    if optional and not found:
+        return found
+    for name in sorted(found.keys() | shapes.keys()):
+        if name not in found:
+            raise SchemaFormatError(f"{path}: checkpoint has no {prefix}{name} array")
+        if name not in shapes:
+            raise SchemaFormatError(f"{path}: checkpoint array {prefix}{name} is not one "
+                                    "its model config has")
+        if found[name].shape != tuple(shapes[name]):
+            raise SchemaFormatError(f"{path}: checkpoint array {prefix}{name} has shape "
+                                    f"{list(found[name].shape)}, not {list(shapes[name])}")
+    return found
+
+
 def load_checkpoint(path: str) -> dict:
+    """A checkpoint's parameters, normalizer, optimizer state, configs and
+    history.  Parameters and the eight normalizer arrays must have the names
+    and shapes the model config implies, Adam moments must be absent or match
+    the parameters, and the history must be ``[K, 4]``; otherwise, as for a
+    malformed meta block, SchemaFormatError."""
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
@@ -353,9 +387,17 @@ def load_checkpoint(path: str) -> dict:
         schema = get_schema(meta.get("schema"))
     except ValidationError as exc:
         raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
-    params = {k.split(".", 1)[1]: Tensor(v) for k, v in arrays.items() if k.startswith("param.")}
-    adam_m = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_m.")}
-    adam_v = {k.split(".", 1)[1]: v for k, v in arrays.items() if k.startswith("adam_v.")}
+    shapes = param_shapes(model_cfg)
+    params = {k: Tensor(v) for k, v in _checked_arrays(path, arrays, "param.", shapes).items()}
+    adam_m, adam_v = (_checked_arrays(path, arrays, f"{key}.", shapes, optional=True)
+                      for key in ("adam_m", "adam_v"))
+    _checked_arrays(path, arrays, "norm.", {f"{key}_{stat}": (getattr(model_cfg, dim),)
+                                             for key, dim in _NORM_WIDTHS
+                                             for stat in ("mean", "std")})
+    history = arrays.get("history", np.zeros((0, 4)))
+    if history.ndim != 2 or history.shape[1] != 4:
+        raise SchemaFormatError(f"{path}: checkpoint array history has shape "
+                                f"{list(history.shape)}, not [K, 4]")
     return {
         "params": params,
         "adam_m": adam_m,
@@ -365,6 +407,6 @@ def load_checkpoint(path: str) -> dict:
         "schema": schema,
         "graph_config": config_from_meta(path, meta, "graph_config", GraphConfig, default={}),
         "train_config": config_from_meta(path, meta, "train_config", TrainConfig, default={}),
-        "history": arrays.get("history", np.zeros((0, 4))),
+        "history": history,
         "meta": meta,
     }

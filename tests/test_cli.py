@@ -358,6 +358,13 @@ class TestGenData:
         doc = json.load(open(os.path.join(out, "manifest.json")))
         assert doc["schema"] == "chain"
 
+    def test_chain_overflow_exit_1(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.load = 1e308\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
+        assert "chain oracle overflow" in capsys.readouterr().err
+        assert not [f for f in os.listdir(out) if f.endswith(".mgnt")]
+
     def test_chain_workers_identical(self, tmp_path):
         cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.n_train = 2\n")
         outs = [str(tmp_path / f"w{n}") for n in (1, 2)]
@@ -406,6 +413,14 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--data", data_dir, "--out", str(rerun),
                      "--resume"]) == 4
         assert "'bogus'" in capsys.readouterr().err
+
+    def test_overflowing_update_exit_3(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, _ = trained
+        bad = _write(tmp_path, "lr.txt", TINY_TRAIN + "train.steps = 1\ntrain.lr = 1e308\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", bad, "--data", data_dir, "--out", str(out)]) == 3
+        assert "non-finite parameters" in capsys.readouterr().err
+        assert not (out / "checkpoint.mgnt").exists()
 
     def test_reads_only_train_split(self, trained, tmp_path):
         root, cfg, data_dir, _ = trained
@@ -495,6 +510,31 @@ class TestEval:
         code = main(["eval", "--checkpoint", bad, "--data", data_dir,
                      "--out", str(tmp_path / "e")])
         assert code == 4
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, edit, named", [
+        ("eval", lambda a: a.pop("param.dec.w1"), "no param.dec.w1 array"),
+        ("eval", lambda a: a.update({"param.dec.w1": a["param.dec.w1"][:-1]}),
+         "param.dec.w1 has shape"),
+        ("eval", lambda a: a.pop("norm.node_std"), "no norm.node_std array"),
+        ("train", lambda a: [a.pop(k) for k in list(a) if k.startswith("adam_")],
+         "no Adam moments"),
+        ("eval", lambda a: a.update({"adam_v.dec.w1": a["adam_v.dec.w1"][:-1]}),
+         "adam_v.dec.w1 has shape"),
+        ("eval", lambda a: a.update(history=a["history"][:, :3]), "history has shape"),
+    ], ids=["param_missing", "param_truncated", "norm_missing", "resume_without_moments",
+            "moment_truncated", "history_three_columns"])
+    def test_malformed_checkpoint_arrays_exit_4(self, trained, tmp_path, capsys, command,
+                                                 edit, named):
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        edit(arrays)
+        out = tmp_path / "run"
+        out.mkdir()
+        write_arrays(str(out / "checkpoint.mgnt"), arrays, meta=meta)
+        argv = {"eval": ["eval", "--checkpoint", str(out / "checkpoint.mgnt")],
+                "train": ["train", "--config", cfg, "--resume"]}[command]
+        assert main(argv + ["--data", data_dir, "--out", str(out)]) == 4
         assert named in capsys.readouterr().err
 
     def test_negative_horizon_exit_2(self, trained, tmp_path, capsys):

@@ -8,10 +8,9 @@ import mgnt.tensor as T
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.errors import ConfigError, ValidationError
 from mgnt.mesh import GraphSample, permute_sample
-from mgnt.model import (LatentGraph, ModelConfig, attention_core_census, deslice,
-                        encode, forward, init_params, mgn_baseline_config,
-                        mpnn_iteration, param_count, param_shapes, sample_gumbel,
-                        slice_tokens, token_attention, transformer_block)
+from mgnt.model import (LatentGraph, ModelConfig, deslice, encode, forward, init_params,
+                        mgn_baseline_config, mpnn_iteration, param_count, param_shapes,
+                        sample_gumbel, slice_tokens, token_attention, transformer_block)
 from mgnt.oracle import OracleConfig, simulate_impact
 from mgnt.tensor import Tape, Tensor
 
@@ -378,6 +377,23 @@ class TestParamCount:
         with pytest.raises(ConfigError, match="divisible"):
             ModelConfig(node_feat_dim=4, mesh_edge_feat_dim=4, contact_edge_feat_dim=4,
                         pe_dim=4, output_dim=4, n_heads=3, transformer_dims=(8, 4, 8))
+
+
+def attention_core_census(n_nodes: int, cfg: ModelConfig, seed: int = 0
+                          ) -> dict[str, dict[str, tuple[int, int]]]:
+    """Op census of slice -> token attention -> deslice on random latents."""
+    rng = np.random.default_rng([seed, n_nodes])
+    params = init_params(cfg, seed)
+    h = Tensor(rng.standard_normal((n_nodes, cfg.transformer_dims[0])))
+    with Tape() as tape:
+        with tape.scope("slice"):
+            z, w = slice_tokens(h, params, 0, cfg, None)
+        with tape.scope("token_attention"):
+            z_updated = token_attention(z, params, 0, cfg)
+        with tape.scope("deslice"):
+            deslice(z_updated, w)
+        census = tape.census()
+    return {k: v for k, v in census.items() if k != "main"}
 
 
 class TestCensus:

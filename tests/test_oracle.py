@@ -9,9 +9,27 @@ import pytest
 from mgnt.data import GraphConfig, get_schema, prepare_trajectory
 from mgnt.errors import ConfigError, NumericError
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_chain_dataset, gen_dataset,
-                         return_map_1d, simulate_chain, simulate_impact, solve_chain,
-                         solve_chain_dense)
+                         return_map_1d, simulate_chain, simulate_impact, solve_chain)
 from mgnt.train import Normalizer
+
+
+def solve_chain_dense(k: float, load: float, u0: float, n_nodes: int,
+                      driven: int = 1) -> np.ndarray:
+    """Direct equilibrium solve, the reference for ``solve_chain``: the first
+    ``driven`` nodes are prescribed at u0, the free remainder carries a
+    constant axial load."""
+    m = n_nodes - driven
+    A = np.zeros((m, m))
+    b = np.full(m, load)
+    for i in range(m):
+        A[i, i] = 2.0 * k if i < m - 1 else k
+        if i > 0:
+            A[i, i - 1] = -k
+        if i + 1 < m:
+            A[i, i + 1] = -k
+    b[0] += k * u0
+    u = np.linalg.solve(A, b)
+    return np.concatenate([np.full(driven, u0), u])
 
 
 class TestReturnMapping:

@@ -1,5 +1,8 @@
 """Rollout mechanics, error metrics and consistency diagnostics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
                        prepare_trajectory)
 from mgnt.errors import RolloutAbort, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
-from mgnt.oracle import OracleConfig, simulate_impact
+from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.rollout import (evaluate, export_attention, hardening_monotonicity,
                           kinetic_proxy, metric_series, r_rmse, rmse_1, rmse_all,
                           rollout)
@@ -331,3 +334,30 @@ def test_evaluate_report_structure(fitted):
     entry = report["consistency"][0]
     assert entry["hardening_violations_gt"] == 0
     assert len(entry["contact_counts"]) == 3
+
+
+def test_rollout_and_report_bytes():
+    """One digest over two full rollouts' series and their ``evaluate``
+    reports, with the default model at ``init_params(seed=0)``: the 3x3
+    lattice of ``test_train.TestPinnedStepBytes`` with contact (absolute
+    targets) and a 100-node, 5-frame chain (delta targets).  A change that
+    moves one bit of a rollout frame or of the report fails here."""
+    cases = [
+        (simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
+                                      drop_height=0.02, initial_velocity=-3.0)),
+         GraphConfig(contact_radius_factor=2.0), "absolute"),
+        (simulate_chain(ChainConfig(n_nodes=100, frames=5)), GraphConfig(), "delta"),
+    ]
+    h = hashlib.sha256()
+    for traj, gcfg, mode in cases:
+        schema = get_schema(traj.meta["schema"])
+        prep = prepare_trajectory(traj, schema, gcfg)
+        norm = Normalizer.fit([prep], mode)
+        mcfg = ModelConfig(**feature_dims(schema, gcfg))
+        params = init_params(mcfg, seed=0)
+        frames = rollout(params, mcfg, norm, prep, prep.n_transitions, mode).frames
+        for k in schema.series:
+            h.update(np.stack([f[k] for f in frames]).tobytes())
+        h.update(json.dumps(evaluate(params, mcfg, norm, [prep], mode)).encode())
+    assert h.hexdigest() == (
+        "3f6bfc1a661fe9fb04eadcab811b125c1deeb5925832f0f4083e030bbe8601aa")
