@@ -205,9 +205,10 @@ class PreparedTrajectory:
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
     """Build the trajectory's static graph.  A trajectory that lacks a static
-    array or one of ``schema.series``, or whose series are not shaped
+    array or one of ``schema.series``, whose series are not shaped
     ``[T >= 2, N, ...]`` with N the row count of the ``[N, d]`` array ``X``,
-    raises SchemaFormatError."""
+    or whose ``kappa`` is not one value of shape ``[1]``, raises
+    SchemaFormatError."""
     a = traj.arrays
     for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
         if key not in a:
@@ -215,6 +216,9 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
     if a["X"].ndim != 2:
         raise SchemaFormatError(f"trajectory array 'X' has shape {list(a['X'].shape)}, "
                                 "not [N, d]")
+    if a["kappa"].shape != (1,):
+        raise SchemaFormatError(f"trajectory array 'kappa' has shape "
+                                f"{list(a['kappa'].shape)}, not [1]")
     n = a["X"].shape[0]
     for key in schema.series:
         shape = a[key].shape

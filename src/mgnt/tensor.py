@@ -8,6 +8,13 @@ reductions.  Every primitive registers a backward closure on the active
 once.  Gradients are verified against central finite differences by
 :func:`grad_check`.
 
+A record names tensors by their integer ``key``, not by the tensors
+themselves, and a backward closure captures only the arrays and shapes it
+reads, returning one gradient contribution per recorded input, in order.  So
+an intermediate that no backward reads (a gathered edge block, a pre-bias
+matmul output, a layer-norm input) is freed as soon as the caller drops it,
+and the reverse pass frees each record's saved arrays once it has run.
+
 All data is float64.  Tensors are treated as immutable after construction;
 ops never write into their inputs.
 """
@@ -15,6 +22,7 @@ ops never write into their inputs.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,14 +31,17 @@ from .errors import NumericError, ShapeError, ValidationError
 
 Array = np.ndarray
 
+_keys = itertools.count()
+
 
 class Tensor:
-    """A shaped block of float64 values."""
+    """A shaped block of float64 values, named on a tape by its unique ``key``."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "key")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
+        self.key = next(_keys)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -53,6 +64,11 @@ class Tensor:
 class Tape:
     """Ordered record of primitive ops; inputs always precede their consumers.
 
+    A record is ``(out key, input keys, backward, op name, scope label,
+    flops)``.  ``backward(g)`` maps the output gradient to one contribution
+    per input key, in order; it holds whatever arrays it reads, and the
+    record holds nothing else.
+
     Also doubles as the op-census instrument: every record carries an integer
     flop estimate and the scope label active when it was created, so the cost
     of a network stage can be compared across input sizes exactly.
@@ -61,7 +77,7 @@ class Tape:
     _active: "Tape | None" = None
 
     def __init__(self):
-        # entries: (out, inputs, backward, op name, scope label, flops)
+        # entries: (out key, input keys, backward, op name, scope label, flops)
         self.records: list[tuple] = []
         self._scope = "main"
         self.counts: dict[str, dict[str, list[int]]] = {}
@@ -86,7 +102,8 @@ class Tape:
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable,
                name: str, flops: int) -> None:
-        self.records.append((out, inputs, backward, name, self._scope, flops))
+        self.records.append((out.key, tuple(t.key for t in inputs), backward, name,
+                             self._scope, flops))
         stage = self.counts.setdefault(self._scope, {})
         cell = stage.setdefault(name, [0, 0])
         cell[0] += 1
@@ -98,6 +115,11 @@ class Tape:
 
     def gradients(self, root: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
         """Reverse pass from a scalar root; returns one gradient per entry of wrt.
+
+        The pass consumes the tape: it pops each record before running its
+        backward, so the arrays a closure saved are freed once it has run,
+        and ``records`` is empty afterwards.  A closure must return exactly
+        one contribution per input key; any other count raises ``ValueError``.
 
         Each tensor's accumulator is an array that nothing else holds, so
         later contributions add into it in place.  A first contribution is
@@ -111,23 +133,25 @@ class Tape:
         """
         if root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
-        grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
-        for out, inputs, backward, _, _, _ in reversed(self.records):
-            g = grads.pop(id(out), None)
+        grads: dict[int, Array] = {root.key: np.ones_like(root.data)}
+        records = self.records
+        while records:
+            out_key, in_keys, backward, _, _, _ = records.pop()
+            g = grads.pop(out_key, None)
             if g is None:
                 continue
             g_free = True
-            for t, contrib in backward(g):
-                acc = grads.get(id(t))
+            for key, contrib in zip(in_keys, backward(g), strict=True):
+                acc = grads.get(key)
                 if acc is None:
                     if contrib is g and g_free:
                         g_free = False
                     elif type(contrib) is not np.ndarray or np.may_share_memory(contrib, g):
                         contrib = np.array(contrib, dtype=np.float64, copy=True)
-                    grads[id(t)] = contrib
+                    grads[key] = contrib
                 else:
                     acc += contrib
-        return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
+        return [grads.get(t.key, np.zeros_like(t.data)) for t in wrt]
 
 
 def _tape() -> Tape | None:
@@ -166,9 +190,10 @@ def _emit(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable,
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape))]
+        return [_unbroadcast(g, sa), _unbroadcast(g, sb)]
 
     return _emit(out, (a, b), backward, "add", out.size)
 
@@ -176,31 +201,33 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return [(a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape))]
+        return [_unbroadcast(g, sa), _unbroadcast(-g, sb)]
 
     return _emit(out, (a, b), backward, "sub", out.size)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def backward(g):
-        return [(a, _unbroadcast(g * b.data, a.data.shape)),
-                (b, _unbroadcast(g * a.data, b.data.shape))]
+        return [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)]
 
     return _emit(out, (a, b), backward, "mul", out.size)
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data / b.data
+    ad, bd = a.data, b.data
+    out = ad / bd
 
     def backward(g):
-        return [(a, _unbroadcast(g / b.data, a.data.shape)),
-                (b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))]
+        return [_unbroadcast(g / bd, ad.shape),
+                _unbroadcast(-g * ad / (bd * bd), bd.shape)]
 
     return _emit(out, (a, b), backward, "div", out.size)
 
@@ -208,7 +235,7 @@ def div(a, b) -> Tensor:
 def scale(a, c: float) -> Tensor:
     a = _wrap(a)
     c = float(c)
-    return _emit(a.data * c, (a,), lambda g: [(a, g * c)], "scale", a.size)
+    return _emit(a.data * c, (a,), lambda g: [g * c], "scale", a.size)
 
 
 def maximum_scalar(a, c: float) -> Tensor:
@@ -218,7 +245,7 @@ def maximum_scalar(a, c: float) -> Tensor:
     mask = a.data > c
 
     def backward(g):
-        return [(a, g * mask)]
+        return [g * mask]
 
     return _emit(np.maximum(a.data, c), (a,), backward, "maximum_scalar", a.size)
 
@@ -230,13 +257,14 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    out = ad @ bd
 
     def backward(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        return [g @ bd.T, ad.T @ g]
 
-    m, k = a.data.shape
-    n = b.data.shape[1]
+    m, k = ad.shape
+    n = bd.shape[1]
     return _emit(out, (a, b), backward, "matmul", 2 * m * k * n)
 
 
@@ -244,7 +272,7 @@ def transpose(a) -> Tensor:
     a = _wrap(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    return _emit(a.data.T.copy(), (a,), lambda g: [(a, g.T)], "transpose", a.size)
+    return _emit(a.data.T.copy(), (a,), lambda g: [g.T], "transpose", a.size)
 
 
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
@@ -256,7 +284,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     out = np.where(pos, x.data, slope * x.data)
 
     def backward(g):
-        return [(x, g * np.where(pos, 1.0, slope))]
+        return [g * np.where(pos, 1.0, slope)]
 
     return _emit(out, (x,), backward, "leaky_relu", x.size)
 
@@ -271,17 +299,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
-    out = gain.data * y + bias.data
+    gd = gain.data
+    out = gd * y + bias.data
 
     def backward(g):
-        dy = g * gain.data
+        dy = g * gd
         dmean = dy.mean(axis=-1, keepdims=True)
         dyy = (dy * y).mean(axis=-1, keepdims=True)
         dx = (dy - dmean - y * dyy) * inv
         axes = tuple(range(g.ndim - 1))
         dgain = (g * y).sum(axis=axes)
         dbias = g.sum(axis=axes)
-        return [(x, dx), (gain, dgain), (bias, dbias)]
+        return [dx, dgain, dbias]
 
     return _emit(out, (x, gain, bias), backward, "layer_norm", 8 * x.size)
 
@@ -297,7 +326,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        return [(x, y * (g - dot))]
+        return [y * (g - dot)]
 
     return _emit(y, (x,), backward, "softmax", 5 * x.size)
 
@@ -338,7 +367,7 @@ def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:
     out = _scatter_rows(values.data, ids, n_segments)
 
     def backward(g):
-        return [(values, g[ids])]
+        return [g[ids]]
 
     return _emit(out, (values,), backward, "segment_sum", values.size)
 
@@ -352,9 +381,10 @@ def gather_rows(x, index: Array) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ValidationError(f"gather index out of range for {x.data.shape[0]} rows")
     out = x.data[idx]
+    n = x.data.shape[0]
 
     def backward(g):
-        return [(x, _scatter_rows(g, idx, x.data.shape[0]))]
+        return [_scatter_rows(g, idx, n)]
 
     return _emit(out, (x,), backward, "gather_rows", out.size)
 
@@ -362,11 +392,12 @@ def gather_rows(x, index: Array) -> Tensor:
 def slice_rows(x, start: int, stop: int) -> Tensor:
     x = _wrap(x)
     out = x.data[start:stop].copy()
+    shape = x.data.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[start:stop] = g
-        return [(x, gx)]
+        return [gx]
 
     return _emit(out, (x,), backward, "slice_rows", out.size)
 
@@ -378,7 +409,7 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        return list(zip(parts, np.split(g, splits, axis=axis)))
+        return np.split(g, splits, axis=axis)
 
     return _emit(out, tuple(parts), backward, "concat", out.size)
 
@@ -386,9 +417,10 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _wrap(x)
     out = x.data.reshape(shape).copy()
+    in_shape = x.data.shape
 
     def backward(g):
-        return [(x, g.reshape(x.data.shape))]
+        return [g.reshape(in_shape)]
 
     return _emit(out, (x,), backward, "reshape", x.size)
 
@@ -398,9 +430,10 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
 
 def sum_all(x) -> Tensor:
     x = _wrap(x)
+    shape = x.data.shape
 
     def backward(g):
-        return [(x, np.broadcast_to(g, x.data.shape).copy())]
+        return [np.broadcast_to(g, shape).copy()]
 
     return _emit(np.array(x.data.sum()), (x,), backward, "sum_all", x.size)
 
@@ -408,9 +441,10 @@ def sum_all(x) -> Tensor:
 def sum_axis(x, axis: int) -> Tensor:
     x = _wrap(x)
     out = x.data.sum(axis=axis)
+    shape = x.data.shape
 
     def backward(g):
-        return [(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())]
+        return [np.broadcast_to(np.expand_dims(g, axis), shape).copy()]
 
     return _emit(out, (x,), backward, "sum_axis", x.size)
 

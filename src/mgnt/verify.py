@@ -22,7 +22,7 @@ def _sabotaged_square(x: Tensor) -> Tensor:
     out = Tensor(x.data * x.data)
     tape = T.Tape._active
     if tape is not None:
-        tape.record(out, (x,), lambda g: [(x, g)], "sabotaged_square", x.size)
+        tape.record(out, (x,), lambda g: [g], "sabotaged_square", x.size)
     return out
 
 

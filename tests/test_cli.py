@@ -478,6 +478,18 @@ class TestEval:
                      os.path.join(run_dir, "checkpoint.mgnt"), "--data", data,
                      "--split", "test", "--out", str(tmp_path / "eval")]) == 0
 
+    def test_empty_kappa_in_test_split_exit_4(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        name = json.load(open(data / "manifest.json"))["test"][0]
+        traj = Trajectory.load(str(data / name))
+        traj.arrays["kappa"] = traj.arrays["kappa"][:0]
+        traj.save(str(data / name))
+        assert main(["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
+                     "--data", str(data), "--out", str(tmp_path / "e")]) == 4
+        assert "'kappa' has shape [0], not [1]" in capsys.readouterr().err
+
     def test_schema_mismatch_exit_4(self, trained, tmp_path):
         root, cfg, data_dir, run_dir = trained
         chain_cfg = _write(tmp_path, "chain.txt",
@@ -605,8 +617,10 @@ class TestRolloutCommand:
          "'x' has shape [6, 19, 2], not [T >= 2, 20, ...]"),
         (lambda a: a.update(v=a["v"][:1]), "'v' has shape [1, 20, 2]"),
         (lambda a: a.update(X=a["X"][0]), "'X' has shape [2]"),
+        (lambda a: a.update(kappa=a["kappa"][:0]), "'kappa' has shape [0], not [1]"),
     ], ids=["no_X", "no_elements", "no_node_type", "no_component_id", "no_kappa", "no_x",
-            "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d"])
+            "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d",
+            "kappa_empty"])
     @pytest.mark.parametrize("command", ["rollout", "train"])
     def test_malformed_trajectory_arrays_exit_4(self, trained, tmp_path, capsys, edit,
                                                 named, command):

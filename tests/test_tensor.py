@@ -1,6 +1,8 @@
 """Autodiff core: forward values, error contracts, gradients vs finite
 differences, tape bookkeeping and the op census."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -232,11 +234,21 @@ class TestGradCheck:
             out = Tensor(x.data * x.data)
             tape = Tape._active
             if tape is not None:
-                tape.record(out, (x,), lambda g: [(x, g)], "bad_square", x.size)
+                tape.record(out, (x,), lambda g: [g], "bad_square", x.size)
             return out
 
         err = grad_check(lambda x: T.sum_all(bad_square(x)), [Tensor([2.0, -1.5])])
         assert err > 1e-2
+
+    def test_verify_negative_control_fails_by_its_rule(self):
+        # the sabotaged square hands back g (= 1) where 2x is due; the error
+        # grad_check reports is exactly that rule's, not a lost contribution
+        from mgnt.verify import _sabotaged_square
+
+        x = np.array([[2.0, -1.5], [0.25, 3.0]])
+        err = grad_check(lambda u: T.sum_all(_sabotaged_square(u)), [Tensor(x)])
+        expected = (np.abs(1.0 - 2.0 * x) / np.maximum(1.0, np.abs(2.0 * x))).max()
+        assert err == pytest.approx(expected, rel=1e-6)
 
     def test_step_bounds(self):
         with pytest.raises(ValidationError):
@@ -314,6 +326,57 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(ga, w[:, :2])
         np.testing.assert_array_equal(gb, w[:, 2:])
         assert not np.may_share_memory(ga, gb)
+
+    def test_tape_holds_only_what_backward_reads(self):
+        # an MLP layer, then an edge gather into a concat: the arrays no
+        # backward reads must die with the caller's last reference
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((5, 3)))
+        w0, b0 = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(4))
+        w1, b1 = Tensor(rng.standard_normal((4, 4))), Tensor(rng.standard_normal(4))
+        gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
+        w = rng.standard_normal((12, 4))
+        with Tape() as tape:
+            m0 = T.matmul(x, w0)
+            h0 = T.add(m0, b0)
+            a0 = T.leaky_relu(h0)
+            m1 = T.matmul(a0, w1)
+            h1 = T.add(m1, b1)
+            y = T.layer_norm(h1, gain, bias)
+            e = T.gather_rows(y, np.array([0, 2, 2, 4, 1, 3, 0]))
+            c = T.concat([e, y])
+            loss = T.sum_all(T.mul(c, w))
+            dropped = {name: weakref.ref(t.data) for name, t in
+                       [("matmul 0", m0), ("bias add 0", h0), ("matmul 1", m1),
+                        ("layer-norm input", h1), ("gathered rows", e)]}
+            kept = weakref.ref(a0.data)
+            del m0, h0, a0, m1, h1, y, e, c
+            assert [name for name, ref in dropped.items() if ref() is not None] == []
+            assert kept() is not None  # matmul's backward reads its left operand
+            grads = tape.gradients(loss, [x, w0, b0, w1, b1, gain, bias])
+            assert tape.records == []
+            assert kept() is None
+
+        def f(*args):
+            u, v0, c0, v1, c1, gg, bb = args
+            h = T.layer_norm(T.add(T.matmul(T.leaky_relu(T.add(T.matmul(u, v0), c0)), v1), c1),
+                             gg, bb)
+            return T.sum_all(T.mul(T.concat([T.gather_rows(h, np.array([0, 2, 2, 4, 1, 3, 0])),
+                                             h]), w))
+
+        with Tape() as tape:
+            probes = [Tensor(t.data) for t in (x, w0, b0, w1, b1, gain, bias)]
+            expected = tape.gradients(f(*probes), probes)
+        for got, want in zip(grads, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_closure_with_too_few_contributions_raises(self):
+        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        with Tape() as tape:
+            out = Tensor(a.data + b.data)
+            tape.record(out, (a, b), lambda g: [g], "short_add", out.size)
+            with pytest.raises(ValueError):
+                tape.gradients(T.sum_all(out), [a, b])
 
     def test_tapes_do_not_nest(self):
         with Tape():

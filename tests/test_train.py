@@ -2,6 +2,7 @@
 checkpointing."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,40 @@ class TestPinnedStepBytes:
             h.update(name.encode())
             h.update(np.ascontiguousarray(g).tobytes())
         assert h.hexdigest() == digest
+
+
+class TestStepMemory:
+    """Activation memory of one train step.  tracemalloc counts numpy's
+    buffers, so the peak does not depend on the host.  A tape that holds
+    every intermediate until the reverse pass peaks at 159 MB here; one that
+    keeps only what each backward reads peaks at 67 MB."""
+
+    PEAK_BOUND_MB = 90.0
+
+    def test_default_model_8x8_batch4_peak(self):
+        traj = simulate_impact(OracleConfig(frames=6, substeps=10))
+        schema = get_schema("impact")
+        gcfg = GraphConfig()
+        prep = prepare_trajectory(traj, schema, gcfg)
+        normalizer = Normalizer.fit([prep], "absolute")
+        mcfg = ModelConfig(**feature_dims(schema, gcfg))
+        params = init_params(mcfg, seed=0)
+        sample, target, mask = make_batch(prep, [0, 1, 2, 3], "absolute")
+        sample = normalizer.normalize_sample(sample)
+        target = normalizer.normalize_targets(target)
+        names = sorted(params)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                pred, _ = forward(sample, params, mcfg, train_mode=True, rng=rng)
+                loss = compute_loss(pred, target, mask, sample.sample_ranges)
+                grads = tape.gradients(loss, [params[k] for k in names])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == len(names)
+        assert peak / 2**20 <= self.PEAK_BOUND_MB
 
 
 class TestNormalizer:
