@@ -88,6 +88,7 @@ SCHEMA: dict[str, Key] = {
     "model.tau0": Key("default", "base slice temperature"),
     "model.tau_min": Key("default", "temperature clamp"),
     "model.leaky_slope": Key("default", "LeakyReLU negative slope"),
+    "model.dtype": Key("default", "compute precision, float32 or float64 (weights stay float64)"),
     # training
     "train.steps": Key("default", "optimizer steps"),
     "train.batch_size": Key("default", "snapshots per batch (one trajectory)"),

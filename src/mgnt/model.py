@@ -48,6 +48,7 @@ class ModelConfig:
     tau0: float = setting(0.5, gt=0)
     tau_min: float = setting(0.01, gt=0)
     leaky_slope: float = setting(0.01, gt=0, lt=1)
+    dtype: str = "float32"   # precision of forward and backward; parameters stay float64
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.transformer_dims)
@@ -56,6 +57,8 @@ class ModelConfig:
             raise ConfigError(f"transformer dims need 3 entries (block, attention, "
                               f"feed-forward width), got {len(dims)}")
         check_settings(self, "model")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"model dtype must be float32 or float64, got {self.dtype!r}")
         if dims[1] % self.n_heads != 0:
             raise ConfigError(
                 f"attention width {dims[1]} not divisible by {self.n_heads} heads")
@@ -167,6 +170,14 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
+def cast_params(params: dict[str, Tensor], cfg: ModelConfig) -> dict[str, Tensor]:
+    """The parameters in the config's compute dtype, each under its own tape
+    key (``Tensor.astype``), so gradients taken for the float64 masters come
+    back in that dtype.  Parameters already in it are passed through."""
+    dtype = np.dtype(cfg.dtype)
+    return {name: p.astype(dtype) for name, p in params.items()}
+
+
 # ---------------------------------------------------------------------------
 # network pieces
 
@@ -201,9 +212,10 @@ def encode(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig) -> 
         raise ConfigError(
             f"contact edge feature dim {sample.contact_edge_features.shape[1]} "
             f"!= config {cfg.contact_edge_feat_dim}")
-    nodes = _mlp(params, "enc_node", Tensor(sample.node_features), cfg)
-    mesh = _mlp(params, "enc_mesh", Tensor(sample.mesh_edge_features), cfg)
-    contact = _mlp(params, "enc_contact", Tensor(sample.contact_edge_features), cfg)
+    # feature arrays enter the first matmul in the weights' dtype
+    nodes = _mlp(params, "enc_node", sample.node_features, cfg)
+    mesh = _mlp(params, "enc_mesh", sample.mesh_edge_features, cfg)
+    contact = _mlp(params, "enc_contact", sample.contact_edge_features, cfg)
     return LatentGraph(nodes=nodes, mesh_edges=mesh, contact_edges=contact)
 
 
@@ -238,7 +250,7 @@ def slice_tokens(h: Tensor, params: dict[str, Tensor], block: int, cfg: ModelCon
     tau = T.add(_linear(params, f"{p}.temp", h), cfg.tau0)
     tau = T.maximum_scalar(tau, cfg.tau_min)
     if gumbel is not None:
-        logits = T.add(logits, Tensor(gumbel))
+        logits = T.add(logits, gumbel)
     w = T.softmax(T.div(logits, tau), axis=1)
     colsum = T.reshape(T.sum_axis(w, axis=0), (cfg.n_tokens, 1))
     # softmax weights are strictly positive; the tiny floor only guards
@@ -277,7 +289,7 @@ def transformer_block(lat_nodes: Tensor, pe: np.ndarray, params: dict[str, Tenso
     block width, apply slice/attend/deslice per constituent sample with a
     residual, a pre-norm feed-forward residual, and project back."""
     p = f"block{block}"
-    h_all = _linear(params, f"{p}.in", T.concat([lat_nodes, Tensor(pe)], axis=1))
+    h_all = _linear(params, f"{p}.in", T.concat([lat_nodes, pe], axis=1))
     parts = []
     weights = []
     for (start, stop) in sample_ranges:
@@ -316,9 +328,12 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
 
     In train mode the slice logits of every block receive Gumbel noise, all
     drawn from ``rng`` before the pass starts.  Eval mode is deterministic.
+    The pass runs in ``cfg.dtype``: ``params`` (float64 masters, say) are
+    cast under their own keys, and every input array takes their dtype.
     """
     if train_mode and rng is None:
         raise ValidationError("train mode needs an rng")
+    params = cast_params(params, cfg)
     gumbel = [sample_gumbel(rng, (sample.n_nodes, cfg.n_tokens)) if train_mode else None
               for _ in range(cfg.n_transformer_blocks)]
     with _scope("encode"):

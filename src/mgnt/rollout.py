@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import PreparedTrajectory, Trajectory
 from .errors import RolloutAbort, ValidationError
-from .model import ModelConfig, forward
+from .model import ModelConfig, cast_params, forward
 from .train import Normalizer, make_batch
 
 @dataclass
@@ -58,6 +58,7 @@ def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
     schema = prep.schema
     deform = prep.deformable
     X = prep.graph.mesh.reference_positions
+    params = cast_params(params, model_cfg)   # once, not once per step
 
     frame = prep.frame(0)
     frames = [frame]
@@ -127,6 +128,7 @@ def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
     Non-deformable rows take ground truth, as in a rollout, so their
     residual is zero."""
     schema = preps[0].schema
+    params = cast_params(params, model_cfg)
     per_var: dict[str, list[float]] = {name: [] for name in schema.variable_groups}
     for prep in preps:
         sq_sums = {name: 0.0 for name in schema.variable_groups}

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode differentiation on an explicit tape.
+"""Dense float32/float64 tensors with reverse-mode differentiation on an explicit tape.
 
 The op set is the minimum needed for MLPs, message passing, layer
 normalization, softmax and token attention: 2-D matmul, broadcasted
@@ -15,8 +15,14 @@ an intermediate that no backward reads (a gathered edge block, a pre-bias
 matmul output, a layer-norm input) is freed as soon as the caller drops it,
 and the reverse pass frees each record's saved arrays once it has run.
 
-All data is float64.  Tensors are treated as immutable after construction;
-ops never write into their inputs.
+Data is float32 or float64: a tensor keeps float32 data and stores
+anything else as float64, and every op computes and returns its gradients in
+its inputs' precision, so a pass whose inputs are all float32 runs in float32
+throughout.  A plain number or array given to a binary op or to ``concat``
+takes the dtype of a tensor operand.
+:meth:`Tensor.astype` casts without a record: the copy keeps the key, so the
+gradients the tape collects for it are the original's.  Tensors are treated
+as immutable after construction; ops never write into their inputs.
 """
 
 from __future__ import annotations
@@ -35,13 +41,26 @@ _keys = itertools.count()
 
 
 class Tensor:
-    """A shaped block of float64 values, named on a tape by its unique ``key``."""
+    """A shaped block of float32 or float64 values, named on a tape by its
+    unique ``key``; data of any other type is stored as float64."""
 
     __slots__ = ("data", "key")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.key = next(_keys)
+
+    def astype(self, dtype) -> "Tensor":
+        """This tensor if it already has ``dtype``, else a copy in ``dtype``
+        under the same key.  Nothing is recorded: the tape's gradient for the
+        copy is returned for the original, in the copy's precision."""
+        if self.data.dtype == dtype:
+            return self
+        out = Tensor.__new__(Tensor)
+        out.data = self.data.astype(dtype)
+        out.key = self.key
+        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,7 +166,7 @@ class Tape:
                     if contrib is g and g_free:
                         g_free = False
                     elif type(contrib) is not np.ndarray or np.may_share_memory(contrib, g):
-                        contrib = np.array(contrib, dtype=np.float64, copy=True)
+                        contrib = np.array(contrib, dtype=g.dtype, copy=True)
                     grads[key] = contrib
                 else:
                     acc += contrib
@@ -158,8 +177,13 @@ def _tape() -> Tape | None:
     return Tape._active
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _wrap(x, like=None) -> Tensor:
+    """``x`` as a tensor; a non-tensor takes the dtype of ``like`` if that is
+    a tensor (a float64 0-d array would widen float32 data), else float64."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=like.data.dtype if isinstance(like, Tensor)
+                             else np.float64))
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -188,7 +212,7 @@ def _emit(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable,
 # elementwise arithmetic (numpy broadcasting rules, gradients unbroadcast)
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out = a.data + b.data
     sa, sb = a.data.shape, b.data.shape
 
@@ -199,7 +223,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     out = a.data - b.data
     sa, sb = a.data.shape, b.data.shape
 
@@ -210,7 +234,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     ad, bd = a.data, b.data
     out = ad * bd
 
@@ -221,7 +245,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     ad, bd = a.data, b.data
     out = ad / bd
 
@@ -254,7 +278,7 @@ def maximum_scalar(a, c: float) -> Tensor:
 # linear algebra and nonlinearities
 
 def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap(a, b), _wrap(b, a)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
     ad, bd = a.data, b.data
@@ -284,7 +308,7 @@ def leaky_relu(x, slope: float = 0.01) -> Tensor:
     out = np.where(pos, x.data, slope * x.data)
 
     def backward(g):
-        return [g * np.where(pos, 1.0, slope)]
+        return [np.where(pos, g, g * slope)]
 
     return _emit(out, (x,), backward, "leaky_relu", x.size)
 
@@ -344,8 +368,8 @@ def _scatter_rows(rows: Array, ids: Array, n: int) -> Array:
     d = rows.shape[1]
     keys = (ids[:, None] * d + np.arange(d)).ravel()
     out = np.bincount(keys, weights=rows.ravel(), minlength=n * d)
-    # bincount returns int64 zeros when it gets no keys
-    return out.astype(np.float64, copy=False).reshape(n, d)
+    # bincount sums in float64, and returns int64 zeros when it gets no keys
+    return out.astype(rows.dtype, copy=False).reshape(n, d)
 
 
 def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:
@@ -395,7 +419,7 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
     shape = x.data.shape
 
     def backward(g):
-        gx = np.zeros(shape)
+        gx = np.zeros(shape, dtype=g.dtype)
         gx[start:stop] = g
         return [gx]
 
@@ -403,7 +427,10 @@ def slice_rows(x, start: int, stop: int) -> Tensor:
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
-    parts = [_wrap(t) for t in tensors]
+    """Join along ``axis``; a plain array takes the first tensor's dtype."""
+    tensors = list(tensors)
+    like = next((t for t in tensors if isinstance(t, Tensor)), None)
+    parts = [_wrap(t, like) for t in tensors]
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]

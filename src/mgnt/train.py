@@ -135,7 +135,7 @@ def compute_loss(pred: Tensor, target: np.ndarray, deformable: np.ndarray,
     """Mean over samples of the per-sample masked mean squared residual norm."""
     if pred.shape != target.shape:
         raise ValidationError(f"prediction {pred.shape} vs target {target.shape}")
-    diff = T.sub(pred, Tensor(target))
+    diff = T.sub(pred, target)   # the target takes the prediction's dtype
     sq = T.mul(diff, diff)
     n_samples = len(sample_ranges)
     acc = None
@@ -244,6 +244,8 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
                     f"non-finite loss at step {step} (lr={lr:.3e}, "
                     f"last grad norm={grad_norm:.3e})")
             grads = tape.gradients(loss, [params[k_] for k_ in names])
+        # gradients come in the compute dtype; the norm and Adam run in float64
+        grads = [g.astype(np.float64, copy=False) for g in grads]
 
         grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS

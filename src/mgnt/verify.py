@@ -6,6 +6,7 @@ is sized to finish in well under a minute."""
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,8 +35,9 @@ def _tiny_setup(seed: int = 0):
     gcfg = GraphConfig(n_frequencies=2)
     prep = prepare_trajectory(traj, schema, gcfg)
     dims = feature_dims(schema, gcfg)
+    # float64 compute, so finite differences and the 1e-8 invariances hold
     mcfg = ModelConfig(latent_dim=12, n_tokens=4, n_heads=2,
-                       transformer_dims=(12, 8, 12), **dims)
+                       transformer_dims=(12, 8, 12), dtype="float64", **dims)
     params = init_params(mcfg, seed)
     return prep, mcfg, params
 
@@ -137,6 +139,13 @@ def run_checks() -> list[tuple[str, bool, str]]:
     # deterministic forward
     y1, _ = forward(sample0, params, mcfg, train_mode=False)
     check("eval forward deterministic", np.array_equal(y0.data, y1.data))
+
+    # float32 compute tracks float64 on the same float64 weights
+    y32, _ = forward(sample0, params, replace(mcfg, dtype="float32"), train_mode=False)
+    dev = np.abs(y32.data - y0.data).max()
+    bound = 1e-4 * np.abs(y0.data).max()
+    check("float32 eval forward matches float64", y32.data.dtype == np.float32 and dev <= bound,
+          f"max dev {dev:.2e} (bound {bound:.2e})")
 
     return results
 

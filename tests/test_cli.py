@@ -90,6 +90,7 @@ model.dims = 64,32,64  # paper: block width, attention width, feed-forward width
 model.tau0 = 0.5  # default: base slice temperature
 model.tau_min = 0.01  # default: temperature clamp
 model.leaky_slope = 0.01  # default: LeakyReLU negative slope
+model.dtype = float32  # default: compute precision, float32 or float64 (weights stay float64)
 train.steps = 2000  # default: optimizer steps
 train.batch_size = 4  # default: snapshots per batch (one trajectory)
 train.lr = 0.0001  # default: initial learning rate
@@ -238,6 +239,7 @@ class TestConfig:
         ("train", "model.mpnn_pre = -1"),
         ("train", "model.blocks = -1"),
         ("train", "train.noise_scale = nan"),
+        ("train", "model.dtype = float16"),
         ("gen-data", "data.stiffness_base = 0"),
         ("gen-data", "data.wall_stiffness = -1"),
         ("gen-chain", "chain.load = nan"),
@@ -413,6 +415,31 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--data", data_dir, "--out", str(rerun),
                      "--resume"]) == 4
         assert "'bogus'" in capsys.readouterr().err
+
+    def test_resume_under_other_dtype_exit_2(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, _ = trained
+        wide = _write(tmp_path, "f64.txt", TINY_TRAIN + "model.dtype = float64\n")
+        more = _write(tmp_path, "more.txt", TINY_TRAIN + "train.steps = 18\n")
+        rerun = str(tmp_path / "resume")
+        assert main(["train", "--config", wide, "--data", data_dir, "--out", rerun]) == 0
+        assert main(["train", "--config", more, "--data", data_dir, "--out", rerun,
+                     "--resume"]) == 2
+        assert "model_config.dtype is 'float64'" in capsys.readouterr().err
+
+    def test_checkpoint_without_dtype_evaluates_but_does_not_resume(self, trained, tmp_path,
+                                                                     capsys):
+        # a checkpoint written before model.dtype existed
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        del meta["model_config"]["dtype"]
+        old = tmp_path / "old"
+        old.mkdir()
+        write_arrays(str(old / "checkpoint.mgnt"), arrays, meta=meta)
+        assert main(["train", "--config", cfg, "--data", data_dir, "--out", str(old),
+                     "--resume"]) == 2
+        assert "model_config.dtype is None" in capsys.readouterr().err
+        assert main(["eval", "--config", cfg, "--checkpoint", str(old / "checkpoint.mgnt"),
+                     "--data", data_dir, "--out", str(tmp_path / "eval")]) == 0
 
     def test_overflowing_update_exit_3(self, trained, tmp_path, capsys):
         root, cfg, data_dir, _ = trained

@@ -1,6 +1,8 @@
 """Network contracts: encoders, message passing, token attention, the full
 forward pass, parameter counting and the op census."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -331,13 +333,24 @@ class TestForward:
         assert not np.array_equal(y_c.data[3], y_d.data[3])     # within 4 hops
 
     def test_slice_weights_collected(self, small_cfg, small_params):
+        cfg = replace(small_cfg, dtype="float64")
+        rng = np.random.default_rng(22)
+        sample = _toy_sample(rng, 7, cfg)
+        _, aux = forward(sample, small_params, cfg, collect_weights=True)
+        assert len(aux["slice_weights"]) == cfg.n_transformer_blocks
+        for w in aux["slice_weights"]:
+            assert w.shape == (7, cfg.n_tokens)
+            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_slice_weights_collected_float32(self, small_cfg, small_params):
+        # float32 rows sum to 1 within a few ulps of 6e-8; summed in float64
         rng = np.random.default_rng(22)
         sample = _toy_sample(rng, 7, small_cfg)
         _, aux = forward(sample, small_params, small_cfg, collect_weights=True)
         assert len(aux["slice_weights"]) == small_cfg.n_transformer_blocks
         for w in aux["slice_weights"]:
-            assert w.shape == (7, small_cfg.n_tokens)
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-9)
+            assert w.shape == (7, small_cfg.n_tokens) and w.dtype == np.float32
+            np.testing.assert_allclose(w.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
     def test_batched_ranges_match_separate_forwards(self, small_cfg, small_params):
         from mgnt.mesh import merge_samples

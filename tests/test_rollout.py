@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,11 +315,19 @@ class TestConsistency:
 class TestAttentionExport:
     def test_weight_rows_normalized_nonnegative(self, fitted):
         prep, mcfg, params, norm = fitted
+        mcfg = replace(mcfg, dtype="float64")
         positions, weights = export_attention(params, mcfg, norm, prep, 2, 1)
         assert positions.shape == (prep.traj.n_nodes, 2)
         assert weights.shape == (prep.traj.n_nodes, mcfg.n_tokens)
         assert (weights >= 0).all()
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_weight_rows_normalized_nonnegative_float32(self, fitted):
+        prep, mcfg, params, norm = fitted
+        positions, weights = export_attention(params, mcfg, norm, prep, 2, 1)
+        assert weights.shape == (prep.traj.n_nodes, mcfg.n_tokens)
+        assert weights.dtype == np.float32 and (weights >= 0).all()
+        np.testing.assert_allclose(weights.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
     def test_block_out_of_range(self, fitted):
         prep, mcfg, params, norm = fitted
@@ -336,12 +345,12 @@ def test_evaluate_report_structure(fitted):
     assert len(entry["contact_counts"]) == 3
 
 
-def test_rollout_and_report_bytes():
+def _rollout_and_report_digest(dtype: str) -> str:
     """One digest over two full rollouts' series and their ``evaluate``
-    reports, with the default model at ``init_params(seed=0)``: the 3x3
-    lattice of ``test_train.TestPinnedStepBytes`` with contact (absolute
-    targets) and a 100-node, 5-frame chain (delta targets).  A change that
-    moves one bit of a rollout frame or of the report fails here."""
+    reports, with the default model at ``init_params(seed=0)`` computing in
+    ``dtype``: the 3x3 lattice of ``test_train.TestPinnedStepBytes`` with
+    contact (absolute targets) and a 100-node, 5-frame chain (delta
+    targets)."""
     cases = [
         (simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
                                       drop_height=0.02, initial_velocity=-3.0)),
@@ -353,11 +362,23 @@ def test_rollout_and_report_bytes():
         schema = get_schema(traj.meta["schema"])
         prep = prepare_trajectory(traj, schema, gcfg)
         norm = Normalizer.fit([prep], mode)
-        mcfg = ModelConfig(**feature_dims(schema, gcfg))
+        mcfg = ModelConfig(**feature_dims(schema, gcfg), dtype=dtype)
         params = init_params(mcfg, seed=0)
         frames = rollout(params, mcfg, norm, prep, prep.n_transitions, mode).frames
         for k in schema.series:
             h.update(np.stack([f[k] for f in frames]).tobytes())
         h.update(json.dumps(evaluate(params, mcfg, norm, [prep], mode)).encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_rollout_and_report_bytes():
+    """A change that moves one bit of a float64 rollout frame or report
+    fails here; the digest is that of the all-float64 tape."""
+    assert _rollout_and_report_digest("float64") == (
         "3f6bfc1a661fe9fb04eadcab811b125c1deeb5925832f0f4083e030bbe8601aa")
+
+
+def test_rollout_and_report_bytes_float32():
+    """The same pin for the default float32 compute."""
+    assert _rollout_and_report_digest("float32") == (
+        "6b77c740b5ddeb60a85c7d88cc843f59f220e2742d69b0f1ee66135890465140")

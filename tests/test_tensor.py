@@ -416,6 +416,52 @@ class TestTapeMechanics:
         assert grad_check(f, [x, y]) < 1e-6
 
 
+def _f32(rng, shape):
+    return Tensor(rng.standard_normal(shape).astype(np.float32))
+
+
+# each op on float32 operands, with the plain numbers and arrays it takes
+_FLOAT32_OPS = {
+    "add_scalar": lambda x, y, rng: T.add(x, 0.5),
+    "sub_array": lambda x, y, rng: T.sub(x, rng.standard_normal((5, 3))),
+    "mul": lambda x, y, rng: T.mul(x, y),
+    "div_scalar": lambda x, y, rng: T.div(x, 3.0),
+    "scale": lambda x, y, rng: T.scale(x, np.float64(0.25)),
+    "maximum_scalar": lambda x, y, rng: T.maximum_scalar(x, 0.1),
+    "matmul_array": lambda x, y, rng: T.matmul(rng.standard_normal((2, 5)), x),
+    "transpose": lambda x, y, rng: T.transpose(x),
+    "leaky_relu": lambda x, y, rng: T.leaky_relu(x, 0.01),
+    "layer_norm": lambda x, y, rng: T.layer_norm(x, _f32(rng, 3), _f32(rng, 3)),
+    "softmax": lambda x, y, rng: T.softmax(x, axis=1),
+    "segment_sum": lambda x, y, rng: T.segment_sum(x, np.array([0, 2, 2, 0, 1]), 4),
+    "segment_sum_empty": lambda x, y, rng: T.segment_sum(
+        T.slice_rows(x, 0, 0), np.zeros(0, dtype=np.int64), 3),
+    "gather_rows": lambda x, y, rng: T.gather_rows(x, np.array([4, 0, 4])),
+    "slice_rows": lambda x, y, rng: T.slice_rows(x, 1, 3),
+    "concat_array": lambda x, y, rng: T.concat([x, rng.standard_normal((5, 2))], axis=1),
+    "reshape": lambda x, y, rng: T.reshape(x, (3, 5)),
+    "sum_axis": lambda x, y, rng: T.sum_axis(x, axis=0),
+}
+
+
+class TestPrecision:
+    def test_float32_kept_other_data_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for data in (np.ones(2, dtype=np.float16), np.arange(3), [1, 2], 2.5):
+            assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(_FLOAT32_OPS))
+    def test_op_keeps_float32(self, name):
+        rng = np.random.default_rng(5)
+        x, y = _f32(rng, (5, 3)), _f32(rng, (5, 3))
+        with Tape() as tape:
+            out = _FLOAT32_OPS[name](x, y, rng)
+            loss = T.sum_all(T.mul(out, out))
+            grads = tape.gradients(loss, [x, y])
+        assert out.data.dtype == loss.data.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32, np.float32]
+
+
 class TestCensus:
     def test_counts_by_scope(self):
         x = Tensor(np.ones((4, 4)))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mgnt.tensor as T
 from mgnt import train
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.container import read_arrays, write_arrays
@@ -112,61 +113,120 @@ class TestMakeBatch:
             prep.target(3, "delta")
 
 
-class TestPinnedStepBytes:
-    """Byte digest of one train-mode step: the loss and every parameter
-    gradient of ``forward`` + ``compute_loss`` + ``Tape.gradients``, with the
-    default model on the 3x3 lattice that ``test_oracle.TestPinnedBytes``
-    pins, a fixed batch and a fixed rng.  A change to the tape's arithmetic
-    that moves a single bit fails here; such a change must say so and re-pin.
-    The default contact radius finds no contact edges in this batch (the
-    empty-scatter path); twice the median edge length finds 14."""
+def _pinned_step(radius_factor: float, dtype: str):
+    """One train-mode step of the default model computing in ``dtype``, on
+    the 3x3 lattice that ``test_oracle.TestPinnedBytes`` pins, batch [1, 4]
+    with input noise and rng 11.  Returns the batch's contact edge count, the
+    loss, the float64 master parameters, their gradients by name and the
+    tape's record count."""
+    traj = simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
+                                        drop_height=0.02, initial_velocity=-3.0))
+    schema = get_schema("impact")
+    gcfg = GraphConfig(contact_radius_factor=radius_factor)
+    prep = prepare_trajectory(traj, schema, gcfg)
+    normalizer = Normalizer.fit([prep], "absolute")
+    mcfg = ModelConfig(**feature_dims(schema, gcfg), dtype=dtype)
+    params = init_params(mcfg, seed=0)
+    rng = np.random.default_rng(11)
+    sample, target, mask = make_batch(prep, [1, 4], "absolute", normalizer=normalizer,
+                                      noise_scale=0.003, rng=rng)
+    sample = normalizer.normalize_sample(sample)
+    target = normalizer.normalize_targets(target)
+    names = sorted(params)
+    with Tape() as tape:
+        pred, _ = forward(sample, params, mcfg, train_mode=True, rng=rng)
+        loss = compute_loss(pred, target, mask, sample.sample_ranges)
+        n_records = len(tape.records)
+        grads = tape.gradients(loss, [params[k] for k in names])
+    return sample.contact_edges.shape[0], loss, params, dict(zip(names, grads)), n_records
 
-    @pytest.mark.parametrize("radius_factor, n_contact, digest", [
-        (1.5, 0, "78fee497eef63227feb32b15a94650420fee6a9ced083e0081888210f7c5d1e7"),
-        (2.0, 14, "5630b6f7155cb8641dd6d0ab5bc96c37d5e5d849a1b9cc83d1b333e514eef8eb"),
-    ], ids=["no-contact", "contact"])
-    def test_train_step_bytes(self, radius_factor, n_contact, digest):
-        traj = simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
-                                            drop_height=0.02, initial_velocity=-3.0))
-        schema = get_schema("impact")
-        gcfg = GraphConfig(contact_radius_factor=radius_factor)
-        prep = prepare_trajectory(traj, schema, gcfg)
-        normalizer = Normalizer.fit([prep], "absolute")
-        mcfg = ModelConfig(**feature_dims(schema, gcfg))
-        params = init_params(mcfg, seed=0)
-        rng = np.random.default_rng(11)
-        sample, target, mask = make_batch(prep, [1, 4], "absolute", normalizer=normalizer,
-                                          noise_scale=0.003, rng=rng)
-        assert sample.contact_edges.shape[0] == n_contact
-        sample = normalizer.normalize_sample(sample)
-        target = normalizer.normalize_targets(target)
-        names = sorted(params)
-        with Tape() as tape:
-            pred, _ = forward(sample, params, mcfg, train_mode=True, rng=rng)
-            loss = compute_loss(pred, target, mask, sample.sample_ranges)
-            grads = tape.gradients(loss, [params[k] for k in names])
+
+class TestPinnedStepBytes:
+    """Byte digest of one train-mode step (``_pinned_step``): the loss and
+    every parameter gradient of ``forward`` + ``compute_loss`` +
+    ``Tape.gradients``.  A change to the tape's arithmetic that moves a
+    single bit fails here; such a change must say so and re-pin.  The
+    default contact radius finds no contact edges in this batch (the
+    empty-scatter path); twice the median edge length finds 14.  The float64
+    digests are those of the all-float64 tape that float32 compute was added
+    to; the float32 ones pin the default precision."""
+
+    @pytest.mark.parametrize("radius_factor, n_contact, dtype, digest", [
+        (1.5, 0, "float64", "78fee497eef63227feb32b15a94650420fee6a9ced083e0081888210f7c5d1e7"),
+        (2.0, 14, "float64", "5630b6f7155cb8641dd6d0ab5bc96c37d5e5d849a1b9cc83d1b333e514eef8eb"),
+        (1.5, 0, "float32", "5cc8153428aa3665b475990197632f95d06e960b42cab783bc19da9c7185e65b"),
+        (2.0, 14, "float32", "ade7644a1c42ddbee08616bb1796ec8f1f8467ef0f3bfb262bb6ee5f4e0f5451"),
+    ], ids=["no-contact", "contact", "no-contact-float32", "contact-float32"])
+    def test_train_step_bytes(self, radius_factor, n_contact, dtype, digest):
+        found, loss, _, grads, _ = _pinned_step(radius_factor, dtype)
+        assert found == n_contact
         h = hashlib.sha256(loss.data.tobytes())
-        for name, g in zip(names, grads):
+        for name, g in grads.items():
             h.update(name.encode())
             h.update(np.ascontiguousarray(g).tobytes())
         assert h.hexdigest() == digest
 
 
+class TestPrecision:
+    """One default-model train step with 14 contact edges runs wholly in
+    ``model.dtype``: every tape output and every gradient of the float64
+    master parameters has that dtype, and the cast adds no record."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_step_stays_in_dtype(self, monkeypatch, dtype):
+        emitted = []
+
+        def emit(out_data, inputs, backward, name, flops):
+            emitted.append(out_data.dtype)
+            return real_emit(out_data, inputs, backward, name, flops)
+
+        real_emit = T._emit
+        monkeypatch.setattr(T, "_emit", emit)
+        n_contact, loss, params, grads, n_records = _pinned_step(2.0, dtype)
+        assert n_contact == 14
+        assert n_records == len(emitted) > 0
+        assert set(emitted) == {np.dtype(dtype)}
+        assert all(p.data.dtype == np.float64 for p in params.values())
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+        assert all(g.shape == params[k].shape for k, g in grads.items())
+
+    def test_astype_keeps_key_and_records_nothing(self):
+        master = Tensor(np.arange(6.0).reshape(2, 3))
+        with Tape() as tape:
+            assert master.astype(np.float64) is master
+            low = master.astype(np.float32)
+            assert tape.records == []
+            loss = T.sum_all(T.mul(low, low))
+            (grad,) = tape.gradients(loss, [master])
+        assert low.key == master.key and low.data.dtype == np.float32
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(grad, 2.0 * np.arange(6.0).reshape(2, 3))
+
+
 class TestStepMemory:
     """Activation memory of one train step.  tracemalloc counts numpy's
-    buffers, so the peak does not depend on the host.  A tape that holds
-    every intermediate until the reverse pass peaks at 159 MB here; one that
-    keeps only what each backward reads peaks at 67 MB."""
+    buffers, so the peak does not depend on the host.  In float64 a tape
+    that holds every intermediate until the reverse pass peaks at 159 MB
+    here; one that keeps only what each backward reads peaks at 67 MB.
+    float32 compute halves each activation: 36.5 MB."""
 
     PEAK_BOUND_MB = 90.0
+    PEAK_BOUND_MB_FLOAT32 = 50.0
 
     def test_default_model_8x8_batch4_peak(self):
+        assert self._peak_mb("float64") <= self.PEAK_BOUND_MB
+
+    def test_default_model_8x8_batch4_peak_float32(self):
+        assert self._peak_mb("float32") <= self.PEAK_BOUND_MB_FLOAT32
+
+    @staticmethod
+    def _peak_mb(dtype: str) -> float:
         traj = simulate_impact(OracleConfig(frames=6, substeps=10))
         schema = get_schema("impact")
         gcfg = GraphConfig()
         prep = prepare_trajectory(traj, schema, gcfg)
         normalizer = Normalizer.fit([prep], "absolute")
-        mcfg = ModelConfig(**feature_dims(schema, gcfg))
+        mcfg = ModelConfig(**feature_dims(schema, gcfg), dtype=dtype)
         params = init_params(mcfg, seed=0)
         sample, target, mask = make_batch(prep, [0, 1, 2, 3], "absolute")
         sample = normalizer.normalize_sample(sample)
@@ -183,7 +243,7 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(names)
-        assert peak / 2**20 <= self.PEAK_BOUND_MB
+        return peak / 2**20
 
 
 class TestNormalizer:
