@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -99,9 +98,7 @@ def _cmd_train(args, cfg) -> int:
         raise ConfigError("dataset has no training trajectories")
     mcfg = C.section(cfg, "model", **feature_dims(schema, gcfg))
     tcfg = C.section(cfg, "train")
-    result = fit(preps, mcfg, tcfg, out_dir=args.out,
-                 resume=args.resume, progress=True,
-                 extra_meta={"graph_config": asdict(gcfg)})
+    result = fit(preps, mcfg, tcfg, out_dir=args.out, resume=args.resume, progress=True)
     write_history_csv(os.path.join(args.out, "loss_history.csv"), result.history)
     print(f"final loss {result.history[-1, 1]:.6e} after {int(result.history[-1, 0]) + 1} steps")
     return 0

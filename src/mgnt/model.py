@@ -149,8 +149,11 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def init_params(cfg: ModelConfig, seed: int) -> dict[str, Tensor]:
-    """Uniform fan-in init; zero biases; temperature projection starts flat;
-    the final decoder layer starts at 1/10 scale."""
+    """Uniform fan-in init; layer-norm gains one; zero biases, except the
+    token-attention FFN's ``ffn_b0`` and ``ffn_b1``, which match no bias
+    pattern and take the uniform draw bounded by 1/sqrt(their width);
+    temperature projection starts flat; the final decoder layer starts at
+    1/10 scale."""
     rng = np.random.default_rng([int(seed), 0x7EA0])
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(cfg).items():

@@ -193,14 +193,12 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
     if not trajs:
         raise ValidationError("need at least one training trajectory")
     ckpt_path = os.path.join(out_dir, "checkpoint.mgnt") if out_dir else None
-    run_meta = {"schema": trajs[0].schema.name, **(extra_meta or {})}
+    run_meta = {"schema": trajs[0].schema.name, "graph_config": asdict(trajs[0].graph_cfg),
+                **(extra_meta or {})}
     if resume:
         if not (ckpt_path and os.path.exists(ckpt_path)):
             raise ValidationError("resume requested but no checkpoint found")
         state = load_checkpoint(ckpt_path)
-        if not (state["adam_m"] and state["adam_v"]):
-            raise SchemaFormatError(f"{ckpt_path}: checkpoint holds no Adam moments to "
-                                    "resume from")
         _check_same_run(state["meta"], model_cfg, train_cfg, run_meta)
         params = state["params"]
         normalizer = state["normalizer"]
@@ -250,12 +248,13 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
         grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         tcount = step + 1
-        for name, g in zip(names, grads):
-            adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
-            adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
-            m_hat = adam_m[name] / (1 - b1 ** tcount)
-            v_hat = adam_v[name] / (1 - b2 ** tcount)
-            params[name] = Tensor(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            for name, g in zip(names, grads):
+                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
+                adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
+                m_hat = adam_m[name] / (1 - b1 ** tcount)
+                v_hat = adam_v[name] / (1 - b2 ** tcount)
+                params[name] = Tensor(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
         # a finite grad norm keeps both moments finite; checked before any save
         if not (np.isfinite(grad_norm) and all(np.isfinite(params[n].data).all() for n in names)):
             raise TrainingAbort(f"non-finite parameters or gradient norm at step {step} "
@@ -266,10 +265,9 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
             print(f"step {step:6d}  loss {loss_val:.6e}  lr {lr:.3e}  |g| {grad_norm:.3e}")
         if ckpt_path and ((step + 1) % train_cfg.checkpoint_every == 0
                           or step == train_cfg.steps - 1):
-            save_checkpoint(ckpt_path, params, model_cfg, normalizer,
-                            train_cfg=train_cfg, adam_m=adam_m, adam_v=adam_v,
-                            step=step + 1, history=np.array(history_rows),
-                            extra_meta=run_meta)
+            save_checkpoint(ckpt_path, params, model_cfg, normalizer, train_cfg,
+                            adam_m=adam_m, adam_v=adam_v, step=step + 1,
+                            history=np.array(history_rows), run_meta=run_meta)
 
     history = np.array(history_rows).reshape(-1, 4)
     return FitResult(params=params, normalizer=normalizer, history=history)
@@ -306,37 +304,32 @@ def write_history_csv(path: str, history: np.ndarray) -> None:
 # checkpoints
 
 def save_checkpoint(path: str, params: dict[str, Tensor], model_cfg: ModelConfig,
-                    normalizer: Normalizer, train_cfg: TrainConfig | None = None,
-                    adam_m: dict | None = None, adam_v: dict | None = None,
-                    step: int = 0, history: np.ndarray | None = None,
-                    extra_meta: dict | None = None) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name, tensor in params.items():
-        arrays[f"param.{name}"] = tensor.data
-    if adam_m is not None:
-        for name, v in adam_m.items():
-            arrays[f"adam_m.{name}"] = v
-        for name, v in adam_v.items():
-            arrays[f"adam_v.{name}"] = v
+                    normalizer: Normalizer, train_cfg: TrainConfig, adam_m: dict,
+                    adam_v: dict, step: int, history: np.ndarray, run_meta: dict) -> None:
+    """Write every part that ``load_checkpoint`` requires: parameter, Adam
+    moment, normalizer and history arrays; format, step, model and train
+    configs, then ``run_meta`` (schema and graph config) in the meta block."""
+    arrays = {f"param.{name}": tensor.data for name, tensor in params.items()}
+    arrays.update({f"adam_m.{name}": v for name, v in adam_m.items()})
+    arrays.update({f"adam_v.{name}": v for name, v in adam_v.items()})
     arrays.update(normalizer.to_arrays())
-    arrays["history"] = history if history is not None else np.zeros((0, 4))
+    arrays["history"] = history
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "step": int(step),
         "model_config": model_cfg.to_dict(),
-        "train_config": asdict(train_cfg) if train_cfg is not None else {},
+        "train_config": asdict(train_cfg),
+        **run_meta,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     write_arrays(path, arrays, meta=meta)
 
 
-def config_from_meta(path: str, meta: dict, key: str, cls, default: dict | None = None):
-    """``cls(**meta[key])`` for a checkpoint meta entry.  A missing entry
-    without default, a non-object, an unknown field or a rejected value
-    raises SchemaFormatError naming the entry and the field."""
-    entry = meta.get(key, default)
+def config_from_meta(path: str, meta: dict, key: str, cls):
+    """``cls(**meta[key])`` for a checkpoint meta entry.  A missing entry, a
+    non-object, an unknown field or a rejected value raises SchemaFormatError
+    naming the entry and the field."""
+    entry = meta.get(key)
     if not isinstance(entry, dict):
         raise SchemaFormatError(f"{path}: checkpoint meta {key!r} is missing or not an object")
     unknown = sorted(set(entry) - {f.name for f in fields(cls)})
@@ -349,14 +342,11 @@ def config_from_meta(path: str, meta: dict, key: str, cls, default: dict | None 
         raise SchemaFormatError(f"{path}: checkpoint meta {key!r}: {exc}") from exc
 
 
-def _checked_arrays(path: str, arrays: dict, prefix: str, shapes: dict[str, tuple[int, ...]],
-                    optional: bool = False) -> dict[str, np.ndarray]:
-    """The arrays named ``prefix + name``, keyed by name: none at all if
-    ``optional``, else exactly the names and shapes of ``shapes``, or
-    SchemaFormatError."""
+def _checked_arrays(path: str, arrays: dict, prefix: str,
+                    shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The arrays named ``prefix + name``, keyed by name: exactly the names
+    and shapes of ``shapes``, or SchemaFormatError."""
     found = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-    if optional and not found:
-        return found
     for name in sorted(found.keys() | shapes.keys()):
         if name not in found:
             raise SchemaFormatError(f"{path}: checkpoint has no {prefix}{name} array")
@@ -371,10 +361,11 @@ def _checked_arrays(path: str, arrays: dict, prefix: str, shapes: dict[str, tupl
 
 def load_checkpoint(path: str) -> dict:
     """A checkpoint's parameters, normalizer, optimizer state, configs and
-    history.  Parameters and the eight normalizer arrays must have the names
-    and shapes the model config implies, Adam moments must be absent or match
-    the parameters, and the history must be ``[K, 4]``; otherwise, as for a
-    malformed meta block, SchemaFormatError."""
+    history.  Every part is required: parameters, both Adam moments and the
+    eight normalizer arrays must have the names and shapes the model config
+    implies, the history must be ``[K, 4]``, and the meta block must hold the
+    step, schema and model, graph and train configs; otherwise
+    SchemaFormatError."""
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
@@ -391,12 +382,14 @@ def load_checkpoint(path: str) -> dict:
         raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
     shapes = param_shapes(model_cfg)
     params = {k: Tensor(v) for k, v in _checked_arrays(path, arrays, "param.", shapes).items()}
-    adam_m, adam_v = (_checked_arrays(path, arrays, f"{key}.", shapes, optional=True)
+    adam_m, adam_v = (_checked_arrays(path, arrays, f"{key}.", shapes)
                       for key in ("adam_m", "adam_v"))
     _checked_arrays(path, arrays, "norm.", {f"{key}_{stat}": (getattr(model_cfg, dim),)
                                              for key, dim in _NORM_WIDTHS
                                              for stat in ("mean", "std")})
-    history = arrays.get("history", np.zeros((0, 4)))
+    if "history" not in arrays:
+        raise SchemaFormatError(f"{path}: checkpoint has no history array")
+    history = arrays["history"]
     if history.ndim != 2 or history.shape[1] != 4:
         raise SchemaFormatError(f"{path}: checkpoint array history has shape "
                                 f"{list(history.shape)}, not [K, 4]")
@@ -407,8 +400,8 @@ def load_checkpoint(path: str) -> dict:
         "normalizer": Normalizer.from_arrays(arrays),
         "model_config": model_cfg,
         "schema": schema,
-        "graph_config": config_from_meta(path, meta, "graph_config", GraphConfig, default={}),
-        "train_config": config_from_meta(path, meta, "train_config", TrainConfig, default={}),
+        "graph_config": config_from_meta(path, meta, "graph_config", GraphConfig),
+        "train_config": config_from_meta(path, meta, "train_config", TrainConfig),
         "history": history,
         "meta": meta,
     }

@@ -281,12 +281,13 @@ SWEEP_BASE = {
     "train": TINY_TRAIN + "train.steps = 1\n",
 }
 
-# every numeric key at 0 and -1, and every float key also at nan and inf
+# every numeric key at 0 and -1, and every float key also at nan, inf and 1e308
 SWEEP = [(key, value) for key, default in load_config(None).items()
          if type(default) in (int, float)
-         for value in ((0, -1) if type(default) is int else (0.0, -1.0, math.nan, math.inf))]
+         for value in ((0, -1) if type(default) is int
+                       else (0.0, -1.0, math.nan, math.inf, 1e308))]
 
-# the swept values inside their keys' domains; every other one is rejected
+# the swept values that run to completion; the rest overflow (below) or are rejected
 SWEEP_RUNS = {
     ("data.yield_strain", 0.0), ("data.hardening_ratio", 0.0), ("data.damping", 0.0),
     ("data.gravity", 0.0), ("data.gravity", -1.0), ("data.wall_stiffness", 0.0),
@@ -296,14 +297,33 @@ SWEEP_RUNS = {
     ("graph.tied_cutoff_factor", 0.0), ("graph.contact_radius", 0.0), ("model.mpnn_pre", 0),
     ("model.mpnn_refine", 0), ("model.blocks", 0), ("train.noise_scale", 0.0),
     ("train.seed", 0), ("eval.horizon", 0),
+    *((key, 1e308) for key in (
+        "data.yield_strain", "data.hardening_ratio", "data.wall_stiffness",
+        "chain.stiffness_base", "chain.drive_std", "graph.tied_cutoff_factor",
+        "graph.contact_radius", "graph.contact_radius_factor", "model.tau0", "model.tau_min",
+        "train.lr_min")),
+}
+
+# values inside their keys' domains whose arithmetic overflows: the oracles'
+# finiteness checks exit 1, fit's exits 3
+SWEEP_OVERFLOWS = {
+    **dict.fromkeys(((key, 1e308) for key in (
+        "data.spacing", "data.dt", "data.mass", "data.stiffness_base", "data.damping",
+        "data.gravity", "data.drop_height", "data.initial_velocity", "chain.load")), 1),
+    ("train.lr", 1e308): 3, ("train.noise_scale", 1e308): 3,
 }
 
 
-@pytest.mark.parametrize("key, value", SWEEP, ids=[f"{k}={v}" for k, v in SWEEP])
+@pytest.mark.parametrize("key, value", [
+    # 1e308 cases probe exit codes; their arithmetic may overflow on the way
+    pytest.param(key, value, id=f"{key}={value}", marks=[
+        pytest.mark.filterwarnings("ignore::RuntimeWarning")] if value == 1e308 else [])
+    for key, value in SWEEP])
 def test_every_numeric_key_exits_2_or_runs_finite(trained, tmp_path, capsys, monkeypatch,
                                                   key, value):
     """The smallest command that reads the key either rejects the value with
-    a config error or runs and writes only finite float arrays."""
+    a config error, stops an overflow with exit 1 (oracles) or 3 (training),
+    or runs and writes only finite float arrays."""
     monkeypatch.delenv("MGNT_SEED", raising=False)
     root, _, data_dir, run_dir = trained
     section = key.split(".", 1)[0]
@@ -315,9 +335,9 @@ def test_every_numeric_key_exits_2_or_runs_finite(trained, tmp_path, capsys, mon
                      "--data", data_dir]}.get(section, ["train", "--data", data_dir])
     code = main(argv + ["--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
-    assert code == (0 if (key, value) in SWEEP_RUNS else 2), err
-    if code == 2:
-        assert err.startswith("config error:")
+    assert code == SWEEP_OVERFLOWS.get((key, value), 0 if (key, value) in SWEEP_RUNS else 2), err
+    if code:
+        assert err.startswith({1: "error:", 2: "config error:", 3: "training aborted:"}[code])
         return
     written = [f for f in os.listdir(out) if f.endswith(".mgnt")]
     assert written or section == "eval"
@@ -360,6 +380,7 @@ class TestGenData:
         doc = json.load(open(os.path.join(out, "manifest.json")))
         assert doc["schema"] == "chain"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_chain_overflow_exit_1(self, tmp_path, capsys):
         cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.load = 1e308\n")
         out = tmp_path / "o"
@@ -441,6 +462,7 @@ class TestTrain:
         assert main(["eval", "--config", cfg, "--checkpoint", str(old / "checkpoint.mgnt"),
                      "--data", data_dir, "--out", str(tmp_path / "eval")]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_exit_3(self, trained, tmp_path, capsys):
         root, cfg, data_dir, _ = trained
         bad = _write(tmp_path, "lr.txt", TINY_TRAIN + "train.steps = 1\ntrain.lr = 1e308\n")
@@ -530,6 +552,8 @@ class TestEval:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: meta["graph_config"].update(bogus=1), "'bogus'"),
+        (lambda meta: meta.pop("graph_config"), "'graph_config' is missing"),
+        (lambda meta: meta.pop("train_config"), "'train_config' is missing"),
         (lambda meta: meta.update(train_config=5), "'train_config'"),
         (lambda meta: meta["train_config"].update(lr=0.0), "'train_config'"),
         (lambda meta: meta["train_config"].update(lr=float("nan")), "'train_config'"),
@@ -537,7 +561,8 @@ class TestEval:
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
         (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 2"),
-    ], ids=["graph_config_unknown_key", "train_config_not_object", "train_config_bad_lr",
+    ], ids=["graph_config_unknown_key", "graph_config_missing", "train_config_missing",
+            "train_config_not_object", "train_config_bad_lr",
             "train_config_nan_lr", "schema_missing", "schema_unknown", "schema_not_a_string",
             "version_1"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
@@ -557,12 +582,16 @@ class TestEval:
          "param.dec.w1 has shape"),
         ("eval", lambda a: a.pop("norm.node_std"), "no norm.node_std array"),
         ("train", lambda a: [a.pop(k) for k in list(a) if k.startswith("adam_")],
-         "no Adam moments"),
+         "no adam_m."),
+        ("eval", lambda a: [a.pop(k) for k in list(a) if k.startswith("adam_m.")],
+         "no adam_m."),
         ("eval", lambda a: a.update({"adam_v.dec.w1": a["adam_v.dec.w1"][:-1]}),
          "adam_v.dec.w1 has shape"),
+        ("eval", lambda a: a.pop("history"), "no history array"),
         ("eval", lambda a: a.update(history=a["history"][:, :3]), "history has shape"),
     ], ids=["param_missing", "param_truncated", "norm_missing", "resume_without_moments",
-            "moment_truncated", "history_three_columns"])
+            "eval_without_moments", "moment_truncated", "history_missing",
+            "history_three_columns"])
     def test_malformed_checkpoint_arrays_exit_4(self, trained, tmp_path, capsys, command,
                                                  edit, named):
         root, cfg, data_dir, run_dir = trained

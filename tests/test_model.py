@@ -400,6 +400,36 @@ class TestParamCount:
                         pe_dim=4, output_dim=4, n_heads=3, transformer_dims=(8, 4, 8))
 
 
+# each parameter's init class by leaf name; dec.w1 alone is uniform at 1/10
+_INIT_CLASS = {
+    "ln_g": "ones",
+    **dict.fromkeys(("b0", "b1", "ln_b", "in_b", "slice_b", "temp_b", "temp_w", "q_b",
+                     "k_b", "v_b", "attn_out_b", "out_b"), "zeros"),
+    **dict.fromkeys(("w0", "w1", "in_w", "slice_w", "q_w", "k_w", "v_w", "attn_out_w",
+                     "ffn_w0", "ffn_w1", "out_w"), "uniform"),
+    # the FFN biases match no bias pattern of init_params; zeroing them moves every digest
+    **dict.fromkeys(("ffn_b0", "ffn_b1"), "uniform"),
+}
+
+
+class TestInit:
+    def test_init_class_of_every_parameter(self, small_params):
+        def observed(data):
+            if (data == 1).all():
+                return "ones"
+            if (data == 0).all():
+                return "zeros"
+            top, bound = np.abs(data).max(), 1.0 / np.sqrt(data.shape[0])
+            assert top <= bound
+            return "uniform/10" if top <= 0.1 * bound else "uniform"
+
+        got = {name: observed(p.data) for name, p in small_params.items()}
+        want = {name: "uniform/10" if name == "dec.w1" else _INIT_CLASS[name.rsplit(".", 1)[-1]]
+                for name in small_params}
+        assert got == want
+
+
+
 def attention_core_census(n_nodes: int, cfg: ModelConfig, seed: int = 0
                           ) -> dict[str, dict[str, tuple[int, int]]]:
     """Op census of slice -> token attention -> deslice on random latents."""

@@ -254,6 +254,7 @@ class TestGradCheck:
         with pytest.raises(ValidationError):
             grad_check(lambda x: T.sum_all(x), [Tensor([1.0])], step=1e-2)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")  # x / 0 on purpose
     def test_nonfinite_detected(self):
         with pytest.raises(NumericError):
             grad_check(lambda x: T.sum_all(T.div(x, T.sub(x, x))), [Tensor([1.0])])

@@ -3,6 +3,7 @@ checkpointing."""
 
 import hashlib
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
-from mgnt.train import (Normalizer, TrainConfig, compute_loss, config_from_meta, fit,
-                        load_checkpoint, make_batch, save_checkpoint, write_history_csv)
+from mgnt.train import (Normalizer, TrainConfig, compute_loss, fit, load_checkpoint,
+                        make_batch, save_checkpoint, write_history_csv)
 
 
 class TestComputeLoss:
@@ -422,6 +423,21 @@ class TestFit:
                 out_dir=str(tmp_path), resume=True,
                 extra_meta={"graph_config": {"tied_k": 3}})
 
+    def test_checkpoint_records_the_graph_config(self, tmp_path):
+        prep, mcfg, tcfg = _fit_setup(steps=2)
+        fit([prep], mcfg, tcfg, out_dir=str(tmp_path))
+        state = load_checkpoint(str(tmp_path / "checkpoint.mgnt"))
+        assert state["graph_config"] == prep.graph_cfg == GraphConfig(n_frequencies=2)
+
+    def test_resume_under_other_graph_config_refused(self, tmp_path):
+        prep, mcfg, tcfg = _fit_setup(steps=2)
+        fit([prep], mcfg, tcfg, out_dir=str(tmp_path))
+        other = prepare_trajectory(prep.traj, prep.schema,
+                                   GraphConfig(n_frequencies=2, contact_radius_factor=3.0,
+                                               tied_k=1))
+        with pytest.raises(ConfigError, match="graph_config.contact_radius_factor is 1.5"):
+            fit([other], mcfg, _fit_setup(steps=4)[2], out_dir=str(tmp_path), resume=True)
+
     def test_resume_without_checkpoint_rejected(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=5)
         with pytest.raises(ValidationError, match="checkpoint"):
@@ -437,18 +453,33 @@ class TestFit:
         assert len(lines) == 6
 
 
+def _save_whole(path, params, model_cfg, norm, step=7):
+    """A checkpoint with every part: moments 0.5 and 0.25, a [step, 4]
+    history, and an impact run under GraphConfig(tied_k=3)."""
+    save_checkpoint(path, params, model_cfg, norm, TrainConfig(lr=3e-3),
+                    adam_m={k: np.full(p.shape, 0.5) for k, p in params.items()},
+                    adam_v={k: np.full(p.shape, 0.25) for k, p in params.items()},
+                    step=step, history=np.arange(4.0 * step).reshape(step, 4),
+                    run_meta={"schema": "impact",
+                              "graph_config": asdict(GraphConfig(tied_k=3))})
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path, tiny_prep, tiny_model_cfg, tiny_params):
         norm = Normalizer.fit([tiny_prep], "absolute")
         path = tmp_path / "ckpt.mgnt"
-        save_checkpoint(str(path), tiny_params, tiny_model_cfg, norm, step=7,
-                        extra_meta={"schema": "impact"})
+        _save_whole(str(path), tiny_params, tiny_model_cfg, norm, step=7)
         state = load_checkpoint(str(path))
         assert state["meta"]["step"] == 7
-        assert state["meta"]["schema"] == "impact"
+        assert state["schema"].name == "impact"
         assert state["model_config"] == tiny_model_cfg
+        assert state["graph_config"] == GraphConfig(tied_k=3)
+        assert state["train_config"] == TrainConfig(lr=3e-3)
+        np.testing.assert_array_equal(state["history"], np.arange(28.0).reshape(7, 4))
         for name, tensor in tiny_params.items():
             np.testing.assert_array_equal(state["params"][name].data, tensor.data)
+            np.testing.assert_array_equal(state["adam_m"][name], np.full(tensor.shape, 0.5))
+            np.testing.assert_array_equal(state["adam_v"][name], np.full(tensor.shape, 0.25))
         # loaded params behave identically
         sample = tiny_prep.sample(0)
         normed = norm.normalize_sample(sample)
@@ -467,9 +498,7 @@ class TestCheckpointIO:
     @staticmethod
     def _rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep, edit):
         path = str(tmp_path / "ckpt.mgnt")
-        save_checkpoint(path, tiny_params, tiny_model_cfg,
-                        Normalizer.fit([tiny_prep], "absolute"),
-                        extra_meta={"schema": "impact", "graph_config": {"tied_k": 3}})
+        _save_whole(path, tiny_params, tiny_model_cfg, Normalizer.fit([tiny_prep], "absolute"))
         arrays, meta = read_arrays(path)
         edit(meta)
         write_arrays(path, arrays, meta=meta)
@@ -482,7 +511,7 @@ class TestCheckpointIO:
         with pytest.raises(SchemaFormatError, match="'bogus'.*'model_config'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["model_config", "step"])
+    @pytest.mark.parametrize("key", ["model_config", "step", "graph_config", "train_config"])
     def test_missing_meta_entry_rejected(self, tmp_path, tiny_params, tiny_model_cfg,
                                          tiny_prep, key):
         path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
@@ -496,5 +525,3 @@ class TestCheckpointIO:
                                   lambda meta: meta["graph_config"].update(bogus=1))
         with pytest.raises(SchemaFormatError, match="'bogus'.*'graph_config'"):
             load_checkpoint(path)
-        assert config_from_meta(path, {}, "graph_config", GraphConfig,
-                                default={}) == GraphConfig()
