@@ -18,14 +18,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import config as C
 from .container import write_arrays
 from .data import Trajectory, feature_dims, load_split, prepare_trajectory
 from .errors import ConfigError, MgntError, SchemaFormatError, TrainingAbort
 from .oracle import gen_chain_dataset, gen_dataset
-from .rollout import evaluate, export_attention, horizon_arrays, metric_series, rollout
+from .rollout import evaluate, export_attention, horizon_arrays, metric_series, rmse, rollout
 from .train import fit, load_checkpoint, write_history_csv
 from .verify import main_verify
 
@@ -180,11 +178,7 @@ def _write_step_error_csv(path: str, schema, pred: dict, gt: dict, horizon: int)
     with open(path, "w") as f:
         f.write("step," + ",".join(f"rmse_{n}" for n in names) + "\n")
         for s in range(1, horizon + 1):
-            cells = []
-            for n in names:
-                d = ps[n][s] - gs[n][s]
-                cells.append(repr(float(np.sqrt(np.mean(d * d)))))
-            f.write(f"{s}," + ",".join(cells) + "\n")
+            f.write(f"{s}," + ",".join(repr(rmse(ps[n][s], gs[n][s])) for n in names) + "\n")
 
 
 def _cmd_export_attention(args, cfg) -> int:

@@ -71,8 +71,6 @@ SCHEMA: dict[str, Key] = {
     # graph construction
     "graph.tied_k": Key("default", "tied-edge nearest neighbors"),
     "graph.tied_cutoff_factor": Key("default", "tied interface cutoff, x median edge"),
-    "graph.contact_radius": Key("default", "contact radius; 0 means factor x median edge",
-                                default=0.0),
     "graph.contact_radius_factor": Key("default", "contact radius as multiple of median edge"),
     "graph.n_frequencies": Key("default", "positional encoding frequencies"),
     "graph.use_contact": Key("default", "detect contact edges"),
@@ -191,8 +189,6 @@ def write_resolved(cfg: dict, out_dir: str) -> None:
 def section(cfg: dict, name: str, **extra):
     """The config class of section ``name`` built from the resolved keys;
     ``extra`` supplies the fields no key carries (the model's feature
-    dimensions).  ``graph.contact_radius = 0`` means None."""
+    dimensions)."""
     values = {_FIELDS[key]: cfg[key] for key in _FIELDS if key.startswith(name + ".")}
-    if name == "graph":
-        values["contact_radius"] = values["contact_radius"] or None
     return SECTIONS[name](**values, **extra)

@@ -205,28 +205,36 @@ class PreparedTrajectory:
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
     """Build the trajectory's static graph.  A trajectory that lacks a static
-    array or one of ``schema.series``, whose series are not shaped
-    ``[T >= 2, N, ...]`` with N the row count of the ``[N, d]`` array ``X``,
-    or whose ``kappa`` is not one value of shape ``[1]``, raises
-    SchemaFormatError."""
+    array or one of ``schema.series``, whose series are not ``[T >= 2, N, ...]``
+    with N the row count of the ``[N, d]`` array ``X``, whose ``node_type``
+    (codes of node types) and ``component_id`` are not ``[N]``, whose ``kappa``
+    is not ``[1]``, or whose ``elements`` make no valid mesh raises SchemaFormatError."""
     a = traj.arrays
     for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
         if key not in a:
             raise SchemaFormatError(f"trajectory has no {key!r} array")
-    if a["X"].ndim != 2:
-        raise SchemaFormatError(f"trajectory array 'X' has shape {list(a['X'].shape)}, "
-                                "not [N, d]")
-    if a["kappa"].shape != (1,):
-        raise SchemaFormatError(f"trajectory array 'kappa' has shape "
-                                f"{list(a['kappa'].shape)}, not [1]")
+    for key, layout in (("X", "[N, d]"), ("elements", "[E, k]")):
+        if a[key].ndim != 2:
+            raise SchemaFormatError(f"trajectory array {key!r} has shape "
+                                    f"{list(a[key].shape)}, not {layout}")
     n = a["X"].shape[0]
+    for key, shape in (("node_type", (n,)), ("component_id", (n,)), ("kappa", (1,))):
+        if a[key].shape != shape:
+            raise SchemaFormatError(f"trajectory array {key!r} has shape "
+                                    f"{list(a[key].shape)}, not {list(shape)}")
+    if n and not 0 <= a["node_type"].min() <= a["node_type"].max() < N_NODE_TYPES:
+        raise SchemaFormatError(f"trajectory array 'node_type' has a node type out of "
+                                f"range [0, {N_NODE_TYPES})")
     for key in schema.series:
         shape = a[key].shape
         if len(shape) < 2 or shape[0] < 2 or shape[1] != n:
             raise SchemaFormatError(f"trajectory array {key!r} has shape {list(shape)}, "
                                     f"not [T >= 2, {n}, ...]")
-    graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
-                         graph_cfg)
+    try:  # the checks above leave only the elements for the mesh to refuse
+        graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
+                             graph_cfg)
+    except ValidationError as exc:
+        raise SchemaFormatError(f"trajectory array 'elements': {exc}") from exc
     return PreparedTrajectory(traj=traj, schema=schema, graph=graph, graph_cfg=graph_cfg)
 
 

@@ -51,11 +51,9 @@ def setting(default=MISSING, *, ge=None, gt=None, lt=None):
 def check_settings(obj, section: str) -> None:
     """Raise ConfigError unless every float of the config object ``obj`` is
     finite and every number, each entry of a tuple too, lies within its
-    field's bounds.  None stands for unset where the field defaults to it."""
+    field's bounds."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if value is None and f.default is None:
-            continue
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{section} {f.name} must be finite, got {value}")

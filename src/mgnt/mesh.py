@@ -273,7 +273,6 @@ class GraphConfig:
 
     tied_k: int = setting(3, ge=1)
     tied_cutoff_factor: float = setting(3.0, ge=0)
-    contact_radius: float | None = setting(None, gt=0)  # None: contact_radius_factor x median edge
     contact_radius_factor: float = setting(1.5, gt=0)
     n_frequencies: int = setting(8, ge=1)
     use_contact: bool = True
@@ -298,10 +297,9 @@ def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
     a, b = np.nonzero(~np.eye(mesh.elements.shape[1], dtype=bool))
     excluded = _pairs(np.concatenate([edges[:, 0], mesh.elements[:, a].ravel()]),
                       np.concatenate([edges[:, 1], mesh.elements[:, b].ravel()]), n)
-    r_c = cfg.contact_radius if cfg.contact_radius is not None else cfg.contact_radius_factor * med
     pe = positional_encoding(mesh.reference_positions, mesh.component_id, cfg.n_frequencies)
-    return MeshGraph(mesh=mesh, mesh_edges=edges, excluded_pairs=excluded,
-                     positional=pe, contact_radius=r_c, median_edge=med)
+    return MeshGraph(mesh=mesh, mesh_edges=edges, excluded_pairs=excluded, positional=pe,
+                     contact_radius=cfg.contact_radius_factor * med, median_edge=med)
 
 
 def build_graph_sample(graph: MeshGraph, positions: np.ndarray,

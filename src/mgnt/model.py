@@ -18,7 +18,7 @@ verify exactly.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.transformer_dims[1] // self.n_heads
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["transformer_dims"] = list(self.transformer_dims)
-        return d
 
 
 def mgn_baseline_config(node_feat_dim: int, mesh_edge_feat_dim: int,

@@ -94,7 +94,7 @@ def metric_series(arrays: dict, schema) -> dict[str, np.ndarray]:
     return {name: state[..., lo:hi] for name, (lo, hi) in schema.variable_groups.items()}
 
 
-def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+def rmse(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValidationError(f"metric shapes differ: {a.shape} vs {b.shape}")
     d = a - b
@@ -117,7 +117,7 @@ def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, 
         ps = metric_series(pred, schema)
         gs = metric_series(gt, schema)
         for name in ps:
-            per_var.setdefault(name, []).append(_rmse(ps[name][1:], gs[name][1:]))
+            per_var.setdefault(name, []).append(rmse(ps[name][1:], gs[name][1:]))
     return {name: _aggregate(vals) for name, vals in per_var.items()}
 
 
@@ -163,7 +163,7 @@ def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, di
                 undefined[name] = undefined.get(name, 0) + 1
                 continue
             per_var.setdefault(name, []).append(
-                100.0 * _rmse(ps[name][1:], gs[name][1:]) / inf_norm)
+                100.0 * rmse(ps[name][1:], gs[name][1:]) / inf_norm)
     out = {name: _aggregate(vals) for name, vals in per_var.items()}
     for name, n in undefined.items():
         out.setdefault(name, {})["undefined_trajectories"] = n

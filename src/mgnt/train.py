@@ -27,7 +27,7 @@ from .model import ModelConfig, forward, init_params, param_shapes
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT = "mgnt-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _STD_FLOOR = 1e-8
 
@@ -189,12 +189,15 @@ class FitResult:
 def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: TrainConfig,
         out_dir: str | None = None, resume: bool = False,
         progress: bool = False, extra_meta: dict | None = None) -> FitResult:
-    """Run the optimizer loop; optionally checkpoint into out_dir."""
+    """Run the optimizer loop; optionally checkpoint into out_dir, with the
+    run's schema and graph config plus ``extra_meta``, which may not change them."""
     if not trajs:
         raise ValidationError("need at least one training trajectory")
     ckpt_path = os.path.join(out_dir, "checkpoint.mgnt") if out_dir else None
-    run_meta = {"schema": trajs[0].schema.name, "graph_config": asdict(trajs[0].graph_cfg),
-                **(extra_meta or {})}
+    run_meta = {"schema": trajs[0].schema.name, "graph_config": asdict(trajs[0].graph_cfg)}
+    for key, value in (extra_meta or {}).items():
+        if run_meta.setdefault(key, value) != value:
+            raise ValidationError(f"extra_meta {key!r} is {value!r}, not this run's own")
     if resume:
         if not (ckpt_path and os.path.exists(ckpt_path)):
             raise ValidationError("resume requested but no checkpoint found")
@@ -277,7 +280,7 @@ def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
                     run_meta: dict) -> None:
     """Refuse to resume a checkpoint that another configuration wrote: only
     the step budget and the checkpoint and log cadence may change."""
-    want = meta_to_json({"model_config": model_cfg.to_dict(),
+    want = meta_to_json({"model_config": asdict(model_cfg),
                          "train_config": asdict(train_cfg), **run_meta})
     for key in sorted((want.keys() | saved.keys()) - {"format", "version", "step"}):
         have, asked = saved.get(key), want.get(key)
@@ -318,7 +321,7 @@ def save_checkpoint(path: str, params: dict[str, Tensor], model_cfg: ModelConfig
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "step": int(step),
-        "model_config": model_cfg.to_dict(),
+        "model_config": asdict(model_cfg),
         "train_config": asdict(train_cfg),
         **run_meta,
     }
@@ -327,15 +330,16 @@ def save_checkpoint(path: str, params: dict[str, Tensor], model_cfg: ModelConfig
 
 def config_from_meta(path: str, meta: dict, key: str, cls):
     """``cls(**meta[key])`` for a checkpoint meta entry.  A missing entry, a
-    non-object, an unknown field or a rejected value raises SchemaFormatError
-    naming the entry and the field."""
+    non-object, an unknown or missing field or a rejected value raises
+    SchemaFormatError naming the entry and the field."""
     entry = meta.get(key)
     if not isinstance(entry, dict):
         raise SchemaFormatError(f"{path}: checkpoint meta {key!r} is missing or not an object")
-    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
-    if unknown:
-        raise SchemaFormatError(
-            f"{path}: unknown key {unknown[0]!r} in checkpoint meta {key!r}")
+    names = {f.name for f in fields(cls)}
+    for problem, keys in (("unknown", set(entry) - names), ("missing", names - set(entry))):
+        if keys:
+            raise SchemaFormatError(
+                f"{path}: {problem} key {min(keys)!r} in checkpoint meta {key!r}")
     try:
         return cls(**entry)
     except (TypeError, ValueError, ConfigError) as exc:
@@ -363,9 +367,9 @@ def load_checkpoint(path: str) -> dict:
     """A checkpoint's parameters, normalizer, optimizer state, configs and
     history.  Every part is required: parameters, both Adam moments and the
     eight normalizer arrays must have the names and shapes the model config
-    implies, the history must be ``[K, 4]``, and the meta block must hold the
-    step, schema and model, graph and train configs; otherwise
-    SchemaFormatError."""
+    implies, the history must be ``[K, 4]``, and the meta must hold the step,
+    schema and whole model, graph and train configs, the model's feature
+    widths those of the schema and graph config; otherwise SchemaFormatError."""
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
@@ -380,6 +384,12 @@ def load_checkpoint(path: str) -> dict:
         schema = get_schema(meta.get("schema"))
     except ValidationError as exc:
         raise SchemaFormatError(f"{path}: checkpoint meta 'schema': {exc}") from exc
+    graph_cfg = config_from_meta(path, meta, "graph_config", GraphConfig)
+    for name, width in feature_dims(schema, graph_cfg).items():
+        if getattr(model_cfg, name) != width:
+            raise SchemaFormatError(f"{path}: checkpoint meta 'model_config' has {name} "
+                                    f"{getattr(model_cfg, name)}, where its schema and "
+                                    f"graph_config give {width}")
     shapes = param_shapes(model_cfg)
     params = {k: Tensor(v) for k, v in _checked_arrays(path, arrays, "param.", shapes).items()}
     adam_m, adam_v = (_checked_arrays(path, arrays, f"{key}.", shapes)
@@ -400,7 +410,7 @@ def load_checkpoint(path: str) -> dict:
         "normalizer": Normalizer.from_arrays(arrays),
         "model_config": model_cfg,
         "schema": schema,
-        "graph_config": config_from_meta(path, meta, "graph_config", GraphConfig),
+        "graph_config": graph_cfg,
         "train_config": config_from_meta(path, meta, "train_config", TrainConfig),
         "history": history,
         "meta": meta,

@@ -76,7 +76,6 @@ chain.drive_std = 0.25  # default: std of per-frame drive increments
 chain.seed = 99  # default: chain dataset seed
 graph.tied_k = 3  # default: tied-edge nearest neighbors
 graph.tied_cutoff_factor = 3.0  # default: tied interface cutoff, x median edge
-graph.contact_radius = 0.0  # default: contact radius; 0 means factor x median edge
 graph.contact_radius_factor = 1.5  # default: contact radius as multiple of median edge
 graph.n_frequencies = 8  # default: positional encoding frequencies
 graph.use_contact = True  # default: detect contact edges
@@ -178,18 +177,17 @@ class TestConfig:
         ("train", TrainConfig()),
     ])
     def test_sections_take_class_defaults(self, monkeypatch, name, expected):
-        # only the two dataset seeds and contact_radius (0 for None) differ
+        # only the two dataset seeds differ
         monkeypatch.delenv("MGNT_SEED", raising=False)
         extra = DIMS if name == "model" else {}
         assert section(load_config(None), name, **extra) == expected
 
     def test_section_maps_renamed_keys(self):
         cfg = load_config(None, {"model.blocks": 3, "model.heads": 2, "model.tokens": 5,
-                                 "model.dims": (8, 4, 8), "graph.contact_radius": 0.5})
+                                 "model.dims": (8, 4, 8)})
         mcfg = section(cfg, "model", **DIMS)
         assert (mcfg.n_transformer_blocks, mcfg.n_heads, mcfg.n_tokens,
                 mcfg.transformer_dims) == (3, 2, 5, (8, 4, 8))
-        assert section(cfg, "graph").contact_radius == 0.5
 
     def test_every_class_field_has_a_setter(self):
         # a field is set by its config key or filled in by the program
@@ -214,7 +212,6 @@ class TestConfig:
         ("gen-chain", "chain.frames = 1"),
         ("train", "graph.tied_k = 0"),
         ("train", "graph.n_frequencies = 0"),
-        ("train", "graph.contact_radius = -0.1"),
         ("train", "graph.contact_radius_factor = 0"),
         ("train", "graph.tied_cutoff_factor = -1"),
         ("gen-data", "data.substeps = 0"),
@@ -265,10 +262,12 @@ class TestConfig:
         assert main(argv + (["--data", data_dir] if command == "train" else [])) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol"])
+    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol",
+                                     "graph.contact_radius"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
-        # and the chain's closed-form equilibrium has no tolerance to set
+        # the chain's closed-form equilibrium has no tolerance to set, and the
+        # contact radius is graph.contact_radius_factor x the median mesh edge
         cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -294,14 +293,12 @@ SWEEP_RUNS = {
     ("data.drop_height", 0.0), ("data.initial_velocity", 0.0),
     ("data.initial_velocity", -1.0), ("data.seed", 0), ("chain.drive_std", 0.0),
     ("chain.load", 0.0), ("chain.load", -1.0), ("chain.seed", 0),
-    ("graph.tied_cutoff_factor", 0.0), ("graph.contact_radius", 0.0), ("model.mpnn_pre", 0),
-    ("model.mpnn_refine", 0), ("model.blocks", 0), ("train.noise_scale", 0.0),
-    ("train.seed", 0), ("eval.horizon", 0),
+    ("graph.tied_cutoff_factor", 0.0), ("model.mpnn_pre", 0), ("model.mpnn_refine", 0),
+    ("model.blocks", 0), ("train.noise_scale", 0.0), ("train.seed", 0), ("eval.horizon", 0),
     *((key, 1e308) for key in (
         "data.yield_strain", "data.hardening_ratio", "data.wall_stiffness",
         "chain.stiffness_base", "chain.drive_std", "graph.tied_cutoff_factor",
-        "graph.contact_radius", "graph.contact_radius_factor", "model.tau0", "model.tau_min",
-        "train.lr_min")),
+        "graph.contact_radius_factor", "model.tau0", "model.tau_min", "train.lr_min")),
 }
 
 # values inside their keys' domains whose arithmetic overflows: the oracles'
@@ -447,21 +444,6 @@ class TestTrain:
                      "--resume"]) == 2
         assert "model_config.dtype is 'float64'" in capsys.readouterr().err
 
-    def test_checkpoint_without_dtype_evaluates_but_does_not_resume(self, trained, tmp_path,
-                                                                     capsys):
-        # a checkpoint written before model.dtype existed
-        root, cfg, data_dir, run_dir = trained
-        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
-        del meta["model_config"]["dtype"]
-        old = tmp_path / "old"
-        old.mkdir()
-        write_arrays(str(old / "checkpoint.mgnt"), arrays, meta=meta)
-        assert main(["train", "--config", cfg, "--data", data_dir, "--out", str(old),
-                     "--resume"]) == 2
-        assert "model_config.dtype is None" in capsys.readouterr().err
-        assert main(["eval", "--config", cfg, "--checkpoint", str(old / "checkpoint.mgnt"),
-                     "--data", data_dir, "--out", str(tmp_path / "eval")]) == 0
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_exit_3(self, trained, tmp_path, capsys):
         root, cfg, data_dir, _ = trained
@@ -470,6 +452,18 @@ class TestTrain:
         assert main(["train", "--config", bad, "--data", data_dir, "--out", str(out)]) == 3
         assert "non-finite parameters" in capsys.readouterr().err
         assert not (out / "checkpoint.mgnt").exists()
+
+    def test_chain_without_contact(self, tmp_path):
+        # the chain-400 benchmark's path: a chain set, no contact search, delta targets
+        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + TINY_TRAIN[len(TINY_DATA):]
+                     + "graph.use_contact = false\ntrain.steps = 2\n"
+                     "train.target_mode = delta\ntrain.noise_scale = 0.003\n")
+        data, run = str(tmp_path / "data"), str(tmp_path / "run")
+        assert main(["gen-data", "--config", cfg, "--out", data]) == 0
+        assert main(["train", "--config", cfg, "--data", data, "--out", run]) == 0
+        meta = read_arrays(os.path.join(run, "checkpoint.mgnt"))[1]
+        assert meta["schema"] == "chain" and meta["graph_config"]["use_contact"] is False
+        assert meta["train_config"]["target_mode"] == "delta"
 
     def test_reads_only_train_split(self, trained, tmp_path):
         root, cfg, data_dir, _ = trained
@@ -560,11 +554,19 @@ class TestEval:
         (lambda meta: meta.pop("schema"), "'schema'"),
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
-        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 2"),
+        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 3"),
+        (lambda meta: meta.update(version=2), "version 2; this version of mgnt reads version 3"),
+        (lambda meta: meta["graph_config"].pop("n_frequencies"),
+         "missing key 'n_frequencies' in checkpoint meta 'graph_config'"),
+        (lambda meta: meta["model_config"].pop("dtype"),
+         "missing key 'dtype' in checkpoint meta 'model_config'"),
+        (lambda meta: meta["graph_config"].update(n_frequencies=3),
+         "'model_config' has pe_dim 8, where its schema and graph_config give 12"),
     ], ids=["graph_config_unknown_key", "graph_config_missing", "train_config_missing",
             "train_config_not_object", "train_config_bad_lr",
             "train_config_nan_lr", "schema_missing", "schema_unknown", "schema_not_a_string",
-            "version_1"])
+            "version_1", "version_2", "graph_config_field_missing",
+            "model_config_dtype_missing", "graph_config_other_widths"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
         root, cfg, data_dir, run_dir = trained
         arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
@@ -614,14 +616,24 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: eval horizon")
 
-    def test_corrupt_checkpoint_exit_4(self, trained, tmp_path):
-        root, cfg, data_dir, _ = trained
-        from mgnt.container import write_arrays
-        fake = str(tmp_path / "fake.mgnt")
-        write_arrays(fake, {"a": np.ones(3)}, meta={"format": "nope"})
-        code = main(["eval", "--checkpoint", fake, "--data", data_dir,
-                     "--out", str(tmp_path / "e2")])
-        assert code == 4
+    @pytest.mark.parametrize("corrupt, named", [
+        (None, "not a checkpoint"),
+        (lambda blob: blob[:10], "truncated header"),
+        (lambda blob: blob[:12 + struct.unpack("<I", blob[8:12])[0] - 1],
+         "header shorter than declared length"),
+        (lambda blob: blob[:12] + b"[" + blob[13:], "invalid JSON header"),
+    ], ids=["not_a_checkpoint", "truncated_header", "short_header", "invalid_json_header"])
+    def test_corrupt_checkpoint_exit_4(self, trained, tmp_path, capsys, corrupt, named):
+        root, cfg, data_dir, run_dir = trained
+        bad = tmp_path / "bad.mgnt"
+        if corrupt is None:
+            write_arrays(str(bad), {"a": np.ones(3)}, meta={"format": "nope"})
+        else:
+            with open(os.path.join(run_dir, "checkpoint.mgnt"), "rb") as f:
+                bad.write_bytes(corrupt(f.read()))
+        assert main(["eval", "--checkpoint", str(bad), "--data", data_dir,
+                     "--out", str(tmp_path / "e")]) == 4
+        assert named in capsys.readouterr().err
 
 
 class TestRolloutCommand:
@@ -674,9 +686,23 @@ class TestRolloutCommand:
         (lambda a: a.update(v=a["v"][:1]), "'v' has shape [1, 20, 2]"),
         (lambda a: a.update(X=a["X"][0]), "'X' has shape [2]"),
         (lambda a: a.update(kappa=a["kappa"][:0]), "'kappa' has shape [0], not [1]"),
+        (lambda a: a.update(node_type=a["node_type"][:-1]),
+         "'node_type' has shape [19], not [20]"),
+        (lambda a: a.update(component_id=a["component_id"][:-1]),
+         "'component_id' has shape [19], not [20]"),
+        (lambda a: a.update(node_type=np.full_like(a["node_type"], 9)),
+         "'node_type' has a node type out of range [0, 4)"),
+        (lambda a: a.update(elements=a["elements"] + 20),
+         "'elements': element index out of range"),
+        (lambda a: a.update(elements=a["elements"][:, [0, 0]]),
+         "'elements': degenerate element with repeated node index"),
+        (lambda a: a.update(elements=a["elements"][:0]), "'elements': mesh has no edges"),
+        (lambda a: a.update(elements=a["elements"].ravel()), "'elements' has shape"),
     ], ids=["no_X", "no_elements", "no_node_type", "no_component_id", "no_kappa", "no_x",
             "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d",
-            "kappa_empty"])
+            "kappa_empty", "node_type_short", "component_id_short", "node_type_9",
+            "element_index_out_of_range", "element_degenerate", "no_edges",
+            "elements_not_2d"])
     @pytest.mark.parametrize("command", ["rollout", "train"])
     def test_malformed_trajectory_arrays_exit_4(self, trained, tmp_path, capsys, edit,
                                                 named, command):

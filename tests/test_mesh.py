@@ -251,14 +251,14 @@ class TestPreparedMesh:
     def test_contact_excludes_mesh_neighbors(self):
         # a dense triangle: all pairs are mesh edges, so no contact pairs emerge
         m = _mesh([[0, 0], [0.1, 0], [0, 0.1]], [[0, 1, 2]])
-        graph = prepare_mesh(m, GraphConfig(contact_radius=1.0))
+        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=10.0))
         from mgnt.mesh import detect_contact_edges as dce
         assert dce(m.reference_positions, graph.contact_radius,
                    graph.excluded_pairs).shape == (0, 2)
 
     def test_quad_diagonals_never_contact(self):
         m = _mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
-        graph = prepare_mesh(m, GraphConfig(contact_radius=2.0))
+        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=2.0))
         assert {(0, 2), (2, 0), (1, 3), (3, 1)} <= set(map(tuple, graph.excluded_pairs))
         assert detect_contact_edges(m.reference_positions, graph.contact_radius,
                                     graph.excluded_pairs).shape == (0, 2)

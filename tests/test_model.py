@@ -149,8 +149,7 @@ class TestMpnn:
 
 class TestSliceTokens:
     def test_single_token_is_mean(self, small_cfg):
-        cfg = ModelConfig(**{**small_cfg.to_dict(), "n_tokens": 1,
-                             "transformer_dims": (8, 4, 8)})
+        cfg = replace(small_cfg, n_tokens=1, transformer_dims=(8, 4, 8))
         params = init_params(cfg, seed=2)
         rng = np.random.default_rng(7)
         h = Tensor(rng.standard_normal((9, 8)))
@@ -168,8 +167,7 @@ class TestSliceTokens:
     def test_handset_logits_closed_form(self, small_cfg):
         # force logits [ln 2, 0, -inf...) via crafted weights: use a config
         # with 2 tokens and zeroed projections plus bias
-        cfg = ModelConfig(**{**small_cfg.to_dict(), "n_tokens": 2, "tau0": 1.0,
-                             "transformer_dims": (8, 4, 8)})
+        cfg = replace(small_cfg, n_tokens=2, tau0=1.0, transformer_dims=(8, 4, 8))
         params = init_params(cfg, seed=3)
         params["block0.slice_w"] = Tensor(np.zeros((8, 2)))
         params["block0.slice_b"] = Tensor(np.array([np.log(2.0), 0.0]))
@@ -200,8 +198,7 @@ class TestSliceTokens:
 
 class TestTokenAttention:
     def test_single_token_attention_is_identity_weight(self, small_cfg):
-        cfg = ModelConfig(**{**small_cfg.to_dict(), "n_tokens": 1,
-                             "transformer_dims": (8, 4, 8)})
+        cfg = replace(small_cfg, n_tokens=1, transformer_dims=(8, 4, 8))
         params = init_params(cfg, seed=4)
         z = Tensor(np.random.default_rng(12).standard_normal((1, 8)))
         out = token_attention(z, params, 0, cfg)
@@ -325,7 +322,7 @@ class TestForward:
         y_b, _ = forward(pert, small_params, small_cfg, train_mode=False)
         assert not np.array_equal(y_a.data[10], y_b.data[10])  # 10 hops away
 
-        ablated = ModelConfig(**{**small_cfg.to_dict(), "n_transformer_blocks": 0})
+        ablated = replace(small_cfg, n_transformer_blocks=0)
         params_abl = init_params(ablated, seed=5)
         y_c, _ = forward(sample, params_abl, ablated, train_mode=False)
         y_d, _ = forward(pert, params_abl, ablated, train_mode=False)

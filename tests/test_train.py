@@ -3,7 +3,7 @@ checkpointing."""
 
 import hashlib
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from mgnt import train
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.container import read_arrays, write_arrays
 from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
+from mgnt.mesh import NODE_ACTUATOR
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
@@ -412,16 +413,58 @@ class TestFit:
 
     def test_resume_with_changed_run_meta_refused(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=4, checkpoint_every=2)
-        fit([prep], mcfg, tcfg, out_dir=str(tmp_path),
-            extra_meta={"graph_config": {"tied_k": 3}})
+        fit([prep], mcfg, tcfg, out_dir=str(tmp_path), extra_meta={"label": "a"})
         more = _fit_setup(steps=8, checkpoint_every=2)[2]
-        with pytest.raises(ConfigError, match="graph_config.tied_k"):
+        with pytest.raises(ConfigError, match="label is 'a' in the checkpoint but 'b'"):
             fit([prep], mcfg, more, out_dir=str(tmp_path), resume=True,
-                extra_meta={"graph_config": {"tied_k": 4}})
+                extra_meta={"label": "b"})
         with pytest.raises(ConfigError, match="model_config.latent_dim"):
-            fit([prep], ModelConfig(**{**mcfg.to_dict(), "latent_dim": 12}), more,
-                out_dir=str(tmp_path), resume=True,
-                extra_meta={"graph_config": {"tied_k": 3}})
+            fit([prep], replace(mcfg, latent_dim=12), more, out_dir=str(tmp_path),
+                resume=True, extra_meta={"label": "a"})
+
+    @pytest.mark.parametrize("extra_meta, named", [
+        ({"graph_config": {"tied_k": 3}}, "'graph_config'"),
+        ({"graph_config": asdict(GraphConfig(n_frequencies=3))}, "'graph_config'"),
+        ({"schema": "chain"}, "'schema'"),
+    ], ids=["partial_graph_config", "other_graph_config", "other_schema"])
+    def test_extra_meta_cannot_change_the_run(self, tmp_path, extra_meta, named):
+        prep, mcfg, tcfg = _fit_setup(steps=2)
+        with pytest.raises(ValidationError, match=f"extra_meta {named}"):
+            fit([prep], mcfg, tcfg, out_dir=str(tmp_path), extra_meta=extra_meta)
+        assert not (tmp_path / "checkpoint.mgnt").exists()
+        # repeating the run's own meta, as perfbench does, is allowed
+        fit([prep], mcfg, tcfg, out_dir=str(tmp_path),
+            extra_meta={"schema": "impact", "graph_config": asdict(prep.graph_cfg)})
+        assert load_checkpoint(str(tmp_path / "checkpoint.mgnt"))["graph_config"] == \
+            prep.graph_cfg
+
+    def test_chain_without_contact_trains_with_noise(self, monkeypatch):
+        # the chain-400 benchmark's path: no contact search, input noise, delta targets
+        traj = simulate_chain(ChainConfig(n_nodes=100, frames=4, seed=5))
+        gcfg = GraphConfig(n_frequencies=2, use_contact=False)
+        prep = prepare_trajectory(traj, get_schema("chain"), gcfg)
+        mcfg = ModelConfig(latent_dim=10, n_tokens=4, n_heads=2, transformer_dims=(8, 4, 8),
+                           **feature_dims(prep.schema, gcfg))
+        batches, make = [], train.make_batch
+
+        def recording_make_batch(*args, **kwargs):
+            batches.append(make(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(train, "make_batch", recording_make_batch)
+        result = fit([prep], mcfg, TrainConfig(steps=2, batch_size=2, noise_scale=0.5,
+                                               target_mode="delta", seed=1))
+        assert np.isfinite(result.history[:, 1]).all()
+        assert [sample.contact_edges.shape[0] for sample, _, _ in batches] == [0, 0]
+        frame = prep.frame(0)
+        stds = prep.schema.noise_stds(result.normalizer)
+        noisy = prep.schema.inject_noise(frame, 0.5, stds, np.random.default_rng(2),
+                                         prep.deformable)
+        moved = noisy["x"] != frame["x"]
+        assert moved[prep.deformable, 0].all() and not moved[:, 1].any()
+        assert (traj.arrays["node_type"][~prep.deformable] == NODE_ACTUATOR).all()
+        np.testing.assert_array_equal(noisy["x"][~prep.deformable], frame["x"][~prep.deformable])
+        np.testing.assert_array_equal(noisy["drive"], frame["drive"])
 
     def test_checkpoint_records_the_graph_config(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=2)
@@ -455,13 +498,13 @@ class TestFit:
 
 def _save_whole(path, params, model_cfg, norm, step=7):
     """A checkpoint with every part: moments 0.5 and 0.25, a [step, 4]
-    history, and an impact run under GraphConfig(tied_k=3)."""
+    history, and an impact run under the tiny model's GraphConfig(n_frequencies=2)."""
     save_checkpoint(path, params, model_cfg, norm, TrainConfig(lr=3e-3),
                     adam_m={k: np.full(p.shape, 0.5) for k, p in params.items()},
                     adam_v={k: np.full(p.shape, 0.25) for k, p in params.items()},
                     step=step, history=np.arange(4.0 * step).reshape(step, 4),
                     run_meta={"schema": "impact",
-                              "graph_config": asdict(GraphConfig(tied_k=3))})
+                              "graph_config": asdict(GraphConfig(n_frequencies=2))})
 
 
 class TestCheckpointIO:
@@ -473,7 +516,7 @@ class TestCheckpointIO:
         assert state["meta"]["step"] == 7
         assert state["schema"].name == "impact"
         assert state["model_config"] == tiny_model_cfg
-        assert state["graph_config"] == GraphConfig(tied_k=3)
+        assert state["graph_config"] == GraphConfig(n_frequencies=2)
         assert state["train_config"] == TrainConfig(lr=3e-3)
         np.testing.assert_array_equal(state["history"], np.arange(28.0).reshape(7, 4))
         for name, tensor in tiny_params.items():
