@@ -251,9 +251,10 @@ def slice_tokens(h: Tensor, params: dict[str, Tensor], block: int, cfg: ModelCon
         logits = T.add(logits, gumbel)
     w = T.softmax(T.div(logits, tau), axis=1)
     colsum = T.reshape(T.sum_axis(w, axis=0), (cfg.n_tokens, 1))
-    # softmax weights are strictly positive; the tiny floor only guards
-    # float underflow when a token attracts no node at all
-    z = T.div(T.matmul(T.transpose(w), h), T.add(colsum, 1e-30))
+    # softmax weights are strictly positive; the floor only guards a column
+    # that underflows when a token attracts no node at all.  Its square is a
+    # normal float32, so div's backward forms no 0/0
+    z = T.div(T.matmul(T.transpose(w), h), T.maximum_scalar(colsum, 1e-18))
     return z, w
 
 

@@ -23,11 +23,16 @@ takes the dtype of a tensor operand.
 :meth:`Tensor.astype` casts without a record: the copy keeps the key, so the
 gradients the tape collects for it are the original's.  Tensors are treated
 as immutable after construction; ops never write into their inputs.
+
+Importing this module fixes glibc's malloc mmap and trim thresholds for the
+whole process (``_keep_freed_memory_mapped``), so the memory one train step
+frees is reused by the next instead of being returned and faulted in again.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +41,32 @@ import numpy as np
 from .errors import NumericError, ShapeError, ValidationError
 
 Array = np.ndarray
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    where its own dynamic rule would stop raising them.  Left to that rule
+    they stay a few MB, so the memory a train step's activations took goes
+    back to the OS when the backward pass frees it, and the next step faults
+    it in again.  Setting either one switches the rule off for both, so
+    both are set.  No result changes.  Without ``mallopt`` (not glibc)
+    nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_memory_mapped()
 
 _keys = itertools.count()
 
@@ -317,22 +348,36 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Standardize each row over the last axis, then apply gain and bias."""
     if eps <= 0.0:
         raise ValidationError(f"layer_norm eps must be positive, got {eps}")
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    x = _wrap(x)
+    gain, bias = _wrap(gain, x), _wrap(bias, x)
+    if not x.data.dtype == gain.data.dtype == bias.data.dtype:
+        raise ValidationError(f"layer_norm needs gain and bias in x's dtype {x.data.dtype}, "
+                              f"got {gain.data.dtype} / {bias.data.dtype}")
+    # each step is one ufunc call of the plain formula, in its order, so the
+    # bits are the formula's; results go into two buffers: y (saved for
+    # backward) takes the centered rows', the output the squares'.  The
+    # backward builds dx in dy's buffer plus one more
     mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    y = np.subtract(x.data, mean)
+    out = np.multiply(y, y)
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    np.multiply(y, inv, out=y)
     gd = gain.data
-    out = gd * y + bias.data
+    np.multiply(gd, y, out=out)
+    np.add(out, bias.data, out=out)
 
     def backward(g):
-        dy = g * gd
-        dmean = dy.mean(axis=-1, keepdims=True)
-        dyy = (dy * y).mean(axis=-1, keepdims=True)
-        dx = (dy - dmean - y * dyy) * inv
+        dx = np.multiply(g, gd)
+        dmean = dx.mean(axis=-1, keepdims=True)
+        tmp = np.multiply(dx, y)
+        dyy = tmp.mean(axis=-1, keepdims=True)
+        np.subtract(dx, dmean, out=dx)
+        np.multiply(y, dyy, out=tmp)
+        np.subtract(dx, tmp, out=dx)
+        np.multiply(dx, inv, out=dx)
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * y).sum(axis=axes)
+        dgain = np.multiply(g, y, out=tmp).sum(axis=axes)
         dbias = g.sum(axis=axes)
         return [dx, dgain, dbias]
 
@@ -361,15 +406,29 @@ def softmax(x, axis: int = -1) -> Tensor:
 def _scatter_rows(rows: Array, ids: Array, n: int) -> Array:
     """``out[ids[i]] += rows[i]`` into ``n`` zero rows, adding in input order.
 
-    ``np.bincount`` over the flat keys ``id * d + column`` sums its weights in
-    input order, as the unbuffered ``ufunc.at`` scatter does, so the two agree
-    bit for bit.
+    Each output row is summed in float64 from 0.0, one input row after
+    another in input order: the same additions as the unbuffered
+    ``ufunc.at`` scatter and as ``np.bincount``, so all three agree bit for
+    bit.  The rows are visited in layers, the k-th row of every segment in
+    layer k, with the segments ordered fullest first so that each layer adds
+    into a leading block of the accumulator; no [E x d] index array forms.
     """
-    d = rows.shape[1]
-    keys = (ids[:, None] * d + np.arange(d)).ravel()
-    out = np.bincount(keys, weights=rows.ravel(), minlength=n * d)
-    # bincount sums in float64, and returns int64 zeros when it gets no keys
-    return out.astype(rows.dtype, copy=False).reshape(n, d)
+    counts = np.bincount(ids, minlength=n)
+    segs = np.argsort(-counts, kind="stable")
+    col = np.empty(n, dtype=np.int64)
+    col[segs] = np.arange(n)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    rank = np.arange(ids.size) - (np.cumsum(counts) - counts)[sorted_ids]
+    widths = np.bincount(rank)  # widths[k]: segments with more than k rows
+    table = np.empty((widths.size, n), dtype=np.int64)
+    table[rank, col[sorted_ids]] = order
+    acc = np.zeros((n, rows.shape[1]))
+    for k, width in enumerate(widths):
+        acc[:width] += rows[table[k, :width]]
+    out = np.empty(acc.shape, dtype=rows.dtype)
+    out[segs] = acc
+    return out
 
 
 def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:

@@ -250,14 +250,24 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
 
         grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-        tcount = step + 1
+        c1, c2 = 1 - b1 ** (step + 1), 1 - b2 ** (step + 1)
+        # moments update in place, each operation as in
+        # p - lr * (m / c1) / (sqrt(v / c2) + eps); the parameters are new
+        # arrays, since callers may hold the previous step's
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             for name, g in zip(names, grads):
-                adam_m[name] = b1 * adam_m[name] + (1 - b1) * g
-                adam_v[name] = b2 * adam_v[name] + (1 - b2) * g * g
-                m_hat = adam_m[name] / (1 - b1 ** tcount)
-                v_hat = adam_v[name] / (1 - b2 ** tcount)
-                params[name] = Tensor(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
+                m, v = adam_m[name], adam_v[name]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                update = np.divide(m, c1)
+                update *= lr
+                v_hat = np.divide(v, c2)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += eps
+                update /= v_hat
+                params[name] = Tensor(params[name].data - update)
         # a finite grad norm keeps both moments finite; checked before any save
         if not (np.isfinite(grad_norm) and all(np.isfinite(params[n].data).all() for n in names)):
             raise TrainingAbort(f"non-finite parameters or gradient norm at step {step} "

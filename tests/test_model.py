@@ -10,9 +10,10 @@ import mgnt.tensor as T
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.errors import ConfigError, ValidationError
 from mgnt.mesh import GraphSample, permute_sample
-from mgnt.model import (LatentGraph, ModelConfig, deslice, encode, forward, init_params,
-                        mgn_baseline_config, mpnn_iteration, param_count, param_shapes,
-                        sample_gumbel, slice_tokens, token_attention, transformer_block)
+from mgnt.model import (LatentGraph, ModelConfig, cast_params, deslice, encode, forward,
+                        init_params, mgn_baseline_config, mpnn_iteration, param_count,
+                        param_shapes, sample_gumbel, slice_tokens, token_attention,
+                        transformer_block)
 from mgnt.oracle import OracleConfig, simulate_impact
 from mgnt.tensor import Tape, Tensor
 
@@ -186,6 +187,23 @@ class TestSliceTokens:
             _, w = slice_tokens(h, small_params, 0, small_cfg, gumbel)
             assert (w.data > 0).all()
             np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_token_attracting_no_node_keeps_gradients_finite(self, small_cfg, small_params,
+                                                              dtype):
+        cfg = replace(small_cfg, dtype=dtype)
+        params = dict(small_params)
+        bias = params["block0.slice_b"].data.copy()
+        bias[0] = -1e4                      # token 0's softmax column underflows
+        params["block0.slice_b"] = Tensor(bias)
+        params = cast_params(params, cfg)
+        h = Tensor(np.random.default_rng(12).standard_normal((7, 8)).astype(dtype))
+        with Tape() as tape:
+            z, w = slice_tokens(h, params, 0, cfg, None)
+            assert not w.data[:, 0].any()
+            grads = tape.gradients(T.sum_all(T.mul(z, z)), [h, *params.values()])
+        assert np.isfinite(z.data).all()
+        assert all(np.isfinite(g).all() for g in grads)
 
     def test_temperature_clamped(self, small_cfg, small_params):
         params = dict(small_params)

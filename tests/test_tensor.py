@@ -85,6 +85,37 @@ class TestLayerNorm:
         with pytest.raises(ValidationError):
             T.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
 
+    def test_gain_and_bias_in_x_dtype(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ValidationError, match="dtype"):
+            T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3, dtype=np.float32)))
+        # plain arrays take x's dtype, as in the binary ops
+        assert T.layer_norm(x, np.ones(3), np.zeros(3)).data.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_buffers_never_alias(self, dtype):
+        rng = np.random.default_rng(4)
+        x, gain, bias = (Tensor(rng.standard_normal(shape).astype(dtype))
+                         for shape in ((6, 5), (5,), (5,)))
+        x_before = x.data.copy()
+        with Tape() as tape:
+            out = T.layer_norm(x, gain, bias)
+            backward = tape.records[-1][2]
+        out_before = out.data.copy()
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g_before = g.copy()
+        first, second = backward(g), backward(g)
+        assert not np.shares_memory(out.data, x.data)
+        for arr, before in ((x.data, x_before), (out.data, out_before), (g, g_before)):
+            assert _same_bits(arr, before)
+        for a, b in zip(first, second):
+            assert _same_bits(a, b) and a.dtype == dtype
+            assert not np.shares_memory(a, g) and not np.shares_memory(a, b)
+        # float32 differences need a wider step, and resolve ~eps32 / step
+        err = grad_check(lambda u, gg, bb: T.sum_all(T.mul(T.layer_norm(u, gg, bb), u)),
+                         [x, gain, bias], step=1e-5 if dtype == np.float64 else 1e-3)
+        assert err < (1e-6 if dtype == np.float64 else 5e-3)
+
 
 class TestSoftmax:
     def test_symmetric(self):
@@ -159,41 +190,50 @@ class TestSegmentSum:
 
 
 def _add_at(rows, ids, n):
-    """Reference scatter-add: numpy's unbuffered in-order ``np.add.at``."""
+    """Reference scatter-add: numpy's unbuffered in-order ``np.add.at`` in
+    float64, cast back to the rows' dtype."""
     out = np.zeros((n, rows.shape[1]))
-    np.add.at(out, ids, rows)
-    return out
+    np.add.at(out, ids, rows.astype(np.float64))
+    return out.astype(rows.dtype)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _scatter_cases():
     """Repeated and skipped ids, magnitudes from 1e-8 to 1e8, and gradients
-    that are column slices of a wider array, as ``concat`` hands them out."""
+    that are column slices of a wider array, as ``concat`` hands them out; in
+    float64 and float32.  Then rows of -0.0, which sum to +0.0, and no ids."""
     rng = np.random.default_rng(31)
-    for trial in range(40):
+    for trial in range(80):
         n = int(rng.integers(1, 12))
         e = int(rng.integers(1, 60))
         d = int(rng.integers(1, 6))
         ids = rng.integers(0, n, size=e)
         ids[: e // 3] = ids[0]             # many rows into one bucket
         wide = rng.standard_normal((e, d + 3)) * 10.0 ** rng.integers(-8, 9, size=(e, 1))
+        wide = wide.astype(np.float32 if trial >= 40 else np.float64)
         rows = wide[:, 1:1 + d] if trial % 2 else np.ascontiguousarray(wide[:, :d])
         yield rows, ids, n
+    for dtype in (np.float64, np.float32):
+        yield np.full((7, 3), -0.0, dtype=dtype), np.array([2, 0, 2, 2, 4, 0, 2]), 5
+        yield np.zeros((0, 3), dtype=dtype), np.zeros(0, dtype=np.int64), 4
 
 
 class TestScatterBits:
     def test_segment_sum_matches_add_at_bit_for_bit(self):
         for rows, ids, n in _scatter_cases():
             out = T.segment_sum(Tensor(rows), ids, n).data
-            assert out.dtype == np.float64
-            assert np.array_equal(out.view(np.int64), _add_at(rows, ids, n).view(np.int64))
+            assert _same_bits(out, _add_at(rows, ids, n))
 
     def test_gather_rows_backward_matches_add_at_bit_for_bit(self):
         for g, ids, n in _scatter_cases():
-            x = Tensor(np.zeros((n, g.shape[1])))
+            x = Tensor(np.zeros((n, g.shape[1]), dtype=g.dtype))
             with Tape() as tape:
                 y = T.gather_rows(x, ids)
                 (gx,) = tape.gradients(T.sum_all(T.mul(y, g)), [x])
-            assert np.array_equal(gx.view(np.int64), _add_at(g, ids, n).view(np.int64))
+            assert _same_bits(gx, _add_at(g, ids, n))
 
     def test_skipped_ids_stay_zero(self):
         out = T.segment_sum(Tensor([[1e8], [1e-8], [-1e8]]), np.array([3, 3, 3]), 5).data

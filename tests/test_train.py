@@ -360,6 +360,23 @@ class TestFit:
         h2 = fit([prep], mcfg, tcfg).history
         np.testing.assert_array_equal(h1, h2)
 
+    def test_parameters_handed_out_are_never_written(self, monkeypatch):
+        # as a caller that wraps forward and keeps each step's parameter dict
+        seen = []
+
+        def keep_params(sample, params, *args, **kwargs):
+            seen.append((dict(params), {k: p.data.copy() for k, p in params.items()}))
+            return forward(sample, params, *args, **kwargs)
+
+        monkeypatch.setattr(train, "forward", keep_params)
+        prep, mcfg, tcfg = _fit_setup(steps=3)
+        result = fit([prep], mcfg, tcfg)
+        assert len(seen) == 3
+        for kept, copies in seen:
+            for name, p in kept.items():
+                assert p.data.tobytes() == copies[name].tobytes()
+                assert not np.shares_memory(p.data, result.params[name].data)
+
     def test_checkpoint_resume_continues(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
