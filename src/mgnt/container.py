@@ -138,15 +138,3 @@ def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     meta = header.get("meta", {})
     return arrays, meta
 
-
-def meta_to_json(obj: Any) -> Any:
-    """Make config-ish objects JSON-safe (tuples to lists, numpy scalars to python)."""
-    if isinstance(obj, dict):
-        return {k: meta_to_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [meta_to_json(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj

@@ -12,9 +12,10 @@ into simulation state during rollout.  Two schemas ship with the package:
   long-range benchmark.  Inputs: drive increment (actuator nodes only).
   Targets: next-step displacement change.
 
-Each schema declares its frame layout once.  ``series`` names the stored
-arrays with a leading frame axis; every other stored array is static, and a
-frame is exactly the series at one time step.  ``state_vector(frame, X)``
+Each schema declares its frame layout once.  ``series`` maps each stored
+array with a leading frame axis to its shape per node, so the array is
+``[T, N, *shape]``; every other stored array is static, and a frame is
+exactly the series at one time step.  ``state_vector(frame, X)``
 maps those series, for one frame ``[N, ...]`` or stacked ``[T, N, ...]``, to
 the target layout ``[..., output_dim]`` whose column blocks
 ``variable_groups`` names.  Frames, training targets, error series,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import meta_to_json, read_arrays, write_arrays
+from .container import read_arrays, write_arrays
 from .errors import SchemaFormatError, ValidationError
 from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
                    build_graph_sample, one_hot_types, prepare_mesh)
@@ -53,7 +54,7 @@ class Trajectory:
         return self.arrays["X"].shape[0]
 
     def save(self, path: str) -> None:
-        write_arrays(path, self.arrays, meta=meta_to_json(self.meta))
+        write_arrays(path, self.arrays, meta=self.meta)
 
     @classmethod
     def load(cls, path: str) -> "Trajectory":
@@ -73,7 +74,7 @@ class ImpactSchema:
     dim = 2
     input_dim = 5
     output_dim = 5
-    series = ("x", "v", "alpha")
+    series = {"x": (2,), "v": (2,), "alpha": ()}
     variable_groups = {"u": (0, 2), "v": (2, 4), "alpha": (4, 5)}
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
@@ -119,7 +120,7 @@ class ChainSchema:
     dim = 2
     input_dim = 1
     output_dim = 1
-    series = ("x", "drive")
+    series = {"x": (2,), "drive": ()}
     variable_groups = {"u": (0, 1)}
 
     def node_inputs(self, frame: dict, X: np.ndarray) -> np.ndarray:
@@ -204,32 +205,31 @@ class PreparedTrajectory:
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:
-    """Build the trajectory's static graph.  A trajectory that lacks a static
-    array or one of ``schema.series``, whose series are not ``[T >= 2, N, ...]``
-    with N the row count of the ``[N, d]`` array ``X``, whose ``node_type``
-    (codes of node types) and ``component_id`` are not ``[N]``, whose ``kappa``
-    is not ``[1]``, or whose ``elements`` make no valid mesh raises SchemaFormatError."""
+    """Build the trajectory's static graph.  A trajectory must hold ``X`` as
+    ``[N, schema.dim]``, ``elements`` as ``[E, k]``, ``node_type`` (codes of
+    node types) and ``component_id`` as ``[N]``, ``kappa`` as ``[1]``, and
+    each of ``schema.series`` as ``[T, N, *per-node shape]`` with one
+    ``T >= 2`` for all; one that lacks an array, breaks this layout, or whose
+    ``elements`` make no valid mesh raises SchemaFormatError."""
     a = traj.arrays
     for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
         if key not in a:
             raise SchemaFormatError(f"trajectory has no {key!r} array")
-    for key, layout in (("X", "[N, d]"), ("elements", "[E, k]")):
-        if a[key].ndim != 2:
-            raise SchemaFormatError(f"trajectory array {key!r} has shape "
-                                    f"{list(a[key].shape)}, not {layout}")
-    n = a["X"].shape[0]
-    for key, shape in (("node_type", (n,)), ("component_id", (n,)), ("kappa", (1,))):
+    if a["elements"].ndim != 2:
+        raise SchemaFormatError(f"trajectory array 'elements' has shape "
+                                f"{list(a['elements'].shape)}, not [E, k]")
+    n = a["X"].shape[0] if a["X"].ndim == 2 else "N"
+    first = a[next(iter(schema.series))].shape  # sets the T every series shares
+    t = first[0] if first and first[0] >= 2 else "T >= 2"
+    layout = {"X": (n, schema.dim), "node_type": (n,), "component_id": (n,), "kappa": (1,),
+              **{key: (t, n, *shape) for key, shape in schema.series.items()}}
+    for key, shape in layout.items():
         if a[key].shape != shape:
-            raise SchemaFormatError(f"trajectory array {key!r} has shape "
-                                    f"{list(a[key].shape)}, not {list(shape)}")
+            raise SchemaFormatError(f"trajectory array {key!r} has shape {list(a[key].shape)}, "
+                                    f"not [{', '.join(map(str, shape))}]")
     if n and not 0 <= a["node_type"].min() <= a["node_type"].max() < N_NODE_TYPES:
         raise SchemaFormatError(f"trajectory array 'node_type' has a node type out of "
                                 f"range [0, {N_NODE_TYPES})")
-    for key in schema.series:
-        shape = a[key].shape
-        if len(shape) < 2 or shape[0] < 2 or shape[1] != n:
-            raise SchemaFormatError(f"trajectory array {key!r} has shape {list(shape)}, "
-                                    f"not [T >= 2, {n}, ...]")
     try:  # the checks above leave only the elements for the mesh to refuse
         graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
                              graph_cfg)
@@ -257,7 +257,7 @@ def write_manifest(path: str, schema_name: str, config: dict,
                    train_files: list[str], test_files: list[str]) -> None:
     doc = {
         "schema": schema_name,
-        "config": meta_to_json(config),
+        "config": config,
         "train": train_files,
         "test": test_files,
     }

@@ -199,17 +199,12 @@ def _mlp(params, prefix: str, x: Tensor, cfg: ModelConfig, with_ln: bool = True)
 
 def encode(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig) -> LatentGraph:
     """Lift node and edge features into the latent width."""
-    if sample.node_features.shape[1] != cfg.node_feat_dim:
-        raise ConfigError(
-            f"node feature dim {sample.node_features.shape[1]} != config {cfg.node_feat_dim}")
-    if sample.mesh_edge_features.shape[1] != cfg.mesh_edge_feat_dim:
-        raise ConfigError(
-            f"mesh edge feature dim {sample.mesh_edge_features.shape[1]} "
-            f"!= config {cfg.mesh_edge_feat_dim}")
-    if sample.contact_edge_features.shape[1] != cfg.contact_edge_feat_dim:
-        raise ConfigError(
-            f"contact edge feature dim {sample.contact_edge_features.shape[1]} "
-            f"!= config {cfg.contact_edge_feat_dim}")
+    for name, feats, width in (
+            ("node", sample.node_features, cfg.node_feat_dim),
+            ("mesh edge", sample.mesh_edge_features, cfg.mesh_edge_feat_dim),
+            ("contact edge", sample.contact_edge_features, cfg.contact_edge_feat_dim)):
+        if feats.shape[1] != width:
+            raise ConfigError(f"{name} feature dim {feats.shape[1]} != config {width}")
     # feature arrays enter the first matmul in the weights' dtype
     nodes = _mlp(params, "enc_node", sample.node_features, cfg)
     mesh = _mlp(params, "enc_mesh", sample.mesh_edge_features, cfg)

@@ -12,13 +12,14 @@ run continues bit-for-bit.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import tensor as T
-from .container import meta_to_json, read_arrays, write_arrays
+from .container import read_arrays, write_arrays
 from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
 from .errors import (ConfigError, SchemaFormatError, TrainingAbort, ValidationError,
                      check_settings, setting)
@@ -290,8 +291,8 @@ def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
                     run_meta: dict) -> None:
     """Refuse to resume a checkpoint that another configuration wrote: only
     the step budget and the checkpoint and log cadence may change."""
-    want = meta_to_json({"model_config": asdict(model_cfg),
-                         "train_config": asdict(train_cfg), **run_meta})
+    want = json.loads(json.dumps({"model_config": asdict(model_cfg),
+                                  "train_config": asdict(train_cfg), **run_meta}))
     for key in sorted((want.keys() | saved.keys()) - {"format", "version", "step"}):
         have, asked = saved.get(key), want.get(key)
         if isinstance(have, dict) and isinstance(asked, dict):

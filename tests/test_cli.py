@@ -240,6 +240,9 @@ class TestConfig:
         ("gen-data", "data.stiffness_base = 0"),
         ("gen-data", "data.wall_stiffness = -1"),
         ("gen-chain", "chain.load = nan"),
+        ("gen-data", "data.kind = foo"),
+        ("gen-data", "data.rows 3"),
+        ("train", "graph.use_contact = maybe"),
     ])
     def test_bad_value_exit_2(self, trained, tmp_path, capsys, command, line):
         root, _, data_dir, _ = trained
@@ -254,10 +257,13 @@ class TestConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("command", ["gen-data", "train"])
-    def test_negative_env_seed_exit_2(self, trained, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, seed", [
+        pytest.param("gen-data", "-1", id="gen-data"), pytest.param("train", "-1", id="train"),
+        pytest.param("gen-data", "abc", id="gen-data-abc")])
+    def test_negative_env_seed_exit_2(self, trained, tmp_path, capsys, monkeypatch, command,
+                                      seed):
         root, cfg, data_dir, _ = trained
-        monkeypatch.setenv("MGNT_SEED", "-1")
+        monkeypatch.setenv("MGNT_SEED", seed)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
         assert main(argv + (["--data", data_dir] if command == "train" else [])) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -495,6 +501,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "manifest.json" in err and named in err
 
+    @pytest.mark.parametrize("command, edit, code, named", [
+        ("train", lambda doc: doc.update(train=[]), 2,
+         "config error: dataset has no training trajectories"),
+        ("eval", lambda doc: doc.update(test=[]), 2, "config error: split 'test' is empty"),
+        ("train", lambda doc: doc["train"].append("missing.mgnt"), 1, "i/o error:"),
+    ], ids=["empty_train_split", "empty_test_split", "missing_trajectory_file"])
+    def test_manifest_split_exit_code(self, trained, tmp_path, capsys, command, edit, code,
+                                      named):
+        root, cfg, data_dir, run_dir = trained
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        doc = json.load(open(data / "manifest.json"))
+        edit(doc)
+        (data / "manifest.json").write_text(json.dumps(doc))
+        argv = {"train": ["train", "--config", cfg],
+                "eval": ["eval", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt")]}
+        assert main(argv[command] + ["--data", str(data), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(named)
+
 
 class TestEval:
     def test_report_written(self, trained, tmp_path):
@@ -681,8 +706,7 @@ class TestRolloutCommand:
         *[(lambda a, key=key: a.pop(key), f"no {key!r} array")
           for key in ("X", "elements", "node_type", "component_id", "kappa", "x", "v",
                       "alpha")],
-        (lambda a: a.update(x=a["x"][:, :-1]),
-         "'x' has shape [6, 19, 2], not [T >= 2, 20, ...]"),
+        (lambda a: a.update(x=a["x"][:, :-1]), "'x' has shape [6, 19, 2], not [6, 20, 2]"),
         (lambda a: a.update(v=a["v"][:1]), "'v' has shape [1, 20, 2]"),
         (lambda a: a.update(X=a["X"][0]), "'X' has shape [2]"),
         (lambda a: a.update(kappa=a["kappa"][:0]), "'kappa' has shape [0], not [1]"),
@@ -698,12 +722,25 @@ class TestRolloutCommand:
          "'elements': degenerate element with repeated node index"),
         (lambda a: a.update(elements=a["elements"][:0]), "'elements': mesh has no edges"),
         (lambda a: a.update(elements=a["elements"].ravel()), "'elements' has shape"),
+        (lambda a: a.update(elements=a["elements"][:, [0, 1, 0, 1, 0]]),
+         "'elements': unsupported element arity 5"),
+        (lambda a: a.update(alpha=np.stack([a["alpha"]] * 2, axis=-1)),
+         "'alpha' has shape [6, 20, 2], not [6, 20]"),
+        (lambda a: a.update(x=np.concatenate([a["x"], a["x"][..., :1]], axis=-1)),
+         "'x' has shape [6, 20, 3], not [6, 20, 2]"),
+        (lambda a: a.update(X=np.hstack([a["X"], a["X"][:, :1]])),
+         "'X' has shape [20, 3], not [20, 2]"),
+        (lambda a: a.update(v=a["v"][..., :1]), "'v' has shape [6, 20, 1], not [6, 20, 2]"),
+        (lambda a: a.update(v=a["v"][:-1]), "'v' has shape [5, 20, 2], not [6, 20, 2]"),
+        (lambda a: a.update(alpha=np.concatenate([a["alpha"], a["alpha"][-1:]])),
+         "'alpha' has shape [7, 20], not [6, 20]"),
     ], ids=["no_X", "no_elements", "no_node_type", "no_component_id", "no_kappa", "no_x",
             "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d",
             "kappa_empty", "node_type_short", "component_id_short", "node_type_9",
             "element_index_out_of_range", "element_degenerate", "no_edges",
-            "elements_not_2d"])
-    @pytest.mark.parametrize("command", ["rollout", "train"])
+            "elements_not_2d", "element_arity_5", "alpha_per_node_pair", "x_three_columns",
+            "X_three_columns", "v_one_column", "v_frame_short", "alpha_frame_long"])
+    @pytest.mark.parametrize("command", ["rollout", "train", "eval"])
     def test_malformed_trajectory_arrays_exit_4(self, trained, tmp_path, capsys, edit,
                                                 named, command):
         root, cfg, data_dir, run_dir = trained
@@ -713,11 +750,12 @@ class TestRolloutCommand:
         traj = Trajectory.load(str(data / name))
         edit(traj.arrays)
         traj.save(str(data / name))
-        if command == "rollout":
-            argv = ["rollout", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
-                    "--trajectory", str(data / name), "--horizon", "1"]
-        else:
-            argv = ["train", "--config", cfg, "--data", str(data)]
+        ckpt = os.path.join(run_dir, "checkpoint.mgnt")
+        argv = {"rollout": ["rollout", "--checkpoint", ckpt, "--trajectory", str(data / name),
+                            "--horizon", "1"],
+                "train": ["train", "--config", cfg, "--data", str(data)],
+                "eval": ["eval", "--checkpoint", ckpt, "--data", str(data),
+                         "--split", "train"]}[command]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("schema mismatch: trajectory") and named in err

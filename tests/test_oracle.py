@@ -154,6 +154,18 @@ class TestImpactOracle:
         assert traj.arrays["alpha"].shape == traj.arrays["x"].shape[:2]
 
 
+@pytest.mark.parametrize("schema, simulate", [
+    ("impact", lambda: simulate_impact(OracleConfig(rows=3, cols=3, frames=4, substeps=2))),
+    ("chain", lambda: simulate_chain(ChainConfig(n_nodes=120, frames=4))),
+], ids=["impact", "chain"])
+def test_trajectory_carries_declared_series(schema, simulate):
+    """Each oracle writes every per-frame array its schema declares, shaped
+    [T, N, *per-node shape]."""
+    traj = simulate()
+    for key, shape in get_schema(schema).series.items():
+        assert traj.arrays[key].shape == (4, traj.n_nodes, *shape), key
+
+
 class TestImpactDataset:
     def test_files_and_manifest(self, tmp_path):
         cfg = OracleConfig(rows=3, cols=3, frames=4, substeps=2)
