@@ -26,6 +26,7 @@ followed by the static stiffness scale kappa and the node-type one-hot.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -52,6 +53,16 @@ class Trajectory:
     @property
     def n_nodes(self) -> int:
         return self.arrays["X"].shape[0]
+
+    def digest(self) -> str:
+        """SHA-256 over each array's name, dtype, shape and bytes, in stored
+        order; the meta and the file's path do not enter it."""
+        h = hashlib.sha256()
+        for name, arr in self.arrays.items():
+            arr = np.ascontiguousarray(arr)
+            h.update(json.dumps([name, arr.dtype.str, list(arr.shape)]).encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
 
     def save(self, path: str) -> None:
         write_arrays(path, self.arrays, meta=self.meta)

@@ -22,7 +22,7 @@ import numpy as np
 from .data import PreparedTrajectory, Trajectory
 from .errors import RolloutAbort, ValidationError
 from .model import ModelConfig, cast_params, forward
-from .train import Normalizer, make_batch
+from .train import Normalizer
 
 @dataclass
 class RolloutResult:
@@ -43,44 +43,50 @@ def horizon_arrays(traj: Trajectory, schema, horizon: int,
     return arrays
 
 
+def _step(params, model_cfg: ModelConfig, normalizer: Normalizer,
+          prep: PreparedTrajectory, frame: dict, t: int, target_mode: str,
+          collect_weights: bool = False) -> tuple[dict, int, list[np.ndarray]]:
+    """Predict frame t + 1 from ``frame``, which stands at step t: the next
+    frame, the step's contact-edge count and its slice weights.  Deformable
+    rows take the denormalized network output (added to the state in delta
+    mode); the stored frame t + 1 supplies every other row."""
+    sample = prep.sample_from_frame(frame)
+    normed = normalizer.normalize_sample(sample)
+    pred, aux = forward(normed, params, model_cfg, train_mode=False,
+                        collect_weights=collect_weights)
+    if not np.isfinite(pred.data).all():
+        raise RolloutAbort(
+            f"non-finite prediction at step {t} "
+            f"(nodes affected: {int((~np.isfinite(pred.data).all(axis=1)).sum())})")
+    state = normalizer.denormalize_targets(pred.data)
+    X = prep.graph.mesh.reference_positions
+    if target_mode == "delta":
+        state = prep.schema.state_vector(frame, X) + state
+    nxt = prep.schema.advance(state, X, prep.frame(t + 1), prep.deformable)
+    return nxt, sample.contact_edges.shape[0], aux["slice_weights"]
+
+
 def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
             prep: PreparedTrajectory, horizon: int, target_mode: str,
             collect_weights: bool = False) -> RolloutResult:
-    """Integrate ``horizon`` steps from the trajectory's initial frame; the
-    stored frame t supplies the non-deformable rows and control features of
-    step t."""
+    """Integrate ``horizon`` steps from the trajectory's initial frame, each
+    step's prediction the next step's input."""
     if horizon < 1:
         raise ValidationError("rollout horizon must be >= 1")
     if horizon > prep.n_transitions:
         raise ValidationError(
             f"horizon {horizon} exceeds stored ground truth "
             f"({prep.n_transitions} transitions)")
-    schema = prep.schema
-    deform = prep.deformable
-    X = prep.graph.mesh.reference_positions
     params = cast_params(params, model_cfg)   # once, not once per step
-
-    frame = prep.frame(0)
-    frames = [frame]
+    frames = [prep.frame(0)]
     counts = np.zeros(horizon, dtype=np.int64)
     weights: list[list[np.ndarray]] = []
     for t in range(horizon):
-        sample = prep.sample_from_frame(frame)
-        counts[t] = sample.contact_edges.shape[0]
-        normed = normalizer.normalize_sample(sample)
-        pred, aux = forward(normed, params, model_cfg, train_mode=False,
-                            collect_weights=collect_weights)
-        if not np.isfinite(pred.data).all():
-            raise RolloutAbort(
-                f"non-finite prediction at rollout step {t} "
-                f"(nodes affected: {int((~np.isfinite(pred.data).all(axis=1)).sum())})")
-        if collect_weights:
-            weights.append(aux["slice_weights"])
-        state = normalizer.denormalize_targets(pred.data)
-        if target_mode == "delta":
-            state = schema.state_vector(frame, X) + state
-        frame = schema.advance(state, X, prep.frame(t + 1), deform)
+        frame, counts[t], w = _step(params, model_cfg, normalizer, prep, frames[-1], t,
+                                    target_mode, collect_weights)
         frames.append(frame)
+        if collect_weights:
+            weights.append(w)
     return RolloutResult(frames=frames, contact_counts=counts, slice_weights=weights)
 
 
@@ -123,30 +129,19 @@ def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, 
 
 def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
            preps: list[PreparedTrajectory], target_mode: str) -> dict[str, dict]:
-    """One forward step from every ground-truth frame; same reduction as
-    rmse_all over the one-step residuals, in denormalized target units.
-    Non-deformable rows take ground truth, as in a rollout, so their
-    residual is zero."""
+    """``rmse_all`` over one-step predictions: each frame t + 1 is predicted
+    from the stored frame t, as the rollout's own step would."""
     schema = preps[0].schema
     params = cast_params(params, model_cfg)
-    per_var: dict[str, list[float]] = {name: [] for name in schema.variable_groups}
+    pred_trajs, gt_trajs = [], []
     for prep in preps:
-        sq_sums = {name: 0.0 for name in schema.variable_groups}
-        counts = {name: 0 for name in schema.variable_groups}
-        deform = prep.deformable
-        for t in range(prep.n_transitions):
-            sample, target, _ = make_batch(prep, [t], target_mode)
-            normed = normalizer.normalize_sample(sample)
-            pred, _ = forward(normed, params, model_cfg, train_mode=False)
-            resid = normalizer.denormalize_targets(pred.data) - target
-            resid[~deform] = 0.0
-            for name, (lo, hi) in schema.variable_groups.items():
-                block = resid[:, lo:hi]
-                sq_sums[name] += float((block * block).sum())
-                counts[name] += block.size
-        for name in per_var:
-            per_var[name].append(float(np.sqrt(sq_sums[name] / counts[name])))
-    return {name: _aggregate(vals) for name, vals in per_var.items()}
+        h = prep.n_transitions
+        frames = [prep.frame(0)] + [
+            _step(params, model_cfg, normalizer, prep, prep.frame(t), t, target_mode)[0]
+            for t in range(h)]
+        pred_trajs.append(horizon_arrays(prep.traj, schema, h, frames))
+        gt_trajs.append(horizon_arrays(prep.traj, schema, h))
+    return rmse_all(pred_trajs, gt_trajs, schema)
 
 
 def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, dict]:

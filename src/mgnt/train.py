@@ -28,7 +28,7 @@ from .model import ModelConfig, forward, init_params, param_shapes
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT = "mgnt-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _STD_FLOOR = 1e-8
 
@@ -191,11 +191,13 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
         out_dir: str | None = None, resume: bool = False,
         progress: bool = False, extra_meta: dict | None = None) -> FitResult:
     """Run the optimizer loop; optionally checkpoint into out_dir, with the
-    run's schema and graph config plus ``extra_meta``, which may not change them."""
+    run's schema, graph config and training data digests plus ``extra_meta``,
+    which may not change them."""
     if not trajs:
         raise ValidationError("need at least one training trajectory")
     ckpt_path = os.path.join(out_dir, "checkpoint.mgnt") if out_dir else None
-    run_meta = {"schema": trajs[0].schema.name, "graph_config": asdict(trajs[0].graph_cfg)}
+    run_meta = {"schema": trajs[0].schema.name, "graph_config": asdict(trajs[0].graph_cfg),
+                "data": [prep.traj.digest() for prep in trajs]}
     for key, value in (extra_meta or {}).items():
         if run_meta.setdefault(key, value) != value:
             raise ValidationError(f"extra_meta {key!r} is {value!r}, not this run's own")
@@ -289,12 +291,21 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
 
 def _check_same_run(saved: dict, model_cfg: ModelConfig, train_cfg: TrainConfig,
                     run_meta: dict) -> None:
-    """Refuse to resume a checkpoint that another configuration wrote: only
-    the step budget and the checkpoint and log cadence may change."""
+    """Refuse to resume a checkpoint that another configuration or other
+    training data wrote: only the step budget and the checkpoint and log
+    cadence may change."""
     want = json.loads(json.dumps({"model_config": asdict(model_cfg),
                                   "train_config": asdict(train_cfg), **run_meta}))
     for key in sorted((want.keys() | saved.keys()) - {"format", "version", "step"}):
         have, asked = saved.get(key), want.get(key)
+        if key == "data" and have != asked:
+            if len(have) != len(asked):
+                raise ConfigError(f"cannot resume: the checkpoint's run trained on "
+                                  f"{len(have)} trajectories, this run on {len(asked)}")
+            i = next(i for i, (a, b) in enumerate(zip(have, asked)) if a != b)
+            raise ConfigError(f"cannot resume: train trajectory {i} is not the one the "
+                              f"checkpoint's run trained on (data digest {asked[i][:12]}, "
+                              f"not {have[i][:12]})")
         if isinstance(have, dict) and isinstance(asked, dict):
             skip = _RESUMABLE_FIELDS if key == "train_config" else ()
             pairs = [(f"{key}.{k}", have.get(k), asked.get(k))
@@ -322,7 +333,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor], model_cfg: ModelConfig
                     adam_v: dict, step: int, history: np.ndarray, run_meta: dict) -> None:
     """Write every part that ``load_checkpoint`` requires: parameter, Adam
     moment, normalizer and history arrays; format, step, model and train
-    configs, then ``run_meta`` (schema and graph config) in the meta block."""
+    configs, then ``run_meta`` (schema, graph config and data digests) in
+    the meta block."""
     arrays = {f"param.{name}": tensor.data for name, tensor in params.items()}
     arrays.update({f"adam_m.{name}": v for name, v in adam_m.items()})
     arrays.update({f"adam_v.{name}": v for name, v in adam_v.items()})
@@ -379,8 +391,9 @@ def load_checkpoint(path: str) -> dict:
     history.  Every part is required: parameters, both Adam moments and the
     eight normalizer arrays must have the names and shapes the model config
     implies, the history must be ``[K, 4]``, and the meta must hold the step,
-    schema and whole model, graph and train configs, the model's feature
-    widths those of the schema and graph config; otherwise SchemaFormatError."""
+    schema, whole model, graph and train configs, the model's feature
+    widths those of the schema and graph config, and the training data's
+    digests (``Trajectory.digest``); otherwise SchemaFormatError."""
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
@@ -401,6 +414,11 @@ def load_checkpoint(path: str) -> dict:
             raise SchemaFormatError(f"{path}: checkpoint meta 'model_config' has {name} "
                                     f"{getattr(model_cfg, name)}, where its schema and "
                                     f"graph_config give {width}")
+    data = meta.get("data")
+    if not (isinstance(data, list) and data
+            and all(isinstance(d, str) and len(d) == 64 for d in data)):
+        raise SchemaFormatError(f"{path}: checkpoint meta 'data' is missing or not a "
+                                "list of trajectory digests")
     shapes = param_shapes(model_cfg)
     params = {k: Tensor(v) for k, v in _checked_arrays(path, arrays, "param.", shapes).items()}
     adam_m, adam_v = (_checked_arrays(path, arrays, f"{key}.", shapes)

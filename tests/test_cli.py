@@ -450,6 +450,31 @@ class TestTrain:
                      "--resume"]) == 2
         assert "model_config.dtype is 'float64'" in capsys.readouterr().err
 
+    def test_resume_on_other_data_exit_2(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        other = str(tmp_path / "data5")
+        more = _write(tmp_path, "more.txt", TINY_TRAIN + "train.steps = 18\n")
+        assert main(["gen-data", "--config", cfg, "--out", other, "--seed", "5"]) == 0
+        rerun = tmp_path / "resume"
+        shutil.copytree(run_dir, rerun)
+        assert main(["train", "--config", more, "--data", other, "--out", str(rerun),
+                     "--resume"]) == 2
+        assert "train trajectory 0 is not the one" in capsys.readouterr().err
+
+    def test_resume_on_copied_data_continues_bit_for_bit(self, trained, tmp_path):
+        # the data digest covers the arrays, not the directory they are read from
+        root, cfg, data_dir, run_dir = trained
+        copy = str(tmp_path / "copy")
+        shutil.copytree(data_dir, copy)
+        more = _write(tmp_path, "more.txt", TINY_TRAIN + "train.steps = 18\n")
+        runs = {data: tmp_path / f"resume-{i}" for i, data in enumerate((data_dir, copy))}
+        for data, rerun in runs.items():
+            shutil.copytree(run_dir, rerun)
+            assert main(["train", "--config", more, "--data", data, "--out", str(rerun),
+                         "--resume"]) == 0
+        for name in ("checkpoint.mgnt", "loss_history.csv"):
+            assert len({(rerun / name).read_bytes() for rerun in runs.values()}) == 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_exit_3(self, trained, tmp_path, capsys):
         root, cfg, data_dir, _ = trained
@@ -579,8 +604,10 @@ class TestEval:
         (lambda meta: meta.pop("schema"), "'schema'"),
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
-        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 3"),
-        (lambda meta: meta.update(version=2), "version 2; this version of mgnt reads version 3"),
+        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 4"),
+        (lambda meta: meta.update(version=2), "version 2; this version of mgnt reads version 4"),
+        (lambda meta: meta.update(version=3), "version 3; this version of mgnt reads version 4"),
+        (lambda meta: meta.pop("data"), "'data' is missing"),
         (lambda meta: meta["graph_config"].pop("n_frequencies"),
          "missing key 'n_frequencies' in checkpoint meta 'graph_config'"),
         (lambda meta: meta["model_config"].pop("dtype"),
@@ -590,7 +617,8 @@ class TestEval:
     ], ids=["graph_config_unknown_key", "graph_config_missing", "train_config_missing",
             "train_config_not_object", "train_config_bad_lr",
             "train_config_nan_lr", "schema_missing", "schema_unknown", "schema_not_a_string",
-            "version_1", "version_2", "graph_config_field_missing",
+            "version_1", "version_2", "version_3", "data_missing",
+            "graph_config_field_missing",
             "model_config_dtype_missing", "graph_config_other_widths"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
         root, cfg, data_dir, run_dir = trained

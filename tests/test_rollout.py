@@ -345,25 +345,49 @@ def test_evaluate_report_structure(fitted):
     assert len(entry["contact_counts"]) == 3
 
 
-def _rollout_and_report_digest(dtype: str) -> str:
-    """One digest over two full rollouts' series and their ``evaluate``
-    reports, with the default model at ``init_params(seed=0)`` computing in
-    ``dtype``: the 3x3 lattice of ``test_train.TestPinnedStepBytes`` with
-    contact (absolute targets) and a 100-node, 5-frame chain (delta
-    targets)."""
+def _digest_cases(dtype: str):
+    """(prepared trajectory, normalizer, model config, params, target mode)
+    for the default model at ``init_params(seed=0)`` computing in ``dtype``:
+    the 3x3 lattice of ``test_train.TestPinnedStepBytes`` with contact
+    (absolute targets) and a 100-node, 5-frame chain (delta targets)."""
     cases = [
         (simulate_impact(OracleConfig(rows=3, cols=3, frames=6, substeps=10,
                                       drop_height=0.02, initial_velocity=-3.0)),
          GraphConfig(contact_radius_factor=2.0), "absolute"),
         (simulate_chain(ChainConfig(n_nodes=100, frames=5)), GraphConfig(), "delta"),
     ]
-    h = hashlib.sha256()
     for traj, gcfg, mode in cases:
         schema = get_schema(traj.meta["schema"])
         prep = prepare_trajectory(traj, schema, gcfg)
-        norm = Normalizer.fit([prep], mode)
         mcfg = ModelConfig(**feature_dims(schema, gcfg), dtype=dtype)
-        params = init_params(mcfg, seed=0)
+        yield prep, Normalizer.fit([prep], mode), mcfg, init_params(mcfg, seed=0), mode
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_rmse_1_is_rmse_all_over_one_step_rollouts(dtype):
+    """rmse_1 scores the rollout's own step: frame t + 1 is the one-step
+    rollout of the trajectory's two stored frames t and t + 1."""
+    for prep, norm, mcfg, params, mode in _digest_cases(dtype):
+        schema, traj = prep.schema, prep.traj
+        frames = [prep.frame(0)]
+        for t in range(prep.n_transitions):
+            arrays = {k: v[t:t + 2] if k in schema.series else v
+                      for k, v in traj.arrays.items()}
+            pair = prepare_trajectory(Trajectory(arrays=arrays, meta=traj.meta), schema,
+                                      prep.graph_cfg)
+            frames.append(rollout(params, mcfg, norm, pair, 1, mode).frames[1])
+        h = prep.n_transitions
+        by_hand = rmse_all([R.horizon_arrays(traj, schema, h, frames)],
+                           [R.horizon_arrays(traj, schema, h)], schema)
+        assert rmse_1(params, mcfg, norm, [prep], mode) == by_hand
+
+
+def _rollout_and_report_digest(dtype: str) -> str:
+    """One digest over the two ``_digest_cases`` full rollouts' series and
+    their ``evaluate`` reports."""
+    h = hashlib.sha256()
+    for prep, norm, mcfg, params, mode in _digest_cases(dtype):
+        schema = prep.schema
         frames = rollout(params, mcfg, norm, prep, prep.n_transitions, mode).frames
         for k in schema.series:
             h.update(np.stack([f[k] for f in frames]).tobytes())
@@ -375,10 +399,10 @@ def test_rollout_and_report_bytes():
     """A change that moves one bit of a float64 rollout frame or report
     fails here; the digest is that of the all-float64 tape."""
     assert _rollout_and_report_digest("float64") == (
-        "3f6bfc1a661fe9fb04eadcab811b125c1deeb5925832f0f4083e030bbe8601aa")
+        "37b146ff591c4c863c82cea4c8f2966516f63edfdd67ac9e7d87e66228407e8a")
 
 
 def test_rollout_and_report_bytes_float32():
     """The same pin for the default float32 compute."""
     assert _rollout_and_report_digest("float32") == (
-        "6b77c740b5ddeb60a85c7d88cc843f59f220e2742d69b0f1ee66135890465140")
+        "01835d858cdcc7b3771b854a554cc250a86b538f4a081e98d0590c98263c11a5")

@@ -10,7 +10,8 @@ import pytest
 
 import mgnt.tensor as T
 from mgnt import train
-from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
+from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
+                       prepare_trajectory)
 from mgnt.container import read_arrays, write_arrays
 from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
 from mgnt.mesh import NODE_ACTUATOR
@@ -498,6 +499,18 @@ class TestFit:
         with pytest.raises(ConfigError, match="graph_config.contact_radius_factor is 1.5"):
             fit([other], mcfg, _fit_setup(steps=4)[2], out_dir=str(tmp_path), resume=True)
 
+    def test_resume_on_other_data_refused(self, tmp_path):
+        prep, mcfg, tcfg = _fit_setup(steps=2)
+        fit([prep, prep], mcfg, tcfg, out_dir=str(tmp_path))
+        more = _fit_setup(steps=4)[2]
+        arrays = dict(prep.traj.arrays, kappa=prep.traj.arrays["kappa"] * 2.0)
+        other = prepare_trajectory(Trajectory(arrays=arrays, meta=prep.traj.meta),
+                                   prep.schema, prep.graph_cfg)
+        with pytest.raises(ConfigError, match="train trajectory 1 is not the one"):
+            fit([prep, other], mcfg, more, out_dir=str(tmp_path), resume=True)
+        with pytest.raises(ConfigError, match="trained on 2 trajectories, this run on 1"):
+            fit([prep], mcfg, more, out_dir=str(tmp_path), resume=True)
+
     def test_resume_without_checkpoint_rejected(self, tmp_path):
         prep, mcfg, tcfg = _fit_setup(steps=5)
         with pytest.raises(ValidationError, match="checkpoint"):
@@ -515,13 +528,15 @@ class TestFit:
 
 def _save_whole(path, params, model_cfg, norm, step=7):
     """A checkpoint with every part: moments 0.5 and 0.25, a [step, 4]
-    history, and an impact run under the tiny model's GraphConfig(n_frequencies=2)."""
+    history, and an impact run under the tiny model's GraphConfig(n_frequencies=2)
+    on one trajectory."""
     save_checkpoint(path, params, model_cfg, norm, TrainConfig(lr=3e-3),
                     adam_m={k: np.full(p.shape, 0.5) for k, p in params.items()},
                     adam_v={k: np.full(p.shape, 0.25) for k, p in params.items()},
                     step=step, history=np.arange(4.0 * step).reshape(step, 4),
                     run_meta={"schema": "impact",
-                              "graph_config": asdict(GraphConfig(n_frequencies=2))})
+                              "graph_config": asdict(GraphConfig(n_frequencies=2)),
+                              "data": ["0" * 64]})  # read for its form only
 
 
 class TestCheckpointIO:
@@ -571,7 +586,8 @@ class TestCheckpointIO:
         with pytest.raises(SchemaFormatError, match="'bogus'.*'model_config'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["model_config", "step", "graph_config", "train_config"])
+    @pytest.mark.parametrize("key", ["model_config", "step", "graph_config", "train_config",
+                                     "data"])
     def test_missing_meta_entry_rejected(self, tmp_path, tiny_params, tiny_model_cfg,
                                          tiny_prep, key):
         path = self._rewrite_meta(tmp_path, tiny_params, tiny_model_cfg, tiny_prep,
