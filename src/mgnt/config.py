@@ -83,9 +83,6 @@ SCHEMA: dict[str, Key] = {
     "model.tokens": Key("paper", "slice token count", field="n_tokens"),
     "model.dims": Key("paper", "block width, attention width, feed-forward width",
                       field="transformer_dims"),
-    "model.tau0": Key("default", "base slice temperature"),
-    "model.tau_min": Key("default", "temperature clamp"),
-    "model.leaky_slope": Key("default", "LeakyReLU negative slope"),
     "model.dtype": Key("default", "compute precision, float32 or float64 (weights stay float64)"),
     # training
     "train.steps": Key("default", "optimizer steps"),

@@ -5,8 +5,8 @@ Three encoders lift node, mesh-edge and contact-edge features into a shared
 latent width.  A pre-processing stack of message-passing iterations absorbs
 local structure, two token-attention blocks perform the global update by
 slicing nodes onto a small set of learned tokens (softmax weights with
-per-node adaptive temperature, optionally sharpened with Gumbel noise during
-training), attending over the tokens, and redistributing them with the same
+per-node adaptive temperature, sharpened with Gumbel noise during training),
+attending over the tokens, and redistributing them with the same
 weights, and a refinement stack restores local consistency before the
 decoder MLP reads out per-node predictions.
 
@@ -45,9 +45,6 @@ class ModelConfig:
     n_heads: int = setting(4, ge=1)
     n_tokens: int = setting(32, ge=1)
     transformer_dims: tuple[int, int, int] = setting((64, 32, 64), ge=1)
-    tau0: float = setting(0.5, gt=0)
-    tau_min: float = setting(0.01, gt=0)
-    leaky_slope: float = setting(0.01, gt=0, lt=1)
     dtype: str = "float32"   # precision of forward and backward; parameters stay float64
 
     def __post_init__(self):
@@ -179,6 +176,11 @@ def cast_params(params: dict[str, Tensor], cfg: ModelConfig) -> dict[str, Tensor
 # ---------------------------------------------------------------------------
 # network pieces
 
+TAU0 = 0.5           # slice temperature: TAU0 plus a learned per-node offset,
+TAU_MIN = 0.01       # floored at TAU_MIN
+LEAKY_SLOPE = 0.01   # negative slope of every LeakyReLU
+
+
 def _scope(label: str):
     tape = Tape._active
     return tape.scope(label) if tape is not None else contextlib.nullcontext()
@@ -188,9 +190,9 @@ def _linear(params, prefix: str, x: Tensor) -> Tensor:
     return T.add(T.matmul(x, params[f"{prefix}_w"]), params[f"{prefix}_b"])
 
 
-def _mlp(params, prefix: str, x: Tensor, cfg: ModelConfig, with_ln: bool = True) -> Tensor:
+def _mlp(params, prefix: str, x: Tensor, with_ln: bool = True) -> Tensor:
     h = T.add(T.matmul(x, params[f"{prefix}.w0"]), params[f"{prefix}.b0"])
-    h = T.leaky_relu(h, cfg.leaky_slope)
+    h = T.leaky_relu(h, LEAKY_SLOPE)
     h = T.add(T.matmul(h, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
     if with_ln:
         h = T.layer_norm(h, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
@@ -206,16 +208,17 @@ def encode(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig) -> 
         if feats.shape[1] != width:
             raise ConfigError(f"{name} feature dim {feats.shape[1]} != config {width}")
     # feature arrays enter the first matmul in the weights' dtype
-    nodes = _mlp(params, "enc_node", sample.node_features, cfg)
-    mesh = _mlp(params, "enc_mesh", sample.mesh_edge_features, cfg)
-    contact = _mlp(params, "enc_contact", sample.contact_edge_features, cfg)
+    nodes = _mlp(params, "enc_node", sample.node_features)
+    mesh = _mlp(params, "enc_mesh", sample.mesh_edge_features)
+    contact = _mlp(params, "enc_contact", sample.contact_edge_features)
     return LatentGraph(nodes=nodes, mesh_edges=mesh, contact_edges=contact)
 
 
 def mpnn_iteration(lat: LatentGraph, sample: GraphSample, params: dict[str, Tensor],
                    index: int, cfg: ModelConfig) -> LatentGraph:
     """One local update: residual edge MLP (shared weights over both edge
-    sets), then residual node MLP over the separately aggregated messages."""
+    sets), then residual node MLP over the separately aggregated messages.
+    ``cfg`` goes unused: perfbench's tracer reads ``cfg.mpnn_pre`` from the call."""
     n = sample.n_nodes
     prefix = f"mpnn{index}"
 
@@ -223,14 +226,14 @@ def mpnn_iteration(lat: LatentGraph, sample: GraphSample, params: dict[str, Tens
         gathered_src = T.gather_rows(lat.nodes, edges[:, 0])
         gathered_dst = T.gather_rows(lat.nodes, edges[:, 1])
         e_in = T.concat([edge_lat, gathered_src, gathered_dst], axis=1)
-        return T.add(edge_lat, _mlp(params, f"{prefix}.edge", e_in, cfg))
+        return T.add(edge_lat, _mlp(params, f"{prefix}.edge", e_in))
 
     mesh_new = update_edges(lat.mesh_edges, sample.mesh_edges)
     contact_new = update_edges(lat.contact_edges, sample.contact_edges)
     agg_mesh = T.segment_sum(mesh_new, sample.mesh_edges[:, 1], n)
     agg_contact = T.segment_sum(contact_new, sample.contact_edges[:, 1], n)
     n_in = T.concat([lat.nodes, agg_mesh, agg_contact], axis=1)
-    nodes_new = T.add(lat.nodes, _mlp(params, f"{prefix}.node", n_in, cfg))
+    nodes_new = T.add(lat.nodes, _mlp(params, f"{prefix}.node", n_in))
     return LatentGraph(nodes=nodes_new, mesh_edges=mesh_new, contact_edges=contact_new)
 
 
@@ -240,8 +243,8 @@ def slice_tokens(h: Tensor, params: dict[str, Tensor], block: int, cfg: ModelCon
     temperature, tokens as the weights' normalized convex combinations."""
     p = f"block{block}"
     logits = _linear(params, f"{p}.slice", h)
-    tau = T.add(_linear(params, f"{p}.temp", h), cfg.tau0)
-    tau = T.maximum_scalar(tau, cfg.tau_min)
+    tau = T.add(_linear(params, f"{p}.temp", h), TAU0)
+    tau = T.maximum_scalar(tau, TAU_MIN)
     if gumbel is not None:
         logits = T.add(logits, gumbel)
     w = T.softmax(T.div(logits, tau), axis=1)
@@ -300,7 +303,7 @@ def transformer_block(lat_nodes: Tensor, pe: np.ndarray, params: dict[str, Tenso
     h1 = T.concat(parts, axis=0) if len(parts) > 1 else parts[0]
     normed = T.layer_norm(h1, params[f"{p}.ln_g"], params[f"{p}.ln_b"])
     hidden = T.leaky_relu(T.add(T.matmul(normed, params[f"{p}.ffn_w0"]),
-                                params[f"{p}.ffn_b0"]), cfg.leaky_slope)
+                                params[f"{p}.ffn_b0"]), LEAKY_SLOPE)
     ffn_out = T.add(T.matmul(hidden, params[f"{p}.ffn_w1"]), params[f"{p}.ffn_b1"])
     h2 = T.add(h1, ffn_out)
     if collect is not None:
@@ -346,7 +349,7 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
         for i in range(cfg.mpnn_refine):
             lat = mpnn_iteration(lat, sample, params, cfg.mpnn_pre + i, cfg)
     with _scope("decode"):
-        y = _mlp(params, "dec", lat.nodes, cfg, with_ln=False)
+        y = _mlp(params, "dec", lat.nodes, with_ln=False)
     aux = {"slice_weights": collect if collect is not None else []}
     return y, aux
 

@@ -185,18 +185,17 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
     if (np.diff(frames_a, axis=0) < 0).any():
         raise NumericError("hardening decreased; oracle invariant violated")
 
-    arrays = {
-        "X": X,
-        "x": frames_x,
-        "v": frames_v,
-        "alpha": frames_a,
-        "kappa": np.array([cfg.kappa]),
-        "node_type": node_type,
-        "component_id": component,
-        "elements": elements,
-        "dt": np.array([cfg.dt * cfg.substeps]),
-    }
-    return Trajectory(arrays=arrays, meta={"schema": "impact", "config": asdict(cfg)})
+    return _trajectory("impact", cfg, X, {"x": frames_x, "v": frames_v, "alpha": frames_a},
+                       node_type, component, elements, cfg.dt * cfg.substeps)
+
+
+def _trajectory(schema: str, cfg, X, series: dict, node_type, component, elements,
+                dt: float) -> Trajectory:
+    """One simulated run in its stored order: ``X``, the per-frame series,
+    then the per-run arrays; the meta names the schema and the run's config."""
+    arrays = {"X": X, **series, "kappa": np.array([cfg.kappa]), "node_type": node_type,
+              "component_id": component, "elements": elements, "dt": np.array([dt])}
+    return Trajectory(arrays=arrays, meta={"schema": schema, "config": asdict(cfg)})
 
 
 def gen_dataset(n_train: int, n_test: int, base: OracleConfig, seed: int,
@@ -214,6 +213,8 @@ def _write_split(schema: str, prefix: str, salt: tuple, n_train: int, n_test: in
     if n_train < 1 or n_test < 1:
         raise ConfigError(f"need at least one trajectory per split, got "
                           f"{n_train} train and {n_test} test")
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
     os.makedirs(out_dir, exist_ok=True)
     files: dict[str, list[str]] = {"train": [], "test": []}
     jobs = []
@@ -227,7 +228,8 @@ def _write_split(schema: str, prefix: str, salt: tuple, n_train: int, n_test: in
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at once, so never more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             list(pool.map(_gen_one, jobs))
     else:
         for job in jobs:
@@ -301,17 +303,8 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
     if not np.isfinite(xs).all():
         raise NumericError(f"chain oracle overflow: load={cfg.load}, stiffness={k}")
 
-    arrays = {
-        "X": X,
-        "x": xs,
-        "drive": drive,
-        "kappa": np.array([cfg.kappa]),
-        "node_type": node_type,
-        "component_id": component,
-        "elements": elements,
-        "dt": np.array([1.0]),
-    }
-    return Trajectory(arrays=arrays, meta={"schema": "chain", "config": asdict(cfg)})
+    return _trajectory("chain", cfg, X, {"x": xs, "drive": drive},
+                       node_type, component, elements, 1.0)
 
 
 def gen_chain_dataset(n_train: int, n_test: int, base: ChainConfig, seed: int,

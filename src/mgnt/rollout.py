@@ -115,16 +115,24 @@ def _aggregate(values: list[float]) -> dict:
     return out
 
 
+def _per_trajectory(pred_trajs: list[dict], gt_trajs: list[dict],
+                    schema) -> dict[str, list[tuple[float, float]]]:
+    """Per variable group, each trajectory's RMSE over the predicted steps
+    (frame 0 is shared) and the infinity norm of its ground truth."""
+    out: dict[str, list[tuple[float, float]]] = {}
+    for pred, gt in zip(pred_trajs, gt_trajs):
+        ps, gs = metric_series(pred, schema), metric_series(gt, schema)
+        for name in ps:
+            out.setdefault(name, []).append(
+                (rmse(ps[name][1:], gs[name][1:]), float(np.abs(gs[name]).max())))
+    return out
+
+
 def rmse_all(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, dict]:
     """Pooled root-mean-square error per variable group; the mean/SE are taken
     across per-trajectory values.  Predicted steps only (frame 0 is shared)."""
-    per_var: dict[str, list[float]] = {}
-    for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = metric_series(pred, schema)
-        gs = metric_series(gt, schema)
-        for name in ps:
-            per_var.setdefault(name, []).append(rmse(ps[name][1:], gs[name][1:]))
-    return {name: _aggregate(vals) for name, vals in per_var.items()}
+    return {name: _aggregate([err for err, _ in pairs])
+            for name, pairs in _per_trajectory(pred_trajs, gt_trajs, schema).items()}
 
 
 def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
@@ -147,21 +155,12 @@ def rmse_1(params, model_cfg: ModelConfig, normalizer: Normalizer,
 def r_rmse(pred_trajs: list[dict], gt_trajs: list[dict], schema) -> dict[str, dict]:
     """RMSE normalized per trajectory by the ground-truth infinity norm of the
     variable, in percent.  Variables with zero norm are flagged undefined."""
-    per_var: dict[str, list[float]] = {}
-    undefined: dict[str, int] = {}
-    for pred, gt in zip(pred_trajs, gt_trajs):
-        ps = metric_series(pred, schema)
-        gs = metric_series(gt, schema)
-        for name in ps:
-            inf_norm = float(np.abs(gs[name]).max())
-            if inf_norm == 0.0:
-                undefined[name] = undefined.get(name, 0) + 1
-                continue
-            per_var.setdefault(name, []).append(
-                100.0 * rmse(ps[name][1:], gs[name][1:]) / inf_norm)
-    out = {name: _aggregate(vals) for name, vals in per_var.items()}
-    for name, n in undefined.items():
-        out.setdefault(name, {})["undefined_trajectories"] = n
+    out: dict[str, dict] = {}
+    for name, pairs in _per_trajectory(pred_trajs, gt_trajs, schema).items():
+        defined = [100.0 * err / norm for err, norm in pairs if norm != 0.0]
+        out[name] = _aggregate(defined) if defined else {}
+        if len(defined) < len(pairs):
+            out[name]["undefined_trajectories"] = len(pairs) - len(defined)
     return out
 
 

@@ -204,10 +204,6 @@ class Tape:
         return [grads.get(t.key, np.zeros_like(t.data)) for t in wrt]
 
 
-def _tape() -> Tape | None:
-    return Tape._active
-
-
 def _wrap(x, like=None) -> Tensor:
     """``x`` as a tensor; a non-tensor takes the dtype of ``like`` if that is
     a tensor (a float64 0-d array would widen float32 data), else float64."""
@@ -233,7 +229,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def _emit(out_data: Array, inputs: tuple[Tensor, ...], backward: Callable,
           name: str, flops: int) -> Tensor:
     out = Tensor(out_data)
-    tape = _tape()
+    tape = Tape._active
     if tape is not None:
         tape.record(out, inputs, backward, name, flops)
     return out

@@ -28,7 +28,7 @@ from .model import ModelConfig, forward, init_params, param_shapes
 from .tensor import Tape, Tensor
 
 CHECKPOINT_FORMAT = "mgnt-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _STD_FLOOR = 1e-8
 

@@ -1,16 +1,20 @@
 """Command-line surface: config handling, exit codes, artifact layout."""
 
+import ast
+import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import shutil
 import struct
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import mgnt.verify
 from mgnt.cli import _build_parser, main
 from mgnt.container import MAGIC, read_arrays, write_arrays
 from mgnt.config import SCHEMA, SECTIONS, format_config, load_config, section
@@ -86,9 +90,6 @@ model.blocks = 2  # paper: token-attention blocks
 model.heads = 4  # paper: attention heads
 model.tokens = 32  # paper: slice token count
 model.dims = 64,32,64  # paper: block width, attention width, feed-forward width
-model.tau0 = 0.5  # default: base slice temperature
-model.tau_min = 0.01  # default: temperature clamp
-model.leaky_slope = 0.01  # default: LeakyReLU negative slope
 model.dtype = float32  # default: compute precision, float32 or float64 (weights stay float64)
 train.steps = 2000  # default: optimizer steps
 train.batch_size = 4  # default: snapshots per batch (one trajectory)
@@ -237,6 +238,7 @@ class TestConfig:
         ("train", "model.blocks = -1"),
         ("train", "train.noise_scale = nan"),
         ("train", "model.dtype = float16"),
+        ("train", "train.target_mode = foo"),
         ("gen-data", "data.stiffness_base = 0"),
         ("gen-data", "data.wall_stiffness = -1"),
         ("gen-chain", "chain.load = nan"),
@@ -269,11 +271,13 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol",
-                                     "graph.contact_radius"])
+                                     "graph.contact_radius", "model.tau0", "model.tau_min",
+                                     "model.leaky_slope"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
-        # the chain's closed-form equilibrium has no tolerance to set, and the
-        # contact radius is graph.contact_radius_factor x the median mesh edge
+        # the chain's closed-form equilibrium has no tolerance to set, the
+        # contact radius is graph.contact_radius_factor x the median mesh edge,
+        # and the slice temperatures and LeakyReLU slope are model constants
         cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -304,7 +308,7 @@ SWEEP_RUNS = {
     *((key, 1e308) for key in (
         "data.yield_strain", "data.hardening_ratio", "data.wall_stiffness",
         "chain.stiffness_base", "chain.drive_std", "graph.tied_cutoff_factor",
-        "graph.contact_radius_factor", "model.tau0", "model.tau_min", "train.lr_min")),
+        "graph.contact_radius_factor", "train.lr_min")),
 }
 
 # values inside their keys' domains whose arithmetic overflows: the oracles'
@@ -373,6 +377,36 @@ class TestGenData:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", out, "--out", out, "--workers", "2"])
         assert exc.value.code == 2
+
+    def test_workers_capped_at_one_per_trajectory(self, trained, tmp_path, monkeypatch):
+        root, cfg, data_dir, _ = trained
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        out = str(tmp_path / "o")
+        assert main(["gen-data", "--config", cfg, "--out", out, "--workers", "5000"]) == 0
+        assert pools == [3]
+        assert _hash_dir(out) == _hash_dir(data_dir)
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, trained, tmp_path, capsys, workers):
+        root, cfg, _, _ = trained
+        argv = ["gen-data", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", workers]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_chain_kind(self, tmp_path):
         cfg = _write(tmp_path, "chain.txt",
@@ -604,9 +638,10 @@ class TestEval:
         (lambda meta: meta.pop("schema"), "'schema'"),
         (lambda meta: meta.update(schema="bogus"), "'schema'"),
         (lambda meta: meta.update(schema=["impact"]), "'schema'"),
-        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 4"),
-        (lambda meta: meta.update(version=2), "version 2; this version of mgnt reads version 4"),
-        (lambda meta: meta.update(version=3), "version 3; this version of mgnt reads version 4"),
+        (lambda meta: meta.update(version=1), "version 1; this version of mgnt reads version 5"),
+        (lambda meta: meta.update(version=2), "version 2; this version of mgnt reads version 5"),
+        (lambda meta: meta.update(version=3), "version 3; this version of mgnt reads version 5"),
+        (lambda meta: meta.update(version=4), "version 4; this version of mgnt reads version 5"),
         (lambda meta: meta.pop("data"), "'data' is missing"),
         (lambda meta: meta["graph_config"].pop("n_frequencies"),
          "missing key 'n_frequencies' in checkpoint meta 'graph_config'"),
@@ -617,7 +652,7 @@ class TestEval:
     ], ids=["graph_config_unknown_key", "graph_config_missing", "train_config_missing",
             "train_config_not_object", "train_config_bad_lr",
             "train_config_nan_lr", "schema_missing", "schema_unknown", "schema_not_a_string",
-            "version_1", "version_2", "version_3", "data_missing",
+            "version_1", "version_2", "version_3", "version_4", "data_missing",
             "graph_config_field_missing",
             "model_config_dtype_missing", "graph_config_other_widths"])
     def test_malformed_checkpoint_meta_exit_4(self, trained, tmp_path, capsys, edit, named):
@@ -883,3 +918,30 @@ class TestExportAttention:
 
 def test_verify_command_exit_zero():
     assert main(["verify"]) == 0
+
+
+def test_verify_command_names_failed_check(monkeypatch, capsys):
+    real = mgnt.verify.detect_contact_edges
+    monkeypatch.setattr(mgnt.verify, "detect_contact_edges",
+                        lambda *args: real(*args)[1:])   # drops one pair
+    assert main(["verify"]) == 1
+    failed = capsys.readouterr().out.splitlines()[-1]
+    assert failed.startswith("failed:") and "contact search equals brute force" in failed
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mgnt"}
+    src = os.path.dirname(mgnt.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(src, name)).read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in allowed, f"{name} imports {module}"

@@ -168,12 +168,12 @@ class TestSliceTokens:
     def test_handset_logits_closed_form(self, small_cfg):
         # force logits [ln 2, 0, -inf...) via crafted weights: use a config
         # with 2 tokens and zeroed projections plus bias
-        cfg = replace(small_cfg, n_tokens=2, tau0=1.0, transformer_dims=(8, 4, 8))
+        cfg = replace(small_cfg, n_tokens=2, transformer_dims=(8, 4, 8))
         params = init_params(cfg, seed=3)
         params["block0.slice_w"] = Tensor(np.zeros((8, 2)))
         params["block0.slice_b"] = Tensor(np.array([np.log(2.0), 0.0]))
         params["block0.temp_w"] = Tensor(np.zeros((8, 1)))
-        params["block0.temp_b"] = Tensor(np.array([0.0]))
+        params["block0.temp_b"] = Tensor(np.array([0.5]))   # tau = TAU0 + 0.5 = 1
         h = Tensor(np.random.default_rng(9).standard_normal((1, 8)))
         z, w = slice_tokens(h, params, 0, cfg, None)
         np.testing.assert_allclose(w.data, [[2 / 3, 1 / 3]], atol=1e-12)
