@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mgnt.mesh
 from mgnt.errors import ValidationError
 from mgnt.mesh import (GraphConfig, Mesh, build_mesh_edges, build_tied_edges,
                        contact_edge_features, detect_contact_edges,
@@ -85,6 +86,37 @@ class TestTiedEdges:
         m = _mesh([[0, 0], [1, 0], [50, 0], [51, 0]], [[0, 1], [2, 3]],
                   comps=[0, 0, 1, 1])
         assert build_tied_edges(m, k=2, interface_cutoff=3.0).shape == (0, 2)
+
+    @pytest.mark.parametrize("block_rows", [7, None])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("layout", ["interleaved_grids", "random_3d"])
+    def test_blocked_scan_equals_whole_matrix_scan(self, monkeypatch, layout, k, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(mgnt.mesh, "_TIED_BLOCK_ROWS", block_rows)
+        if layout == "interleaved_grids":
+            # two 15x15 grids overlapping by half, half a cell apart: many
+            # equal distances, so the lower-id tie rule decides
+            g = np.stack(np.meshgrid(np.arange(15.0), np.arange(15.0)), -1).reshape(-1, 2)
+            X, cutoff = np.concatenate([g, g + [7.5, 0.5]]), 0.75
+        else:
+            X = np.random.default_rng(3).uniform(0.0, 1.0, (300, 3))
+            X[150:, 0] += 0.9
+            cutoff = 0.2
+        comps = np.repeat([0, 1], X.shape[0] // 2)
+        assert X.shape[0] > 2 * mgnt.mesh._TIED_BLOCK_ROWS
+        m = _mesh(X, np.zeros((0, 2)), comps=comps)
+        # the whole N x N scan the blocked one replaced, as the reference
+        diff = X[:, None, :] - X[None, :, :]
+        other = comps[:, None] != comps[None, :]
+        dist = np.where(other, np.sqrt((diff * diff).sum(-1)), np.inf)
+        rows = np.flatnonzero(dist.min(axis=1) <= cutoff)
+        nearest = np.argsort(dist[rows], axis=1, kind="stable")[:, :k]
+        src, dst = np.repeat(rows, nearest.shape[1]), nearest.ravel()
+        foreign = other[src, dst]
+        expected = mgnt.mesh._both_ways(src[foreign], dst[foreign], len(X))
+        assert 0 < rows.size < len(X)
+        tied = build_tied_edges(m, k=k, interface_cutoff=cutoff)
+        assert tied.dtype == expected.dtype and np.array_equal(tied, expected)
 
 
 class TestContactDetection:

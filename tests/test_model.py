@@ -1,7 +1,9 @@
 """Network contracts: encoders, message passing, token attention, the full
 forward pass, parameter counting and the op census."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from mgnt.model import (LatentGraph, ModelConfig, cast_params, deslice, encode, 
                         init_params, mgn_baseline_config, mpnn_iteration, param_count,
                         param_shapes, sample_gumbel, slice_tokens, token_attention,
                         transformer_block)
-from mgnt.oracle import OracleConfig, simulate_impact
+from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
+from mgnt.train import Normalizer, compute_loss, make_batch
 
 DIMS_3D = dict(node_feat_dim=12, mesh_edge_feat_dim=8, contact_edge_feat_dim=4,
                pe_dim=48, output_dim=7)
@@ -472,6 +475,29 @@ def attention_core_census(n_nodes: int, cfg: ModelConfig, seed: int = 0
     return {k: v for k, v in census.items() if k != "main"}
 
 
+# The benchmark's census table, read only: the per-scope [records, flops] of
+# one train-mode step on each workload's mesh and batch size.
+BENCH_CENSUS = Path(__file__).resolve().parents[1] / "perfbench" / "census.json"
+
+
+def train_step_census(traj, schema: str, use_contact: bool, batch_size: int,
+                      target_mode: str) -> dict[str, list[int]]:
+    """Per-scope [records, flops] of a train-mode forward plus loss on frame 0
+    repeated ``batch_size`` times, built as the benchmark builds its census."""
+    prep = prepare_trajectory(traj, get_schema(schema), GraphConfig(use_contact=use_contact))
+    cfg = ModelConfig(**feature_dims(prep.schema, prep.graph_cfg))
+    normalizer = Normalizer.fit([prep], target_mode)
+    sample, target, mask = make_batch(prep, [0] * batch_size, target_mode)
+    sample = normalizer.normalize_sample(sample)
+    with Tape() as tape:
+        pred, _ = forward(sample, init_params(cfg, 0), cfg, train_mode=True,
+                          rng=np.random.default_rng(0))
+        compute_loss(pred, normalizer.normalize_targets(target), mask, sample.sample_ranges)
+        census = tape.census()
+    return {scope: [sum(c for c, _ in ops.values()), sum(f for _, f in ops.values())]
+            for scope, ops in sorted(census.items())}
+
+
 class TestCensus:
     def test_token_attention_counts_node_independent(self):
         cfg = ModelConfig(**DIMS_3D)
@@ -488,3 +514,17 @@ class TestCensus:
                 flops = [r[stage][op][1] for r in rows]
                 # exact affine growth: f(2000)-f(1000) == 2*(f(1000)-f(500))
                 assert flops[2] - flops[1] == 2 * (flops[1] - flops[0])
+
+    # two frames of each benchmark workload's mesh; frame 0 has no contact edge
+    @pytest.mark.parametrize("workload, simulate, oracle_cfg, schema, use_contact, batch_size, "
+                             "target_mode", [
+        ("impact-8", simulate_impact, OracleConfig(rows=8, cols=8, frames=2), "impact", True,
+         4, "absolute"),
+        ("chain-400", simulate_chain, ChainConfig(n_nodes=400, frames=2), "chain", False,
+         2, "delta"),
+    ], ids=["impact-8", "chain-400"])
+    def test_train_step_matches_benchmark_table(self, workload, simulate, oracle_cfg, schema,
+                                                use_contact, batch_size, target_mode):
+        expected = json.loads(BENCH_CENSUS.read_text())[workload]
+        assert train_step_census(simulate(oracle_cfg), schema, use_contact, batch_size,
+                                 target_mode) == expected

@@ -60,6 +60,27 @@ class TestLeakyRelu:
         with pytest.raises(ValidationError):
             T.leaky_relu(Tensor([1.0]), 1.5)
 
+    @pytest.mark.parametrize("slope", [0.01, 0.25])
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_bits_equal_the_select(self, dtype, bits, slope):
+        rng = np.random.default_rng(7)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40,
+                            np.finfo(dtype).smallest_subnormal,
+                            -np.finfo(dtype).smallest_subnormal], dtype=dtype)
+        x = rng.standard_normal((257, 113)).astype(dtype)
+        g = rng.standard_normal((257, 113)).astype(dtype)
+        x[0, :special.size] = special
+        g[0, :special.size] = special[::-1]
+        g[1, :special.size] = special
+        with Tape() as tape:
+            out = T.leaky_relu(Tensor(x), slope)
+            (dx,) = tape.records[-1][2](g)
+        np.testing.assert_array_equal(out.data.view(bits),
+                                      np.where(x > 0, x, slope * x).view(bits))
+        np.testing.assert_array_equal(dx.view(bits), np.where(x > 0, g, g * slope).view(bits))
+        # Tape.gradients keeps a first contribution uncopied only when it is not g
+        assert not np.shares_memory(dx, g)
+
 
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
