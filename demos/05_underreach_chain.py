@@ -12,7 +12,7 @@ import numpy as np
 
 from mgnt.data import GraphConfig, feature_dims, load_split, prepare_trajectory
 from mgnt.model import ModelConfig, forward
-from mgnt.oracle import ChainConfig, gen_chain_dataset
+from mgnt.oracle import DRIVE_STD, ChainConfig, gen_chain_dataset
 from mgnt.train import TrainConfig, fit, make_batch
 
 data_dir = tempfile.mkdtemp(prefix="mgnt_chain_")
@@ -47,4 +47,4 @@ for blocks in (2, 0):
     mse = far_end_mse(result.params, mcfg, result.normalizer)
     kind = "with attention" if blocks else "message passing only"
     print(f"{kind:>22}: far-end one-step MSE = {mse:.6f}")
-print(f"{'unpredictable floor':>22}: {ChainConfig().drive_std ** 2:.6f} (drive variance)")
+print(f"{'unpredictable floor':>22}: {DRIVE_STD ** 2:.6f} (drive variance)")

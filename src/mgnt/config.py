@@ -48,25 +48,15 @@ SCHEMA: dict[str, Key] = {
     "data.frames": Key("default", "stored frames per trajectory"),
     "data.substeps": Key("default", "fine integrator steps per stored frame"),
     "data.dt": Key("default", "fine integrator step"),
-    "data.mass": Key("default", "node mass"),
     "data.stiffness_base": Key("default", "spring stiffness at kappa=1"),
-    "data.yield_strain": Key("default", "elastic strain at yield"),
-    "data.hardening_ratio": Key("default", "hardening modulus / stiffness"),
-    "data.damping": Key("default", "per-node viscous coefficient"),
-    "data.gravity": Key("default", "gravitational acceleration"),
-    "data.wall_stiffness": Key("default", "wall penalty stiffness"),
     "data.drop_height": Key("default", "initial gap above the wall"),
     "data.initial_velocity": Key("default", "initial vertical velocity"),
     "data.seed": Key("default", "dataset seed", default=1234),
     # dataset generation: long-range chain
     "chain.n_nodes": Key("default", "chain length"),
-    "chain.driven_nodes": Key("default", "rigid driven head segment size"),
     "chain.frames": Key("default", "stored frames per trajectory"),
     "chain.n_train": Key("default", "training trajectories", default=6),
     "chain.n_test": Key("default", "test trajectories", default=2),
-    "chain.stiffness_base": Key("default", "chain stiffness at kappa=1"),
-    "chain.load": Key("default", "constant axial load per node"),
-    "chain.drive_std": Key("default", "std of per-frame drive increments"),
     "chain.seed": Key("default", "chain dataset seed", default=99),
     # graph construction
     "graph.tied_k": Key("default", "tied-edge nearest neighbors"),

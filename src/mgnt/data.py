@@ -220,8 +220,9 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
     ``[N, schema.dim]``, ``elements`` as ``[E, k]``, ``node_type`` (codes of
     node types) and ``component_id`` as ``[N]``, ``kappa`` as ``[1]``, and
     each of ``schema.series`` as ``[T, N, *per-node shape]`` with one
-    ``T >= 2`` for all; one that lacks an array, breaks this layout, or whose
-    ``elements`` make no valid mesh raises SchemaFormatError."""
+    ``T >= 2`` for all; one that lacks an array, breaks this layout, holds a
+    non-finite value in ``X``, ``kappa`` or a series, or whose ``elements``
+    make no valid mesh raises SchemaFormatError."""
     a = traj.arrays
     for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
         if key not in a:
@@ -241,6 +242,9 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
     if n and not 0 <= a["node_type"].min() <= a["node_type"].max() < N_NODE_TYPES:
         raise SchemaFormatError(f"trajectory array 'node_type' has a node type out of "
                                 f"range [0, {N_NODE_TYPES})")
+    for key in ("X", "kappa", *schema.series):
+        if not np.isfinite(a[key]).all():
+            raise SchemaFormatError(f"trajectory array {key!r} has a non-finite value")
     try:  # the checks above leave only the elements for the mesh to refuse
         graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
                              graph_cfg)

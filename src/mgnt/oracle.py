@@ -35,8 +35,24 @@ KAPPA_RANGE = (0.1, 0.3)
 WALL_Y = 0.0
 WALL_MARGIN_NODES = 4
 
-# Rest spacing of the chain's nodes.
+# The impact lattice's fixed physics: node mass, per-node viscous damping,
+# gravity, the wall's penalty stiffness, the elastic strain at yield and the
+# hardening modulus as a fraction of the spring stiffness.
+MASS = 1.0
+DAMPING = 1.2
+GRAVITY = 9.81
+WALL_STIFFNESS = 200000.0
+YIELD_STRAIN = 0.05
+HARDENING_RATIO = 0.2
+
+# Rest spacing of the chain's nodes, its stiffness at kappa = 1, the constant
+# axial load per free node, the size of the rigid driven head segment and the
+# std of the head's per-frame drive increment.
 CHAIN_SPACING = 1.0
+CHAIN_STIFFNESS = 100.0
+CHAIN_LOAD = 0.5
+DRIVEN_NODES = 16
+DRIVE_STD = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +63,8 @@ class OracleConfig:
     rows: int = setting(8, ge=1)
     cols: int = setting(8, ge=1)
     spacing: float = setting(0.1, gt=0)
-    mass: float = setting(1.0, gt=0)
     stiffness_base: float = setting(100000.0, gt=0)  # spring stiffness = kappa * stiffness_base
     kappa: float = setting(0.2, gt=0)
-    yield_strain: float = setting(0.05, ge=0)
-    hardening_ratio: float = setting(0.2, ge=0)      # H = hardening_ratio * spring stiffness
-    damping: float = setting(1.2, ge=0)              # per-node viscous coefficient
-    gravity: float = 9.81
-    wall_stiffness: float = setting(200000.0, ge=0)
     drop_height: float = setting(0.2, ge=0)          # the lattice starts above the wall
     initial_velocity: float = -1.0    # initial vertical velocity of the lattice
     dt: float = setting(2.5e-4, gt=0)
@@ -129,11 +139,11 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
     deform = node_type == NODE_DEFORMABLE
 
     k_spring = cfg.kappa * cfg.stiffness_base
-    hardening = cfg.hardening_ratio * k_spring
+    hardening = HARDENING_RATIO * k_spring
     springs = elements[:n_springs]
     rest = np.sqrt(((X[springs[:, 0]] - X[springs[:, 1]]) ** 2).sum(-1))
-    yield_force = k_spring * cfg.yield_strain * rest
-    c_wall = 2.0 * np.sqrt(cfg.wall_stiffness * cfg.mass)
+    yield_force = k_spring * YIELD_STRAIN * rest
+    c_wall = 2.0 * np.sqrt(WALL_STIFFNESS * MASS)
 
     x = X.copy()
     v = np.zeros_like(X)
@@ -154,8 +164,8 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
     for frame in range(1, cfg.frames):
         for _ in range(cfg.substeps):
             force = np.zeros_like(x)
-            force[deform, 1] -= cfg.mass * cfg.gravity
-            force[deform] -= cfg.damping * v[deform]
+            force[deform, 1] -= MASS * GRAVITY
+            force[deform] -= DAMPING * v[deform]
 
             delta = x[src] - x[dst]
             length = np.sqrt((delta * delta).sum(-1))
@@ -170,10 +180,10 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
 
             pen = WALL_Y - x[:, 1]
             contact = deform & (pen > 0.0)
-            force[contact, 1] += cfg.wall_stiffness * pen[contact]
+            force[contact, 1] += WALL_STIFFNESS * pen[contact]
             force[contact, 1] -= c_wall * v[contact, 1]
 
-            v[deform] += (cfg.dt / cfg.mass) * force[deform]
+            v[deform] += (cfg.dt / MASS) * force[deform]
             x[deform] += cfg.dt * v[deform]
 
             if not np.isfinite(x).all() or np.abs(x - X).max() > bound:
@@ -253,20 +263,13 @@ def _gen_one(job) -> None:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    n_nodes: int = setting(400, ge=100)
-    driven_nodes: int = setting(16, ge=1)          # rigid actuator segment at the chain head
-    stiffness_base: float = setting(100.0, gt=0)   # chain stiffness = kappa * stiffness_base
-    kappa: float = setting(0.2, gt=0)
-    load: float = 0.5                              # constant axial load per free node
-    drive_std: float = setting(0.25, ge=0)         # std of the per-frame drive increment
+    n_nodes: int = setting(400, ge=100)            # keeps DRIVEN_NODES < n_nodes // 4
+    kappa: float = setting(0.2, gt=0)              # chain stiffness = kappa * CHAIN_STIFFNESS
     frames: int = setting(60, ge=2)
     seed: int = setting(0, ge=0)
 
     def __post_init__(self):
         check_settings(self, "chain")
-        if self.driven_nodes >= self.n_nodes // 4:
-            raise ConfigError(f"chain driven_nodes must be < n_nodes // 4, "
-                              f"got {self.driven_nodes} of {self.n_nodes}")
 
 
 def solve_chain(k: float, load: float, u0: float, n_nodes: int,
@@ -287,21 +290,21 @@ def simulate_chain(cfg: ChainConfig) -> Trajectory:
     X = np.stack([np.arange(n) * CHAIN_SPACING, np.zeros(n)], axis=1)
     elements = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64)
     node_type = np.full(n, NODE_DEFORMABLE, dtype=np.int64)
-    node_type[:cfg.driven_nodes] = NODE_ACTUATOR
+    node_type[:DRIVEN_NODES] = NODE_ACTUATOR
     component = np.zeros(n, dtype=np.int64)
 
-    k = cfg.kappa * cfg.stiffness_base
+    k = cfg.kappa * CHAIN_STIFFNESS
     rng = np.random.default_rng([cfg.seed, 0xC4A1])
-    increments = rng.normal(0.0, cfg.drive_std, size=cfg.frames)
+    increments = rng.normal(0.0, DRIVE_STD, size=cfg.frames)
     # head displacement before frame t's increment: 0, inc_0, inc_0 + inc_1, ...
     u0 = np.concatenate([[0.0], np.cumsum(increments[:-1])])
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
-        u = solve_chain(k, cfg.load, 0.0, n, driven=cfg.driven_nodes) + u0[:, None]
+        u = solve_chain(k, CHAIN_LOAD, 0.0, n, driven=DRIVEN_NODES) + u0[:, None]
     xs = X + np.stack([u, np.zeros_like(u)], axis=-1)
     drive = np.zeros((cfg.frames, n))
-    drive[:, :cfg.driven_nodes] = increments[:, None]
+    drive[:, :DRIVEN_NODES] = increments[:, None]
     if not np.isfinite(xs).all():
-        raise NumericError(f"chain oracle overflow: load={cfg.load}, stiffness={k}")
+        raise NumericError(f"chain oracle overflow: load={CHAIN_LOAD}, stiffness={k}")
 
     return _trajectory("chain", cfg, X, {"x": xs, "drive": drive},
                        node_type, component, elements, 1.0)

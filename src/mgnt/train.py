@@ -393,7 +393,8 @@ def load_checkpoint(path: str) -> dict:
     implies, the history must be ``[K, 4]``, and the meta must hold the step,
     schema, whole model, graph and train configs, the model's feature
     widths those of the schema and graph config, and the training data's
-    digests (``Trajectory.digest``); otherwise SchemaFormatError."""
+    digests (``Trajectory.digest``); every array must be finite; otherwise
+    SchemaFormatError."""
     arrays, meta = read_arrays(path)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise SchemaFormatError(f"{path}: not a checkpoint (format tag {meta.get('format')!r})")
@@ -432,6 +433,9 @@ def load_checkpoint(path: str) -> dict:
     if history.ndim != 2 or history.shape[1] != 4:
         raise SchemaFormatError(f"{path}: checkpoint array history has shape "
                                 f"{list(history.shape)}, not [K, 4]")
+    for name, array in arrays.items():  # fit never saves a non-finite one
+        if not np.isfinite(array).all():
+            raise SchemaFormatError(f"{path}: checkpoint array {name} has a non-finite value")
     return {
         "params": params,
         "adam_m": adam_m,

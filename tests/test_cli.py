@@ -14,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import mgnt.oracle
 import mgnt.verify
 from mgnt.cli import _build_parser, main
 from mgnt.container import MAGIC, read_arrays, write_arrays
@@ -59,24 +60,14 @@ data.spacing = 0.1  # default: lattice spacing
 data.frames = 50  # default: stored frames per trajectory
 data.substeps = 40  # default: fine integrator steps per stored frame
 data.dt = 0.00025  # default: fine integrator step
-data.mass = 1.0  # default: node mass
 data.stiffness_base = 100000.0  # default: spring stiffness at kappa=1
-data.yield_strain = 0.05  # default: elastic strain at yield
-data.hardening_ratio = 0.2  # default: hardening modulus / stiffness
-data.damping = 1.2  # default: per-node viscous coefficient
-data.gravity = 9.81  # default: gravitational acceleration
-data.wall_stiffness = 200000.0  # default: wall penalty stiffness
 data.drop_height = 0.2  # default: initial gap above the wall
 data.initial_velocity = -1.0  # default: initial vertical velocity
 data.seed = 1234  # default: dataset seed
 chain.n_nodes = 400  # default: chain length
-chain.driven_nodes = 16  # default: rigid driven head segment size
 chain.frames = 60  # default: stored frames per trajectory
 chain.n_train = 6  # default: training trajectories
 chain.n_test = 2  # default: test trajectories
-chain.stiffness_base = 100.0  # default: chain stiffness at kappa=1
-chain.load = 0.5  # default: constant axial load per node
-chain.drive_std = 0.25  # default: std of per-frame drive increments
 chain.seed = 99  # default: chain dataset seed
 graph.tied_k = 3  # default: tied-edge nearest neighbors
 graph.tied_cutoff_factor = 3.0  # default: tied interface cutoff, x median edge
@@ -270,14 +261,17 @@ class TestConfig:
         assert main(argv + (["--data", data_dir] if command == "train" else [])) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("key", ["data.kappa_min", "data.kappa_max", "chain.relax_tol",
-                                     "graph.contact_radius", "model.tau0", "model.tau_min",
-                                     "model.leaky_slope"])
+    @pytest.mark.parametrize("key", [
+        "data.kappa_min", "data.kappa_max", "chain.relax_tol", "graph.contact_radius",
+        "model.tau0", "model.tau_min", "model.leaky_slope", "data.mass", "data.damping",
+        "data.gravity", "data.wall_stiffness", "data.yield_strain", "data.hardening_ratio",
+        "chain.load", "chain.stiffness_base", "chain.drive_std", "chain.driven_nodes"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
         # the chain's closed-form equilibrium has no tolerance to set, the
         # contact radius is graph.contact_radius_factor x the median mesh edge,
-        # and the slice temperatures and LeakyReLU slope are model constants
+        # the slice temperatures and LeakyReLU slope are model constants, and
+        # the oracles' fixed physics are oracle constants
         cfg = _write(tmp_path, "k.txt", f"{key} = 0.5\n")
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
@@ -298,27 +292,28 @@ SWEEP = [(key, value) for key, default in load_config(None).items()
 
 # the swept values that run to completion; the rest overflow (below) or are rejected
 SWEEP_RUNS = {
-    ("data.yield_strain", 0.0), ("data.hardening_ratio", 0.0), ("data.damping", 0.0),
-    ("data.gravity", 0.0), ("data.gravity", -1.0), ("data.wall_stiffness", 0.0),
     ("data.drop_height", 0.0), ("data.initial_velocity", 0.0),
-    ("data.initial_velocity", -1.0), ("data.seed", 0), ("chain.drive_std", 0.0),
-    ("chain.load", 0.0), ("chain.load", -1.0), ("chain.seed", 0),
+    ("data.initial_velocity", -1.0), ("data.seed", 0), ("chain.seed", 0),
     ("graph.tied_cutoff_factor", 0.0), ("model.mpnn_pre", 0), ("model.mpnn_refine", 0),
     ("model.blocks", 0), ("train.noise_scale", 0.0), ("train.seed", 0), ("eval.horizon", 0),
     *((key, 1e308) for key in (
-        "data.yield_strain", "data.hardening_ratio", "data.wall_stiffness",
-        "chain.stiffness_base", "chain.drive_std", "graph.tied_cutoff_factor",
-        "graph.contact_radius_factor", "train.lr_min")),
+        "graph.tied_cutoff_factor", "graph.contact_radius_factor", "train.lr_min")),
 }
 
 # values inside their keys' domains whose arithmetic overflows: the oracles'
 # finiteness checks exit 1, fit's exits 3
 SWEEP_OVERFLOWS = {
     **dict.fromkeys(((key, 1e308) for key in (
-        "data.spacing", "data.dt", "data.mass", "data.stiffness_base", "data.damping",
-        "data.gravity", "data.drop_height", "data.initial_velocity", "chain.load")), 1),
+        "data.spacing", "data.dt", "data.stiffness_base", "data.drop_height",
+        "data.initial_velocity")), 1),
     ("train.lr", 1e308): 3, ("train.noise_scale", 1e308): 3,
 }
+
+
+def test_sweep_expectations_name_swept_cases():
+    # an entry no sweep case reaches would outlive the key it names unnoticed
+    swept = set(SWEEP)
+    assert SWEEP_RUNS <= swept and SWEEP_OVERFLOWS.keys() <= swept
 
 
 @pytest.mark.parametrize("key, value", [
@@ -418,8 +413,9 @@ class TestGenData:
         assert doc["schema"] == "chain"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_chain_overflow_exit_1(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.load = 1e308\n")
+    def test_chain_overflow_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mgnt.oracle, "CHAIN_LOAD", 1e308)
+        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA)
         out = tmp_path / "o"
         assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
         assert "chain oracle overflow" in capsys.readouterr().err
@@ -695,6 +691,35 @@ class TestEval:
         assert main(argv + ["--data", data_dir, "--out", str(out)]) == 4
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [
+        ("eval", "param.dec.w1"), ("rollout", "param.dec.w1"),
+        ("export-attention", "param.dec.w1"), ("train", "param.dec.w1"),
+        ("eval", "adam_m.enc_node.w1"), ("eval", "adam_v.enc_node.w1"),
+        ("eval", "norm.node_std"), ("eval", "history"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_checkpoint_array_exit_4(self, trained, tmp_path, capsys, command,
+                                                name):
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        arrays[name].flat[arrays[name].size // 2] = np.nan
+        out = tmp_path / "run"
+        out.mkdir()
+        ckpt = str(out / "checkpoint.mgnt")
+        write_arrays(ckpt, arrays, meta=meta)
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        traj = os.path.join(data_dir, doc["test"][0])
+        argv = {"eval": ["eval", "--checkpoint", ckpt, "--data", data_dir],
+                "rollout": ["rollout", "--checkpoint", ckpt, "--trajectory", traj,
+                            "--horizon", "1"],
+                "export-attention": ["export-attention", "--checkpoint", ckpt,
+                                     "--trajectory", traj],
+                "train": ["train", "--config", cfg, "--data", data_dir, "--resume"]}[command]
+        assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"schema mismatch: {ckpt}: checkpoint array {name} has a non-finite value")
+        assert not [f for f in os.listdir(out) if f.startswith(("attention", "rollout"))]
+
     def test_negative_horizon_exit_2(self, trained, tmp_path, capsys):
         root, cfg, data_dir, run_dir = trained
         bad = _write(tmp_path, "h.txt", "eval.horizon = -1\n")
@@ -797,13 +822,18 @@ class TestRolloutCommand:
         (lambda a: a.update(v=a["v"][:-1]), "'v' has shape [5, 20, 2], not [6, 20, 2]"),
         (lambda a: a.update(alpha=np.concatenate([a["alpha"], a["alpha"][-1:]])),
          "'alpha' has shape [7, 20], not [6, 20]"),
+        (lambda a: a["X"].__setitem__((3, 1), np.nan), "'X' has a non-finite value"),
+        (lambda a: a["x"].__setitem__((2, 5, 0), np.inf), "'x' has a non-finite value"),
+        (lambda a: a["kappa"].__setitem__(0, -np.inf), "'kappa' has a non-finite value"),
     ], ids=["no_X", "no_elements", "no_node_type", "no_component_id", "no_kappa", "no_x",
             "no_v", "no_alpha", "x_wrong_node_count", "v_one_frame", "X_not_2d",
             "kappa_empty", "node_type_short", "component_id_short", "node_type_9",
             "element_index_out_of_range", "element_degenerate", "no_edges",
             "elements_not_2d", "element_arity_5", "alpha_per_node_pair", "x_three_columns",
-            "X_three_columns", "v_one_column", "v_frame_short", "alpha_frame_long"])
+            "X_three_columns", "v_one_column", "v_frame_short", "alpha_frame_long",
+            "X_nan", "x_inf", "kappa_inf"])
     @pytest.mark.parametrize("command", ["rollout", "train", "eval"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_trajectory_arrays_exit_4(self, trained, tmp_path, capsys, edit,
                                                 named, command):
         root, cfg, data_dir, run_dir = trained

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import mgnt.oracle
 from mgnt.data import GraphConfig, get_schema, prepare_trajectory
 from mgnt.errors import ConfigError, NumericError
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_chain_dataset, gen_dataset,
@@ -90,15 +91,16 @@ class TestReturnMapping:
 
 
 class TestImpactOracle:
-    def test_free_fall_velocity_exact(self):
+    def test_free_fall_velocity_exact(self, monkeypatch):
         # no damping, no contact yet: v_y after the first stored frame is
         # exactly v0 - g*dt*substeps (semi-implicit Euler, springs at rest)
-        cfg = OracleConfig(rows=2, cols=2, frames=3, substeps=5, damping=0.0,
-                           drop_height=10.0, initial_velocity=-0.5)
+        monkeypatch.setattr(mgnt.oracle, "DAMPING", 0.0)
+        cfg = OracleConfig(rows=2, cols=2, frames=3, substeps=5, drop_height=10.0,
+                           initial_velocity=-0.5)
         traj = simulate_impact(cfg)
         v1 = traj.arrays["v"][1]
         deform = traj.arrays["node_type"] == 0
-        expected = -0.5 - cfg.gravity * cfg.dt * cfg.substeps
+        expected = -0.5 - mgnt.oracle.GRAVITY * cfg.dt * cfg.substeps
         np.testing.assert_allclose(v1[deform, 1], expected, rtol=0, atol=1e-15)
 
     def test_no_plasticity_without_impact(self):
@@ -194,8 +196,9 @@ class TestImpactDataset:
 
 
 class TestChainBenchmark:
-    def test_zero_drive_static(self):
-        cfg = ChainConfig(n_nodes=120, frames=5, drive_std=0.0, seed=3)
+    def test_zero_drive_static(self, monkeypatch):
+        monkeypatch.setattr(mgnt.oracle, "DRIVE_STD", 0.0)
+        cfg = ChainConfig(n_nodes=120, frames=5, seed=3)
         traj = simulate_chain(cfg)
         x = traj.arrays["x"]
         for t in range(1, 5):

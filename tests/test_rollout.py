@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mgnt.oracle
 import mgnt.rollout as R
 from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
                        prepare_trajectory)
@@ -298,9 +299,9 @@ class TestConsistency:
     def test_kinetic_zero_velocities(self):
         np.testing.assert_array_equal(kinetic_proxy(np.zeros((4, 6, 2))), np.zeros(4))
 
-    def test_kinetic_increases_during_free_fall(self):
-        cfg = OracleConfig(rows=3, cols=3, frames=6, substeps=5, drop_height=10.0,
-                           damping=0.0)
+    def test_kinetic_increases_during_free_fall(self, monkeypatch):
+        monkeypatch.setattr(mgnt.oracle, "DAMPING", 0.0)
+        cfg = OracleConfig(rows=3, cols=3, frames=6, substeps=5, drop_height=10.0)
         traj = simulate_impact(cfg)
         proxy = kinetic_proxy(traj.arrays["v"])
         assert (np.diff(proxy) > 0).all()
