@@ -21,7 +21,8 @@ the target layout ``[..., output_dim]`` whose column blocks
 ``variable_groups`` names.  Frames, training targets, error series,
 ground-truth cuts and rollout artifacts all derive from these two.  A node's
 features are the schema's ``input_dim`` columns of ``node_inputs(frame, X)``
-followed by the static stiffness scale kappa and the node-type one-hot.
+followed by the static stiffness scale kappa and the node-type one-hot;
+``node_inputs`` too takes one frame or stacked frames.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,8 @@ import numpy as np
 from .container import read_arrays, write_arrays
 from .errors import SchemaFormatError, ValidationError
 from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
-                   build_graph_sample, one_hot_types, prepare_mesh)
+                   build_graph_sample, contact_edge_features, contact_edges_per_frame,
+                   mesh_edge_features, one_hot_types, prepare_mesh)
 
 
 @dataclass
@@ -135,7 +138,7 @@ class ChainSchema:
     variable_groups = {"u": (0, 1)}
 
     def node_inputs(self, frame: dict, X: np.ndarray) -> np.ndarray:
-        return frame["drive"][:, None]
+        return frame["drive"][..., None]
 
     def state_vector(self, frame: dict, X: np.ndarray) -> np.ndarray:
         """State in target layout (u along the chain)."""
@@ -169,6 +172,12 @@ def get_schema(name: str):
     return SCHEMAS[name]
 
 
+# Nodes times frames per run of ``PreparedTrajectory.feature_blocks``.  Each
+# takes about 1.6 kB, mostly contact-search candidates: a run of 30 frames
+# of a 32x32 impact lattice peaks at 52 MB, however long the trajectory.
+_RUN_NODE_FRAMES = 1 << 15
+
+
 @dataclass
 class PreparedTrajectory:
     """Trajectory plus its once-built static graph structure."""
@@ -192,12 +201,18 @@ class PreparedTrajectory:
                 f"frame index {t} out of range; last valid index is {self.traj.n_frames - 1}")
         return {k: self.traj.arrays[k][t].copy() for k in self.schema.series}
 
-    def sample_from_frame(self, frame: dict) -> GraphSample:
+    def node_features(self, frame: dict) -> np.ndarray:
+        """Node features ``[..., N, F]`` of one frame or of stacked frames:
+        the schema's node inputs, kappa and the node-type one-hot."""
         mesh = self.graph.mesh
-        kappa = np.full((mesh.n_nodes, 1), float(self.traj.arrays["kappa"][0]))
-        features = np.concatenate([self.schema.node_inputs(frame, mesh.reference_positions),
-                                   kappa, one_hot_types(mesh.node_type)], axis=1)
-        return build_graph_sample(self.graph, frame["x"], features,
+        inputs = self.schema.node_inputs(frame, mesh.reference_positions)
+        static = np.concatenate([np.full((mesh.n_nodes, 1), float(self.traj.arrays["kappa"][0])),
+                                 one_hot_types(mesh.node_type)], axis=1)
+        return np.concatenate(
+            [inputs, np.broadcast_to(static, (*inputs.shape[:-1], static.shape[1]))], axis=-1)
+
+    def sample_from_frame(self, frame: dict) -> GraphSample:
+        return build_graph_sample(self.graph, frame["x"], self.node_features(frame),
                                   self.graph_cfg.use_contact)
 
     def sample(self, t: int) -> GraphSample:
@@ -213,6 +228,34 @@ class PreparedTrajectory:
         state = self.schema.state_vector({k: a[k][t:t + 2] for k in self.schema.series},
                                          a["X"])
         return state[1] - state[0] if target_mode == "delta" else state[1]
+
+    def feature_blocks(self, target_mode: str) -> Iterator[tuple[str, np.ndarray]]:
+        """Every frame's features and targets, with the rows and bits of
+        ``sample(t)`` and ``target(t)``, as (normalizer group, ``[frames,
+        rows, F]`` block) pairs in frame order within each group.  Frames
+        come in runs of at most ``_RUN_NODE_FRAMES`` nodes times frames; per
+        run, node and mesh-edge features and targets are one block each, and
+        contact-edge features, from one search over the run, one block per
+        frame that has contact edges."""
+        a = self.traj.arrays
+        run = max(_RUN_NODE_FRAMES // self.traj.n_nodes, 1)
+        for start in range(0, self.traj.n_frames, run):
+            series = {k: a[k][start:start + run] for k in self.schema.series}
+            x = np.asarray(series["x"], dtype=np.float64)
+            yield "node", self.node_features(series)
+            yield "mesh", mesh_edge_features(self.graph.mesh.reference_positions, x,
+                                             self.graph.mesh_edges)
+            if self.graph_cfg.use_contact:
+                frame, pairs = contact_edges_per_frame(x, self.graph.contact_radius,
+                                                       self.graph.excluded_pairs)
+                # pair (i, j) of frame f joins rows f * N + i and f * N + j of the run
+                rows = contact_edge_features(x.reshape(-1, x.shape[-1]),
+                                             pairs + (frame * x.shape[1])[:, None])
+                for block in np.split(rows, np.flatnonzero(np.diff(frame)) + 1):
+                    yield "contact", block[None]
+            state = self.schema.state_vector(
+                {k: a[k][start:start + run + 1] for k in self.schema.series}, a["X"])
+            yield "target", state[1:] - state[:-1] if target_mode == "delta" else state[1:]
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:

@@ -12,11 +12,15 @@ contact exclusions) has one format: a ``[K, 2]`` int64 array of (source,
 target) rows, sorted ascending and free of duplicates.  ``_pairs`` builds it
 from the keys ``source * N + target``, whose sorted unique values are exactly
 the lexicographically sorted unique pairs.
+
+Set-up avoids ``np.unique`` and ``np.median``: in numpy 2.4 both import
+``numpy.ma``, about 16 ms once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -83,9 +87,17 @@ _ELEMENT_PERIMETERS = {
 }
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``keys``, as ``np.unique`` gives them."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.shape, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def _pairs(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Sorted, de-duplicated ``[K, 2]`` pairs of node ids below ``n``."""
-    keys = np.unique(np.asarray(src, dtype=np.int64) * n + dst)
+    keys = _distinct(np.asarray(src, dtype=np.int64) * n + dst)
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -132,7 +144,7 @@ def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
     if k < 1:
         raise ValidationError(f"tied-edge neighbor count must be >= 1, got {k}")
     comp = mesh.component_id
-    if np.unique(comp).size < 2:
+    if comp.size == 0 or comp.min() == comp.max():
         return np.zeros((0, 2), dtype=np.int64)
     X = mesh.reference_positions
     sources, targets = [], []
@@ -179,59 +191,92 @@ def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
 _CELL_LIMIT = 2.0 ** 61
 
 
-def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np.ndarray:
-    """All directed pairs closer than r_c, minus excluded pairs.
+@cache
+def _cell_offsets(d: int) -> np.ndarray:
+    """The 3**d offsets from a cell to itself and its neighbors, ``[3**d, d]``."""
+    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def contact_edges_per_frame(positions: np.ndarray, r_c: float,
+                            excluded=None) -> tuple[np.ndarray, np.ndarray]:
+    """Every frame's directed pairs closer than r_c, minus excluded pairs,
+    from one search over ``positions`` ``[T, N, d]``.
+
+    Returns the frame of each pair ``[K]`` and the pairs ``[K, 2]``, sorted
+    ascending by (frame, source, target); frame t's pairs are exactly
+    ``detect_contact_edges(positions[t], r_c, excluded)``.
 
     Cell search on a uniform grid of cell size r_c: nodes are sorted by an
     int64 cell key, and for each of the 3^d neighboring-cell offsets one
     ``searchsorted`` over the sorted keys yields every node of that cell.
     The key is the mixed-radix index of the cell in the grid's bounding box
-    padded by one cell, so it is exact while that box has fewer than 2**63
-    cells; past that it wraps, distinct cells may share a key, and the
-    extra candidates fall to the exact ``< r_c**2`` test and the pair
-    de-duplication.  ``excluded`` is a set or list of pairs or a ``[K, 2]``
-    array.  Output is sorted ascending by (source, target).
+    padded by one cell, with the frame as its leading digit, so it is exact
+    while frames times box cells stay below 2**63; past that it wraps,
+    distinct cells (of one frame or of two) may share a key, and the extra
+    candidates fall to the same-frame and exact ``< r_c**2`` tests and the
+    pair de-duplication.  ``excluded`` is a set or list of pairs or a
+    ``[K, 2]`` array.
     """
     if r_c <= 0:
         raise ValidationError(f"contact radius must be positive, got {r_c}")
     x = np.asarray(positions, dtype=np.float64)
-    n, d = x.shape
+    t, n, d = x.shape
+    x = x.reshape(t * n, d)  # node i of frame f is row f * n + i
+    frame = np.arange(t).repeat(n)
     cells = np.clip(np.floor(x / r_c), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
     cells -= cells.min(axis=0, initial=0)
     radix = cells.max(axis=0, initial=0) + 3
-    strides = np.cumprod(np.r_[1, radix[:0:-1]])[::-1]
-    keys = cells @ strides
+    strides = np.cumprod(np.r_[1, radix[::-1]])[::-1]  # frame's stride, then the axes'
+    keys = frame * strides[0] + cells @ strides[1:]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    offsets = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    query = (keys[:, None] + offsets @ strides).ravel()
+    # one ascending run of queries per offset, which searchsorted walks fastest
+    query = ((_cell_offsets(d) @ strides[1:])[:, None] + sorted_keys).ravel()
     lo = np.searchsorted(sorted_keys, query, side="left")
     counts = np.searchsorted(sorted_keys, query, side="right") - lo
-    src = np.repeat(np.arange(n).repeat(offsets.shape[0]), counts)
+    src = np.repeat(np.tile(order, 3 ** d), counts)
     dst = order[np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    delta = x[src] - x[dst]
-    near = (src != dst) & ((delta * delta).sum(axis=1) < r_c * r_c)
+    # np.take gathers rows several times faster than fancy indexing
+    delta = np.take(x, src, axis=0) - np.take(x, dst, axis=0)
+    near = ((src != dst) & (np.take(frame, src) == np.take(frame, dst))
+            & ((delta * delta).sum(axis=1) < r_c * r_c))
     src, dst = src[near], dst[near]
+    # row f * n + i times n, plus j, is the key f * n**2 + i * n + j of pair (i, j) in frame f
+    keys = _distinct(src * n + dst - np.take(frame, dst) * n)
     if excluded is not None:
         ex = np.asarray(list(excluded) if isinstance(excluded, (set, frozenset)) else excluded,
                         dtype=np.int64).reshape(-1, 2)
         ex = ex[((ex >= 0) & (ex < n)).all(axis=1)]  # others would alias in-range keys
-        keep = ~np.isin(src * n + dst, ex[:, 0] * n + ex[:, 1])
-        src, dst = src[keep], dst[keep]
-    return _pairs(src, dst, n)
+        # -1 heads the sorted keys so every pair finds a key at or below it
+        ex = np.r_[-1, np.sort(ex[:, 0] * n + ex[:, 1])]
+        pair = keys % (n * n)
+        keys = keys[ex[np.searchsorted(ex, pair, side="right") - 1] != pair]
+    return keys // (n * n), np.stack([keys // n % n, keys % n], axis=1)
+
+
+def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np.ndarray:
+    """All directed pairs closer than r_c, minus excluded pairs, as ``[K, 2]``
+    sorted ascending by (source, target): ``contact_edges_per_frame`` on the
+    one frame ``positions`` ``[N, d]``."""
+    return contact_edges_per_frame(np.asarray(positions)[None], r_c, excluded)[1]
 
 
 def contact_edge_features(x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per edge (i, j): offset x_i - x_j and its norm."""
+    """Per edge (i, j): offset x_i - x_j and its norm, for positions of one
+    frame ``[N, d]`` or of stacked frames ``[..., N, d]``."""
     x_t = np.asarray(x_t, dtype=np.float64)
-    offset = x_t[edges[:, 0]] - x_t[edges[:, 1]]
-    return np.concatenate([offset, np.sqrt((offset * offset).sum(-1, keepdims=True))], axis=1)
+    offset = np.take(x_t, edges[:, 0], axis=-2) - np.take(x_t, edges[:, 1], axis=-2)
+    return np.concatenate([offset, np.sqrt((offset * offset).sum(-1, keepdims=True))], axis=-1)
 
 
 def mesh_edge_features(X: np.ndarray, x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Per edge (i, j): reference offset and norm, current offset and norm."""
-    return np.concatenate([contact_edge_features(X, edges),
-                           contact_edge_features(x_t, edges)], axis=1)
+    """Per edge (i, j): reference offset and norm, current offset and norm,
+    for current positions of one frame or of stacked frames."""
+    current = contact_edge_features(x_t, edges)
+    reference = np.broadcast_to(contact_edge_features(X, edges), current.shape)
+    return np.concatenate([reference, current], axis=-1)
 
 
 def positional_encoding(X: np.ndarray, component_id: np.ndarray,
@@ -248,7 +293,7 @@ def positional_encoding(X: np.ndarray, component_id: np.ndarray,
     X = np.asarray(X, dtype=np.float64)
     component_id = np.asarray(component_id, dtype=np.int64)
     u = np.zeros_like(X)
-    for comp in np.unique(component_id):
+    for comp in _distinct(component_id):
         rows = component_id == comp
         lo = X[rows].min(axis=0)
         extent = X[rows].max(axis=0) - lo
@@ -303,7 +348,9 @@ def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
     edges = build_mesh_edges(mesh)
     if edges.shape[0] == 0:
         raise ValidationError("mesh has no edges")
-    med = float(np.median(contact_edge_features(mesh.reference_positions, edges)[:, -1]))
+    lengths = np.sort(contact_edge_features(mesh.reference_positions, edges)[:, -1])
+    # the median as np.median takes it: the mean of the one or two middle values
+    med = float(np.mean(lengths[(lengths.size - 1) // 2:lengths.size // 2 + 1]))
     tied = build_tied_edges(mesh, k=cfg.tied_k, interface_cutoff=cfg.tied_cutoff_factor * med)
     edges = np.concatenate([edges, tied])
     edges = _pairs(edges[:, 0], edges[:, 1], n)

@@ -78,24 +78,18 @@ class Normalizer:
 
     @classmethod
     def fit(cls, trajs: list[PreparedTrajectory], target_mode: str) -> "Normalizer":
-        """Single streaming pass over every frame of the training split."""
+        """One pass per trajectory over its frames stacked in blocks: each
+        frame's column sums enter the running sums in frame order, as a
+        pass over ``prep.sample(t)`` and ``prep.target(t)`` would add them."""
         dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
         sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0] for key, dim in _NORM_WIDTHS}
-
-        def push(key, mat):
-            s = sums[key]
-            s[0] += mat.sum(axis=0)
-            s[1] += (mat * mat).sum(axis=0)
-            s[2] += mat.shape[0]
-
         for prep in trajs:
-            for t in range(prep.traj.n_frames):
-                sample = prep.sample(t)
-                push("node", sample.node_features)
-                push("mesh", sample.mesh_edge_features)
-                push("contact", sample.contact_edge_features)
-                if t < prep.n_transitions:
-                    push("target", prep.target(t, target_mode))
+            for key, block in prep.feature_blocks(target_mode):
+                s = sums[key]
+                for col, sq in zip(block.sum(axis=1), (block * block).sum(axis=1)):
+                    s[0] += col
+                    s[1] += sq
+                s[2] += block.shape[0] * block.shape[1]
 
         def stats(key):
             s, sq, n = sums[key]

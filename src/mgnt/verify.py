@@ -12,7 +12,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import GraphConfig, Trajectory, feature_dims, get_schema, prepare_trajectory
-from .mesh import detect_contact_edges, detect_contact_edges_bruteforce, permute_sample
+from .mesh import (contact_edges_per_frame, detect_contact_edges,
+                   detect_contact_edges_bruteforce, permute_sample)
 from .model import ModelConfig, forward, init_params
 from .oracle import OracleConfig, simulate_impact
 from .tensor import Tensor, grad_check
@@ -125,16 +126,17 @@ def run_checks() -> list[tuple[str, bool, str]]:
     dev = np.abs(y_shift.data - y0.data).max()
     check("translation invariance", dev < 1e-8, f"max dev {dev:.2e}")
 
-    # contact search vs brute force
-    worst_mismatch = 0
-    for trial in range(20):
-        pts = rng.uniform(-1, 1, size=(40, 2))
-        fast = detect_contact_edges(pts, 0.3, set())
-        slow = detect_contact_edges_bruteforce(pts, 0.3, set())
-        if fast.shape != slow.shape or not np.array_equal(fast, slow):
-            worst_mismatch += 1
-    check("contact search equals brute force", worst_mismatch == 0,
-          f"{worst_mismatch} mismatching configs of 20")
+    # contact search vs brute force, frame by frame and over 3 frames at once
+    mismatches = 0
+    for _ in range(20):
+        frames = rng.uniform(-1, 1, size=(3, 40, 2))
+        frame, stacked = contact_edges_per_frame(frames, 0.3, set())
+        for t, pts in enumerate(frames):
+            slow = detect_contact_edges_bruteforce(pts, 0.3, set())
+            mismatches += not (np.array_equal(detect_contact_edges(pts, 0.3, set()), slow)
+                               and np.array_equal(stacked[frame == t], slow))
+    check("contact search equals brute force", mismatches == 0,
+          f"{mismatches} mismatching frames of 60")
 
     # deterministic forward
     y1, _ = forward(sample0, params, mcfg, train_mode=False)

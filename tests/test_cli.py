@@ -959,6 +959,19 @@ def test_verify_command_names_failed_check(monkeypatch, capsys):
     assert failed.startswith("failed:") and "contact search equals brute force" in failed
 
 
+def test_verify_contact_row_checks_the_stacked_search(monkeypatch):
+    real = mgnt.verify.contact_edges_per_frame
+
+    def last_frame_as_first(*args):
+        frame, pairs = real(*args)
+        return np.where(frame == frame.max(), 0, frame), pairs
+
+    monkeypatch.setattr(mgnt.verify, "contact_edges_per_frame", last_frame_as_first)
+    rows = {name: ok for name, ok, _ in mgnt.verify.run_checks()}
+    assert rows["contact search equals brute force"] is False
+    assert sum(not ok for ok in rows.values()) == 1
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     allowed = set(sys.stdlib_module_names) | {"numpy", "mgnt"}
     src = os.path.dirname(mgnt.__file__)

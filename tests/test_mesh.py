@@ -6,7 +6,7 @@ import pytest
 import mgnt.mesh
 from mgnt.errors import ValidationError
 from mgnt.mesh import (GraphConfig, Mesh, build_mesh_edges, build_tied_edges,
-                       contact_edge_features, detect_contact_edges,
+                       contact_edge_features, contact_edges_per_frame, detect_contact_edges,
                        detect_contact_edges_bruteforce, mesh_edge_features,
                        one_hot_types, positional_encoding, prepare_mesh)
 
@@ -190,6 +190,71 @@ class TestContactDetection:
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
             detect_contact_edges(np.zeros((2, 2)), 0.0, set())
+
+
+# With r_c = 1 the cell grid spans 2**40 columns and 2**24 rows, so the frame
+# digit's stride, 2**64, wraps to 0: every frame's keys equal frame 0's, and
+# only the same-frame test keeps a node from pairing with itself or with its
+# neighbors in other frames.
+_FRAME_STRIDE_WRAPS = np.array([[0.25, 0.25], [0.75, 0.25],
+                                [2.0 ** 40 - 2.5, 2.0 ** 24 - 2.5],
+                                [2.0 ** 40 - 2.2, 2.0 ** 24 - 2.5]])
+_HUGE = np.array([[1e307, 0.0], [1e307, 1e-3], [-1e307, 0.0], [0.0, 0.0]])
+
+
+class TestContactPerFrame:
+    """One search over stacked frames equals the brute force frame by frame."""
+
+    @staticmethod
+    def check(frames, r_c, excluded=frozenset()):
+        frames = np.asarray(frames, dtype=float)
+        with np.errstate(over="ignore", invalid="raise"):  # no cast of inf to int
+            frame, pairs = contact_edges_per_frame(frames, r_c, excluded)
+            slow = [detect_contact_edges_bruteforce(x, r_c, excluded) for x in frames]
+        assert frame.dtype == np.int64 and pairs.dtype == np.int64
+        assert pairs.shape == (frame.size, 2)
+        np.testing.assert_array_equal(
+            frame, np.repeat(np.arange(len(slow)), [s.shape[0] for s in slow]))
+        np.testing.assert_array_equal(pairs, np.concatenate([np.zeros((0, 2), np.int64), *slow]))
+        return frame, pairs
+
+    def test_identical_frames_pair_within_each(self):
+        pts = np.random.default_rng(20).uniform(-1, 1, size=(40, 2))
+        frame, pairs = self.check(np.stack([pts] * 4), 0.3)
+        one = detect_contact_edges(pts, 0.3)
+        assert one.shape[0] > 0
+        for t in range(4):
+            np.testing.assert_array_equal(pairs[frame == t], one)
+
+    def test_frames_1e6_apart(self):
+        rng = np.random.default_rng(21)
+        frames = rng.uniform(-1, 1, size=(3, 30, 2)) + 1e6 * np.arange(3)[:, None, None]
+        self.check(frames, 0.4)
+
+    @pytest.mark.parametrize("pts,r_c", [(_HUGE, 1e-2), (_FRAME_STRIDE_WRAPS, 1.0)],
+                             ids=["huge", "frame-stride-wraps"])
+    def test_wrapping_keys(self, pts, r_c):
+        frame, _ = self.check(np.stack([pts, pts[::-1], pts]), r_c)
+        assert frame.size > 0
+
+    @pytest.mark.parametrize("shape,r_c", [
+        ((3, 30, 1), 0.1), ((3, 25, 3), 0.5), ((3, 0, 2), 1.0), ((3, 1, 2), 1.0),
+    ], ids=["1d", "3d", "empty-frames", "one-node-frames"])
+    def test_shapes(self, shape, r_c):
+        self.check(np.random.default_rng(22).uniform(-1, 1, size=shape), r_c)
+
+    def test_exclusion_formats_agree(self):
+        frames = np.random.default_rng(23).uniform(-1, 1, size=(3, 40, 2))
+        pairs = contact_edges_per_frame(frames, 0.5)[1][::3]
+        as_set = {(int(a), int(b)) for a, b in pairs}
+        results = [self.check(frames, 0.5, ex) for ex in (as_set, sorted(as_set), pairs)]
+        for frame, found in results[1:]:
+            np.testing.assert_array_equal(frame, results[0][0])
+            np.testing.assert_array_equal(found, results[0][1])
+
+    def test_bad_radius(self):
+        with pytest.raises(ValidationError):
+            contact_edges_per_frame(np.zeros((2, 2, 2)), 0.0)
 
 
 class TestEdgeFeatures:

@@ -2,12 +2,17 @@
 checkpointing."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import mgnt
+import mgnt.data
 import mgnt.tensor as T
 from mgnt import train
 from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
@@ -16,7 +21,8 @@ from mgnt.container import read_arrays, write_arrays
 from mgnt.errors import ConfigError, SchemaFormatError, ValidationError
 from mgnt.mesh import NODE_ACTUATOR
 from mgnt.model import ModelConfig, forward, init_params
-from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
+from mgnt.oracle import (ChainConfig, OracleConfig, gen_dataset, simulate_chain,
+                         simulate_impact)
 from mgnt.tensor import Tape, Tensor
 from mgnt.train import (Normalizer, TrainConfig, compute_loss, fit, load_checkpoint,
                         make_batch, save_checkpoint, write_history_csv)
@@ -277,6 +283,85 @@ class TestNormalizer:
         back = Normalizer.from_arrays(norm.to_arrays())
         np.testing.assert_array_equal(back.node_mean, norm.node_mean)
         np.testing.assert_array_equal(back.target_std, norm.target_std)
+
+
+def _fit_frame_by_frame(trajs, target_mode: str) -> Normalizer:
+    """The reference for ``Normalizer.fit``: one pass over ``prep.sample(t)``
+    and ``prep.target(t)``, each frame's column sums added in frame order."""
+    dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
+    sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0]
+            for key, dim in train._NORM_WIDTHS}
+
+    def push(key, mat):
+        s = sums[key]
+        s[0] += mat.sum(axis=0)
+        s[1] += (mat * mat).sum(axis=0)
+        s[2] += mat.shape[0]
+
+    for prep in trajs:
+        for t in range(prep.traj.n_frames):
+            sample = prep.sample(t)
+            push("node", sample.node_features)
+            push("mesh", sample.mesh_edge_features)
+            push("contact", sample.contact_edge_features)
+            if t < prep.n_transitions:
+                push("target", prep.target(t, target_mode))
+
+    def stats(key):
+        s, sq, n = sums[key]
+        if n == 0:
+            return np.zeros_like(s), np.ones_like(s)
+        mean = s / n
+        var = np.maximum(sq / n - mean * mean, 0.0)
+        return mean, np.maximum(np.sqrt(var), train._STD_FLOOR)
+
+    return Normalizer(*stats("node"), *stats("mesh"), *stats("contact"), *stats("target"))
+
+
+# A 4x4 lattice whose contact edges appear at frame 11 of 20.
+_CONTACT_CFG = OracleConfig(rows=4, cols=4, frames=20, substeps=10, drop_height=0.02,
+                            initial_velocity=-3.0)
+
+
+class TestNormalizerEqualsFrameByFrame:
+    """The stacked pass keeps every bit of the frame-by-frame one."""
+
+    @staticmethod
+    def check(trajs, schema, gcfg, target_mode):
+        preps = [prepare_trajectory(traj, get_schema(schema), gcfg) for traj in trajs]
+        fast = Normalizer.fit(preps, target_mode).to_arrays()
+        slow = _fit_frame_by_frame(preps, target_mode).to_arrays()
+        assert list(fast) == list(slow)
+        for key in fast:
+            assert fast[key].tobytes() == slow[key].tobytes(), key
+        return preps
+
+    def test_impact_contact_appears_mid_trajectory(self):
+        preps = self.check([simulate_impact(_CONTACT_CFG)], "impact", GraphConfig(), "absolute")
+        counts = [preps[0].sample(t).contact_edges.shape[0] for t in range(20)]
+        assert counts[0] == 0 and counts[-1] > 0
+
+    def test_impact_without_contact(self):
+        self.check([simulate_impact(_CONTACT_CFG)], "impact", GraphConfig(use_contact=False),
+                   "absolute")
+
+    def test_chain_delta(self):
+        self.check([simulate_chain(ChainConfig(n_nodes=120, frames=6, seed=3))], "chain",
+                   GraphConfig(use_contact=False), "delta")
+
+    @pytest.mark.parametrize("target_mode", ["absolute", "delta"])
+    def test_two_trajectories_of_different_lengths(self, target_mode):
+        trajs = [simulate_impact(_CONTACT_CFG),
+                 simulate_impact(replace(_CONTACT_CFG, frames=7, initial_velocity=-2.0))]
+        self.check(trajs, "impact", GraphConfig(n_frequencies=2), target_mode)
+
+    @pytest.mark.parametrize("schema,target_mode", [("impact", "absolute"), ("chain", "delta")])
+    @pytest.mark.parametrize("frames_per_run", [1, 3])
+    def test_frames_in_several_runs(self, monkeypatch, schema, target_mode, frames_per_run):
+        traj = (simulate_impact(_CONTACT_CFG) if schema == "impact"
+                else simulate_chain(ChainConfig(n_nodes=120, frames=8, seed=3)))
+        monkeypatch.setattr(mgnt.data, "_RUN_NODE_FRAMES", frames_per_run * traj.n_nodes)
+        self.check([traj], schema, GraphConfig(use_contact=schema == "impact"), target_mode)
 
 
 class TestNoise:
@@ -601,3 +686,34 @@ class TestCheckpointIO:
                                   lambda meta: meta["graph_config"].update(bogus=1))
         with pytest.raises(SchemaFormatError, match="'bogus'.*'graph_config'"):
             load_checkpoint(path)
+
+
+# Loads a dataset, trains one step and rolls out one step, then reports
+# whether numpy.ma was imported on the way.
+_TRAIN_PATH_SCRIPT = """
+import sys
+from mgnt.data import GraphConfig, feature_dims, load_split, prepare_trajectory
+from mgnt.model import ModelConfig
+from mgnt.rollout import rollout
+from mgnt.train import TrainConfig, fit
+schema, split, _ = load_split(sys.argv[1])
+gcfg = GraphConfig(n_frequencies=2)
+preps = [prepare_trajectory(traj, schema, gcfg) for traj in split["train"]]
+mcfg = ModelConfig(latent_dim=8, n_tokens=2, n_heads=2, transformer_dims=(8, 8, 8),
+                   **feature_dims(schema, gcfg))
+result = fit(preps, mcfg, TrainConfig(steps=1, batch_size=2))
+rollout(result.params, mcfg, result.normalizer, preps[0], 1, "absolute")
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_train_path_does_not_import_numpy_ma(tmp_path):
+    """np.unique and np.median import numpy.ma, about 16 ms once per process
+    in numpy 2.4; nothing from loading to rollout calls them."""
+    manifest = gen_dataset(1, 1, OracleConfig(rows=3, cols=3, frames=4, substeps=4), 0,
+                           str(tmp_path))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mgnt.__file__))}
+    done = subprocess.run([sys.executable, "-c", _TRAIN_PATH_SCRIPT, manifest], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
