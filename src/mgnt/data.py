@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,7 @@ import numpy as np
 from .container import read_arrays, write_arrays
 from .errors import SchemaFormatError, ValidationError
 from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
-                   build_graph_sample, contact_edge_features, contact_edges_per_frame,
-                   mesh_edge_features, one_hot_types, prepare_mesh)
+                   build_graph_sample, one_hot_types, prepare_mesh)
 
 
 @dataclass
@@ -172,9 +170,9 @@ def get_schema(name: str):
     return SCHEMAS[name]
 
 
-# Nodes times frames per run of ``PreparedTrajectory.feature_blocks``.  Each
-# takes about 1.6 kB, mostly contact-search candidates: a run of 30 frames
-# of a 32x32 impact lattice peaks at 52 MB, however long the trajectory.
+# Nodes times frames per run of frames that ``Normalizer.fit`` builds as one
+# sample.  Each takes about 1.4 kB, mostly contact-search candidates: a run of
+# 30 frames of a 32x32 impact lattice peaks at 43 MB, however long the trajectory.
 _RUN_NODE_FRAMES = 1 << 15
 
 
@@ -212,6 +210,7 @@ class PreparedTrajectory:
             [inputs, np.broadcast_to(static, (*inputs.shape[:-1], static.shape[1]))], axis=-1)
 
     def sample_from_frame(self, frame: dict) -> GraphSample:
+        """The sample of one frame, or the disjoint union of stacked frames."""
         return build_graph_sample(self.graph, frame["x"], self.node_features(frame),
                                   self.graph_cfg.use_contact)
 
@@ -228,34 +227,6 @@ class PreparedTrajectory:
         state = self.schema.state_vector({k: a[k][t:t + 2] for k in self.schema.series},
                                          a["X"])
         return state[1] - state[0] if target_mode == "delta" else state[1]
-
-    def feature_blocks(self, target_mode: str) -> Iterator[tuple[str, np.ndarray]]:
-        """Every frame's features and targets, with the rows and bits of
-        ``sample(t)`` and ``target(t)``, as (normalizer group, ``[frames,
-        rows, F]`` block) pairs in frame order within each group.  Frames
-        come in runs of at most ``_RUN_NODE_FRAMES`` nodes times frames; per
-        run, node and mesh-edge features and targets are one block each, and
-        contact-edge features, from one search over the run, one block per
-        frame that has contact edges."""
-        a = self.traj.arrays
-        run = max(_RUN_NODE_FRAMES // self.traj.n_nodes, 1)
-        for start in range(0, self.traj.n_frames, run):
-            series = {k: a[k][start:start + run] for k in self.schema.series}
-            x = np.asarray(series["x"], dtype=np.float64)
-            yield "node", self.node_features(series)
-            yield "mesh", mesh_edge_features(self.graph.mesh.reference_positions, x,
-                                             self.graph.mesh_edges)
-            if self.graph_cfg.use_contact:
-                frame, pairs = contact_edges_per_frame(x, self.graph.contact_radius,
-                                                       self.graph.excluded_pairs)
-                # pair (i, j) of frame f joins rows f * N + i and f * N + j of the run
-                rows = contact_edge_features(x.reshape(-1, x.shape[-1]),
-                                             pairs + (frame * x.shape[1])[:, None])
-                for block in np.split(rows, np.flatnonzero(np.diff(frame)) + 1):
-                    yield "contact", block[None]
-            state = self.schema.state_vector(
-                {k: a[k][start:start + run + 1] for k in self.schema.series}, a["X"])
-            yield "target", state[1:] - state[:-1] if target_mode == "delta" else state[1:]
 
 
 def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> PreparedTrajectory:

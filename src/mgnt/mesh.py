@@ -1,11 +1,12 @@
 """Mesh-to-graph feature engineering.
 
-Turns a mesh plus one time step's state into the arrays the network consumes:
-node features, bidirectional mesh edges with reference/current relative
-offsets, dynamically detected contact edges with current offsets, and a
-per-component stationary-wave positional encoding over the undeformed
-geometry.  All edge features are built from relative quantities, so a rigid
-translation of reference and current positions together changes nothing.
+Turns a mesh plus the state of one frame, or of stacked frames, into the
+arrays the network consumes: node features, bidirectional mesh edges with
+reference/current relative offsets, dynamically detected contact edges with
+current offsets, and a per-component stationary-wave positional encoding over
+the undeformed geometry.  All edge features are built from relative
+quantities, so a rigid translation of reference and current positions
+together changes nothing.
 
 Every collection of node pairs here (mesh edges, tied edges, contact edges,
 contact exclusions) has one format: a ``[K, 2]`` int64 array of (source,
@@ -19,6 +20,7 @@ Set-up avoids ``np.unique`` and ``np.median``: in numpy 2.4 both import
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -61,7 +63,8 @@ class Mesh:
 
 @dataclass
 class GraphSample:
-    """Everything the model consumes for one (or one merged batch of) frames."""
+    """Everything the model consumes for one frame, or for the disjoint union
+    of several frames, each frame's node rows named in ``sample_ranges``."""
 
     node_features: np.ndarray         # [N, F]
     mesh_edges: np.ndarray            # [Em, 2] (src, dst)
@@ -199,14 +202,13 @@ def _cell_offsets(d: int) -> np.ndarray:
     return offsets
 
 
-def contact_edges_per_frame(positions: np.ndarray, r_c: float,
-                            excluded=None) -> tuple[np.ndarray, np.ndarray]:
-    """Every frame's directed pairs closer than r_c, minus excluded pairs,
-    from one search over ``positions`` ``[T, N, d]``.
-
-    Returns the frame of each pair ``[K]`` and the pairs ``[K, 2]``, sorted
-    ascending by (frame, source, target); frame t's pairs are exactly
-    ``detect_contact_edges(positions[t], r_c, excluded)``.
+def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np.ndarray:
+    """Every directed pair of nodes of one frame closer than r_c, minus
+    excluded pairs, for positions of one frame ``[N, d]`` or of stacked
+    frames ``[T, N, d]``, as ``[K, 2]`` sorted ascending.  Node i of frame f
+    is row f * N + i, the numbering of the frames' disjoint union, so a
+    pair's frame is its source row // N.  ``excluded`` (a set or list of
+    pairs or a ``[K, 2]`` array) holds pairs (i, j) dropped in every frame.
 
     Cell search on a uniform grid of cell size r_c: nodes are sorted by an
     int64 cell key, and for each of the 3^d neighboring-cell offsets one
@@ -216,14 +218,14 @@ def contact_edges_per_frame(positions: np.ndarray, r_c: float,
     while frames times box cells stay below 2**63; past that it wraps,
     distinct cells (of one frame or of two) may share a key, and the extra
     candidates fall to the same-frame and exact ``< r_c**2`` tests and the
-    pair de-duplication.  ``excluded`` is a set or list of pairs or a
-    ``[K, 2]`` array.
+    pair de-duplication.
     """
     if r_c <= 0:
         raise ValidationError(f"contact radius must be positive, got {r_c}")
     x = np.asarray(positions, dtype=np.float64)
-    t, n, d = x.shape
-    x = x.reshape(t * n, d)  # node i of frame f is row f * n + i
+    n, d = x.shape[-2:]
+    t = math.prod(x.shape[:-2])
+    x = x.reshape(t * n, d)
     frame = np.arange(t).repeat(n)
     cells = np.clip(np.floor(x / r_c), -_CELL_LIMIT, _CELL_LIMIT).astype(np.int64)
     cells -= cells.min(axis=0, initial=0)
@@ -253,14 +255,8 @@ def contact_edges_per_frame(positions: np.ndarray, r_c: float,
         ex = np.r_[-1, np.sort(ex[:, 0] * n + ex[:, 1])]
         pair = keys % (n * n)
         keys = keys[ex[np.searchsorted(ex, pair, side="right") - 1] != pair]
-    return keys // (n * n), np.stack([keys // n % n, keys % n], axis=1)
-
-
-def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np.ndarray:
-    """All directed pairs closer than r_c, minus excluded pairs, as ``[K, 2]``
-    sorted ascending by (source, target): ``contact_edges_per_frame`` on the
-    one frame ``positions`` ``[N, d]``."""
-    return contact_edges_per_frame(np.asarray(positions)[None], r_c, excluded)[1]
+    src = keys // n  # row f * n + i; the target is row f * n + j, j = key % n
+    return np.stack([src, src - src % n + keys % n], axis=1)
 
 
 def contact_edge_features(x_t: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -364,44 +360,29 @@ def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
 
 def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
                        node_features: np.ndarray, use_contact: bool) -> GraphSample:
-    """Assemble one frame's sample: static edges, plus contact edges searched
-    afresh at ``positions`` when ``use_contact`` is set."""
+    """The sample of one frame (positions ``[N, d]``, node features
+    ``[N, F]``), or the disjoint union of stacked frames (``[B, N, d]`` and
+    ``[B, N, F]``): frame b takes rows b * N to (b + 1) * N, its mesh edges
+    are offset by b * N, the positional encoding repeats per frame and
+    ``sample_ranges`` names each frame's rows.  Contact edges, when
+    ``use_contact`` is set, come from one search over every frame."""
     x_t = np.asarray(positions, dtype=np.float64)
+    n, d = x_t.shape[-2:]
+    frames = math.prod(x_t.shape[:-2])
     if use_contact:
         contact = detect_contact_edges(x_t, graph.contact_radius, graph.excluded_pairs)
     else:
         contact = np.zeros((0, 2), dtype=np.int64)
+    offsets = np.arange(frames)[:, None, None] * n
+    mesh_features = mesh_edge_features(graph.mesh.reference_positions, x_t, graph.mesh_edges)
     return GraphSample(
-        node_features=np.asarray(node_features, dtype=np.float64),
-        mesh_edges=graph.mesh_edges,
-        mesh_edge_features=mesh_edge_features(graph.mesh.reference_positions, x_t,
-                                              graph.mesh_edges),
+        node_features=np.asarray(node_features, dtype=np.float64).reshape(frames * n, -1),
+        mesh_edges=(graph.mesh_edges + offsets).reshape(-1, 2),
+        mesh_edge_features=mesh_features.reshape(-1, mesh_features.shape[-1]),
         contact_edges=contact,
-        contact_edge_features=contact_edge_features(x_t, contact),
-        positional_encoding=graph.positional,
-    )
-
-
-def merge_samples(samples: list[GraphSample]) -> GraphSample:
-    """Disjoint union of same-mesh samples; token stages stay per-sample.
-
-    Edge indices are offset per sample and ``sample_ranges`` records the node
-    span of each constituent so the attention stage can treat them separately.
-    """
-    if len(samples) == 1:
-        return samples[0]
-    offsets = np.cumsum([0] + [s.n_nodes for s in samples])
-    ranges = tuple((int(offsets[i]), int(offsets[i + 1])) for i in range(len(samples)))
-    mesh_edges = np.concatenate([s.mesh_edges + offsets[i] for i, s in enumerate(samples)])
-    contact = np.concatenate([s.contact_edges + offsets[i] for i, s in enumerate(samples)])
-    return GraphSample(
-        node_features=np.concatenate([s.node_features for s in samples]),
-        mesh_edges=mesh_edges,
-        mesh_edge_features=np.concatenate([s.mesh_edge_features for s in samples]),
-        contact_edges=contact,
-        contact_edge_features=np.concatenate([s.contact_edge_features for s in samples]),
-        positional_encoding=np.concatenate([s.positional_encoding for s in samples]),
-        sample_ranges=ranges,
+        contact_edge_features=contact_edge_features(x_t.reshape(-1, d), contact),
+        positional_encoding=np.tile(graph.positional, (frames, 1)),
+        sample_ranges=tuple((b * n, (b + 1) * n) for b in range(frames)),
     )
 
 

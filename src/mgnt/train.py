@@ -1,13 +1,14 @@
 """Teacher-forced one-step training.
 
-Batches are snapshots of a single trajectory merged into one disjoint-union
-graph (the token-attention stage still treats each snapshot separately).
-Inputs and targets are whitened with statistics accumulated in one streaming
-pass over the training split; the loss is the batch mean of the per-sample
-mean squared residual over deformable nodes only.  The optimizer is Adam
-with an exponential learning-rate decay.  Every random draw comes from a
-generator seeded by (run seed, step), so runs are reproducible and a resumed
-run continues bit-for-bit.
+A batch stacks snapshots of a single trajectory into one disjoint-union
+graph, built as one frame's is (the token-attention stage still treats each
+snapshot separately).  Inputs and targets are whitened with statistics of
+one streaming pass over the training split, one such graph per run of
+frames; the loss is the batch mean of the per-sample mean squared residual
+over deformable nodes only.  The optimizer is Adam with an exponential
+learning-rate decay.  Every random draw comes from a generator seeded by
+(run seed, step), so runs are reproducible and a resumed run continues
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import data
 from . import tensor as T
 from .container import read_arrays, write_arrays
 from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
 from .errors import (ConfigError, SchemaFormatError, TrainingAbort, ValidationError,
                      check_settings, setting)
-from .mesh import GraphSample, merge_samples
+from .mesh import GraphSample
 from .model import ModelConfig, forward, init_params, param_shapes
 from .tensor import Tape, Tensor
 
@@ -78,18 +80,36 @@ class Normalizer:
 
     @classmethod
     def fit(cls, trajs: list[PreparedTrajectory], target_mode: str) -> "Normalizer":
-        """One pass per trajectory over its frames stacked in blocks: each
-        frame's column sums enter the running sums in frame order, as a
-        pass over ``prep.sample(t)`` and ``prep.target(t)`` would add them."""
+        """One pass per trajectory, one sample per run of at most
+        ``data._RUN_NODE_FRAMES`` nodes times frames: each frame's column
+        sums enter the running sums in frame order, as a pass over
+        ``prep.sample(t)`` and ``prep.target(t)`` would add them."""
         dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
         sums = {key: [np.zeros(dims[dim]), np.zeros(dims[dim]), 0] for key, dim in _NORM_WIDTHS}
+
+        def add(key, block):  # block [frames, rows, F]
+            s = sums[key]
+            for col, sq in zip(block.sum(axis=1), (block * block).sum(axis=1)):
+                s[0] += col
+                s[1] += sq
+            s[2] += block.shape[0] * block.shape[1]
+
         for prep in trajs:
-            for key, block in prep.feature_blocks(target_mode):
-                s = sums[key]
-                for col, sq in zip(block.sum(axis=1), (block * block).sum(axis=1)):
-                    s[0] += col
-                    s[1] += sq
-                s[2] += block.shape[0] * block.shape[1]
+            a, n = prep.traj.arrays, prep.traj.n_nodes
+            run = max(data._RUN_NODE_FRAMES // n, 1)
+            for start in range(0, prep.traj.n_frames, run):
+                series = {k: a[k][start:start + run + 1] for k in prep.schema.series}
+                sample = prep.sample_from_frame({k: v[:run] for k, v in series.items()})
+                frames = len(sample.sample_ranges)
+                add("node", sample.node_features.reshape(frames, n, -1))
+                mesh = sample.mesh_edge_features
+                add("mesh", mesh.reshape(frames, -1, mesh.shape[1]))
+                frame = sample.contact_edges[:, 0] // n
+                for rows in np.split(sample.contact_edge_features,
+                                     np.flatnonzero(np.diff(frame)) + 1):
+                    add("contact", rows[None])
+                state = prep.schema.state_vector(series, a["X"])
+                add("target", state[1:] - state[:-1] if target_mode == "delta" else state[1:])
 
         def stats(key):
             s, sq, n = sums[key]
@@ -147,15 +167,16 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
                normalizer: Normalizer | None = None, noise_scale: float = 0.0,
                rng: np.random.Generator | None = None
                ) -> tuple[GraphSample, np.ndarray, np.ndarray]:
-    """Merged sample + stacked targets + deformable mask for one batch.
+    """Disjoint-union sample + stacked targets + deformable mask for one batch.
 
     Inputs come from ground-truth frames (teacher forcing), optionally
-    perturbed with input noise; targets always come from the clean successor
-    frame.  All snapshots share the trajectory's mesh.
+    perturbed with input noise frame by frame; the frames are then stacked
+    into one ``sample_from_frame`` call.  Targets always come from the clean
+    successor frame.  All snapshots share the trajectory's mesh.
     """
     if noise_scale > 0.0 and (normalizer is None or rng is None):
         raise ValidationError("input noise needs a fitted normalizer and an rng")
-    samples, targets = [], []
+    frames, targets = [], []
     deform = prep.deformable
     stds = prep.schema.noise_stds(normalizer) if noise_scale > 0.0 else None
     for t in step_indices:
@@ -164,10 +185,10 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
         frame = prep.frame(t)
         if noise_scale > 0.0:
             frame = prep.schema.inject_noise(frame, noise_scale, stds, rng, deform)
-        samples.append(prep.sample_from_frame(frame))
-    merged = merge_samples(samples)
-    mask = np.concatenate([deform] * len(step_indices))
-    return merged, np.concatenate(targets), mask
+        frames.append(frame)
+    stacked = {k: np.stack([frame[k] for frame in frames]) for k in prep.schema.series}
+    mask = np.concatenate([deform] * len(frames))
+    return prep.sample_from_frame(stacked), np.concatenate(targets), mask
 
 
 def _step_rng(seed: int, step: int, salt: int = 0) -> np.random.Generator:
@@ -409,9 +430,9 @@ def load_checkpoint(path: str) -> dict:
             raise SchemaFormatError(f"{path}: checkpoint meta 'model_config' has {name} "
                                     f"{getattr(model_cfg, name)}, where its schema and "
                                     f"graph_config give {width}")
-    data = meta.get("data")
-    if not (isinstance(data, list) and data
-            and all(isinstance(d, str) and len(d) == 64 for d in data)):
+    digests = meta.get("data")
+    if not (isinstance(digests, list) and digests
+            and all(isinstance(d, str) and len(d) == 64 for d in digests)):
         raise SchemaFormatError(f"{path}: checkpoint meta 'data' is missing or not a "
                                 "list of trajectory digests")
     shapes = param_shapes(model_cfg)

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import GraphConfig, Trajectory, feature_dims, get_schema, prepare_trajectory
-from .mesh import (contact_edges_per_frame, detect_contact_edges,
-                   detect_contact_edges_bruteforce, permute_sample)
+from .mesh import detect_contact_edges, detect_contact_edges_bruteforce, permute_sample
 from .model import ModelConfig, forward, init_params
 from .oracle import OracleConfig, simulate_impact
 from .tensor import Tensor, grad_check
@@ -130,11 +129,12 @@ def run_checks() -> list[tuple[str, bool, str]]:
     mismatches = 0
     for _ in range(20):
         frames = rng.uniform(-1, 1, size=(3, 40, 2))
-        frame, stacked = contact_edges_per_frame(frames, 0.3, set())
+        stacked = detect_contact_edges(frames, 0.3, set())  # rows f * 40 + i
         for t, pts in enumerate(frames):
             slow = detect_contact_edges_bruteforce(pts, 0.3, set())
             mismatches += not (np.array_equal(detect_contact_edges(pts, 0.3, set()), slow)
-                               and np.array_equal(stacked[frame == t], slow))
+                               and np.array_equal(stacked[stacked[:, 0] // 40 == t] - t * 40,
+                                                  slow))
     check("contact search equals brute force", mismatches == 0,
           f"{mismatches} mismatching frames of 60")
 

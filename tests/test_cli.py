@@ -960,13 +960,18 @@ def test_verify_command_names_failed_check(monkeypatch, capsys):
 
 
 def test_verify_contact_row_checks_the_stacked_search(monkeypatch):
-    real = mgnt.verify.contact_edges_per_frame
+    real = mgnt.verify.detect_contact_edges
 
-    def last_frame_as_first(*args):
-        frame, pairs = real(*args)
-        return np.where(frame == frame.max(), 0, frame), pairs
+    def last_frame_as_first(positions, *args):
+        rows = real(positions, *args)
+        if np.ndim(positions) == 2:  # the one-frame searches stay right
+            return rows
+        # node i of frame f is row f * n + i: renumber the last frame's pairs as frame 0's
+        n = np.shape(positions)[1]
+        last = rows[:, 0] // n == len(positions) - 1
+        return np.where(last[:, None], rows % n, rows)
 
-    monkeypatch.setattr(mgnt.verify, "contact_edges_per_frame", last_frame_as_first)
+    monkeypatch.setattr(mgnt.verify, "detect_contact_edges", last_frame_as_first)
     rows = {name: ok for name, ok, _ in mgnt.verify.run_checks()}
     assert rows["contact search equals brute force"] is False
     assert sum(not ok for ok in rows.values()) == 1

@@ -6,7 +6,7 @@ import pytest
 import mgnt.mesh
 from mgnt.errors import ValidationError
 from mgnt.mesh import (GraphConfig, Mesh, build_mesh_edges, build_tied_edges,
-                       contact_edge_features, contact_edges_per_frame, detect_contact_edges,
+                       contact_edge_features, detect_contact_edges,
                        detect_contact_edges_bruteforce, mesh_edge_features,
                        one_hot_types, positional_encoding, prepare_mesh)
 
@@ -207,14 +207,19 @@ class TestContactPerFrame:
 
     @staticmethod
     def check(frames, r_c, excluded=frozenset()):
+        """The stacked search's pairs as (frame of each, pairs within it)."""
         frames = np.asarray(frames, dtype=float)
+        n = frames.shape[1]
         with np.errstate(over="ignore", invalid="raise"):  # no cast of inf to int
-            frame, pairs = contact_edges_per_frame(frames, r_c, excluded)
+            rows = detect_contact_edges(frames, r_c, excluded)
             slow = [detect_contact_edges_bruteforce(x, r_c, excluded) for x in frames]
-        assert frame.dtype == np.int64 and pairs.dtype == np.int64
-        assert pairs.shape == (frame.size, 2)
+        assert rows.dtype == np.int64 and rows.shape == (rows.shape[0], 2)
+        # node i of frame f is row f * n + i, and both ends lie in one frame
+        frame = rows[:, 0] // n
+        np.testing.assert_array_equal(rows[:, 1] // n, frame)
         np.testing.assert_array_equal(
             frame, np.repeat(np.arange(len(slow)), [s.shape[0] for s in slow]))
+        pairs = rows - frame[:, None] * n
         np.testing.assert_array_equal(pairs, np.concatenate([np.zeros((0, 2), np.int64), *slow]))
         return frame, pairs
 
@@ -245,7 +250,7 @@ class TestContactPerFrame:
 
     def test_exclusion_formats_agree(self):
         frames = np.random.default_rng(23).uniform(-1, 1, size=(3, 40, 2))
-        pairs = contact_edges_per_frame(frames, 0.5)[1][::3]
+        pairs = detect_contact_edges(frames, 0.5)[::3] % 40
         as_set = {(int(a), int(b)) for a, b in pairs}
         results = [self.check(frames, 0.5, ex) for ex in (as_set, sorted(as_set), pairs)]
         for frame, found in results[1:]:
@@ -254,7 +259,7 @@ class TestContactPerFrame:
 
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
-            contact_edges_per_frame(np.zeros((2, 2, 2)), 0.0)
+            detect_contact_edges(np.zeros((2, 2, 2)), 0.0)
 
 
 class TestEdgeFeatures:

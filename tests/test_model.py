@@ -11,7 +11,7 @@ import pytest
 import mgnt.tensor as T
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.errors import ConfigError, ValidationError
-from mgnt.mesh import GraphSample, permute_sample
+from mgnt.mesh import GraphSample, build_graph_sample, permute_sample
 from mgnt.model import (LatentGraph, ModelConfig, cast_params, deslice, encode, forward,
                         init_params, mgn_baseline_config, mpnn_iteration, param_count,
                         param_shapes, sample_gumbel, slice_tokens, token_attention,
@@ -371,26 +371,34 @@ class TestForward:
             np.testing.assert_allclose(w.sum(axis=1, dtype=np.float64), 1.0, atol=1e-6)
 
     @staticmethod
-    def _check_batched_ranges(cfg, params, dtype, atol):
-        """A merged two-sample forward matches the two separate forwards."""
-        from mgnt.mesh import merge_samples
+    def _check_batched_ranges(prep, cfg, params, dtype, atol):
+        """A two-frame union forward matches the two separate forwards."""
         cfg = replace(cfg, dtype=dtype)
-        rng = np.random.default_rng(23)
-        s1 = _toy_sample(rng, 6, cfg)
-        s2 = _toy_sample(rng, 6, cfg)
-        y_m, _ = forward(merge_samples([s1, s2]), params, cfg, train_mode=False)
-        y_1, _ = forward(s1, params, cfg, train_mode=False)
-        y_2, _ = forward(s2, params, cfg, train_mode=False)
-        np.testing.assert_allclose(y_m.data[:6], y_1.data, atol=atol)
-        np.testing.assert_allclose(y_m.data[6:], y_2.data, atol=atol)
+        normalizer = Normalizer.fit([prep], "absolute")
+        frames = {k: prep.traj.arrays[k][[1, 4]] for k in prep.schema.series}
+        union = build_graph_sample(prep.graph, frames["x"], prep.node_features(frames),
+                                   prep.graph_cfg.use_contact)
+        n = prep.graph.mesh.n_nodes
+        assert union.sample_ranges == ((0, n), (n, 2 * n))
+        y_m, _ = forward(normalizer.normalize_sample(union), params, cfg, train_mode=False)
+        y_1, _ = forward(normalizer.normalize_sample(prep.sample(1)), params, cfg,
+                         train_mode=False)
+        y_2, _ = forward(normalizer.normalize_sample(prep.sample(4)), params, cfg,
+                         train_mode=False)
+        np.testing.assert_allclose(y_m.data[:n], y_1.data, atol=atol)
+        np.testing.assert_allclose(y_m.data[n:], y_2.data, atol=atol)
 
-    def test_batched_ranges_match_separate_forwards(self, small_cfg, small_params):
+    def test_batched_ranges_match_separate_forwards(self, tiny_prep, tiny_model_cfg,
+                                                     tiny_params):
         # float64: the rows agree under every OpenBLAS kernel tried
-        self._check_batched_ranges(small_cfg, small_params, "float64", atol=1e-12)
+        self._check_batched_ranges(tiny_prep, tiny_model_cfg, tiny_params, "float64",
+                                   atol=1e-12)
 
-    def test_batched_ranges_match_separate_forwards_float32(self, small_cfg, small_params):
+    def test_batched_ranges_match_separate_forwards_float32(self, tiny_prep, tiny_model_cfg,
+                                                            tiny_params):
         # float32: another kernel may sum a row's dot products in another order
-        self._check_batched_ranges(small_cfg, small_params, "float32", atol=1e-6)
+        self._check_batched_ranges(tiny_prep, tiny_model_cfg, tiny_params, "float32",
+                                   atol=1e-6)
 
 
 class TestParamCount:

@@ -323,6 +323,35 @@ _CONTACT_CFG = OracleConfig(rows=4, cols=4, frames=20, substeps=10, drop_height=
                             initial_velocity=-3.0)
 
 
+def test_noisy_batch_equals_per_frame_samples_joined():
+    """A noisy batch over the first contact has the bytes of per-frame
+    samples joined with node offsets.  Nothing on either side calls BLAS,
+    so this holds under every OpenBLAS kernel."""
+    prep = prepare_trajectory(simulate_impact(_CONTACT_CFG), get_schema("impact"), GraphConfig())
+    normalizer = Normalizer.fit([prep], "absolute")
+    steps = [11, 9, 12, 10]
+    sample, target, mask = make_batch(prep, steps, "absolute", normalizer=normalizer,
+                                      noise_scale=0.003, rng=np.random.default_rng(7))
+    # the same draws in the same order, one frame at a time
+    rng, stds = np.random.default_rng(7), prep.schema.noise_stds(normalizer)
+    parts = [prep.sample_from_frame(prep.schema.inject_noise(
+        prep.frame(t), 0.003, stds, rng, prep.deformable)) for t in steps]
+    assert [p.contact_edges.shape[0] > 0 for p in parts] == [True, False, True, False]
+    n = prep.traj.n_nodes
+    for name in ("node_features", "mesh_edges", "mesh_edge_features", "contact_edges",
+                 "contact_edge_features", "positional_encoding"):
+        blocks = [getattr(p, name) for p in parts]
+        if name.endswith("edges"):  # node ids, offset by each frame's first row
+            blocks = [block + b * n for b, block in enumerate(blocks)]
+        want, got = np.concatenate(blocks), getattr(sample, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert sample.sample_ranges == ((0, n), (n, 2 * n), (2 * n, 3 * n), (3 * n, 4 * n))
+    want = np.concatenate([prep.target(t, "absolute") for t in steps])
+    assert target.shape == want.shape and target.tobytes() == want.tobytes()
+    assert mask.tobytes() == np.concatenate([prep.deformable] * 4).tobytes()
+
+
 class TestNormalizerEqualsFrameByFrame:
     """The stacked pass keeps every bit of the frame-by-frame one."""
 
