@@ -110,8 +110,6 @@ class ImpactSchema:
                      deformable: np.ndarray) -> dict:
         """Gaussian noise on the dynamic state of deformable nodes; positions
         are perturbed too so recomputed edge features see the noise."""
-        if scale == 0.0:
-            return frame
         out = {k: v.copy() for k, v in frame.items()}
         n_def = int(deformable.sum())
         out["x"][deformable] += rng.normal(size=(n_def, 2)) * (scale * stds["u"])
@@ -150,8 +148,6 @@ class ChainSchema:
 
     def inject_noise(self, frame: dict, scale: float, stds: dict, rng,
                      deformable: np.ndarray) -> dict:
-        if scale == 0.0:
-            return frame
         out = {k: v.copy() for k, v in frame.items()}
         n_def = int(deformable.sum())
         out["x"][deformable, 0] += rng.normal(size=n_def) * (scale * stds["u"])

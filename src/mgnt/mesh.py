@@ -51,8 +51,6 @@ class Mesh:
         self.node_type = np.asarray(self.node_type, dtype=np.int64)
         self.component_id = np.asarray(self.component_id, dtype=np.int64)
         n = self.reference_positions.shape[0]
-        if self.node_type.shape != (n,) or self.component_id.shape != (n,):
-            raise ValidationError("node_type/component_id length must equal node count")
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
             raise ValidationError("element index out of range")
 
@@ -144,8 +142,6 @@ def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
     row with the float ops and stable sort of the whole-matrix scan, so the
     memory grows as N, not N², and the edges do not depend on the block.
     """
-    if k < 1:
-        raise ValidationError(f"tied-edge neighbor count must be >= 1, got {k}")
     comp = mesh.component_id
     if comp.size == 0 or comp.min() == comp.max():
         return np.zeros((0, 2), dtype=np.int64)
@@ -172,8 +168,6 @@ def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
     """Reference O(N^2) scan; the cell search is validated against this.
 
     ``excluded`` is any iterable of (source, target) pairs."""
-    if r_c <= 0:
-        raise ValidationError(f"contact radius must be positive, got {r_c}")
     excluded = {(int(a), int(b)) for a, b in excluded}
     x = np.asarray(positions, dtype=np.float64)
     diff = x[:, None, :] - x[None, :, :]
@@ -284,8 +278,6 @@ def positional_encoding(X: np.ndarray, component_id: np.ndarray,
     contributes the u=0 constants (sin 0, cos 1).  Computed on the undeformed
     configuration, so it is translation-invariant by construction.
     """
-    if n_frequencies < 1:
-        raise ValidationError(f"n_frequencies must be >= 1, got {n_frequencies}")
     X = np.asarray(X, dtype=np.float64)
     component_id = np.asarray(component_id, dtype=np.int64)
     u = np.zeros_like(X)
@@ -302,8 +294,6 @@ def positional_encoding(X: np.ndarray, component_id: np.ndarray,
 
 def one_hot_types(node_type: np.ndarray) -> np.ndarray:
     node_type = np.asarray(node_type, dtype=np.int64)
-    if node_type.size and (node_type.min() < 0 or node_type.max() >= N_NODE_TYPES):
-        raise ValidationError(f"node type out of range [0, {N_NODE_TYPES})")
     out = np.zeros((node_type.shape[0], N_NODE_TYPES))
     out[np.arange(node_type.shape[0]), node_type] = 1.0
     return out

@@ -107,9 +107,6 @@ class Tensor:
             raise ShapeError(f"item() needs a size-1 tensor, got shape {self.data.shape}")
         return float(self.data.item())
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
-
 
 class Tape:
     """Ordered record of primitive ops; inputs always precede their consumers.
@@ -130,7 +127,6 @@ class Tape:
         # entries: (out key, input keys, backward, op name, scope label, flops)
         self.records: list[tuple] = []
         self._scope = "main"
-        self.counts: dict[str, dict[str, list[int]]] = {}
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -154,14 +150,21 @@ class Tape:
                name: str, flops: int) -> None:
         self.records.append((out.key, tuple(t.key for t in inputs), backward, name,
                              self._scope, flops))
-        stage = self.counts.setdefault(self._scope, {})
-        cell = stage.setdefault(name, [0, 0])
-        cell[0] += 1
-        cell[1] += flops
 
     def census(self) -> dict[str, dict[str, tuple[int, int]]]:
-        """Per-scope {op name: (call count, flop count)} snapshot."""
-        return {s: {k: (v[0], v[1]) for k, v in ops.items()} for s, ops in self.counts.items()}
+        """Per-scope {op name: (call count, flop count)} of the records not yet
+        consumed, so take it before ``gradients``, which empties the tape."""
+        out: dict[str, dict[str, tuple[int, int]]] = {}
+        for _, _, _, name, scope, flops in self.records:
+            ops = out.setdefault(scope, {})
+            calls, total = ops.get(name, (0, 0))
+            ops[name] = (calls + 1, total + flops)
+        return out
+
+    @property
+    def counts(self) -> dict[str, dict[str, tuple[int, int]]]:
+        """``census()``, under the name perfbench's step tracer reads."""
+        return self.census()
 
     def gradients(self, root: Tensor, wrt: Sequence[Tensor]) -> list[Array]:
         """Reverse pass from a scalar root; returns one gradient per entry of wrt.

@@ -26,8 +26,24 @@ def _openblas_core() -> str:
     return "unknown"
 
 
+@pytest.fixture(scope="session")
+def kernel_pin():
+    """``pick(digests)``: this host's entry of a {OpenBLAS core: digest} pin.
+    A matmul kernel fixes the order of each dot product's sums, so a digest
+    of matmul results holds for one core only; a core with no entry fails
+    the test, naming the core."""
+    core = _openblas_core()
+
+    def pick(digests: dict[str, str]) -> str:
+        if core not in digests:
+            pytest.fail(f"no digest pinned for OpenBLAS core {core!r} "
+                        f"(pinned: {', '.join(sorted(digests))})")
+        return digests[core]
+    return pick
+
+
 def pytest_report_header(config):
-    # the pinned digests hold one BLAS kernel's bits; a failure elsewhere names it
+    # the pinned digests hold one BLAS kernel's bits each; the header names this one
     return (f"numpy {np.__version__}, OPENBLAS_NUM_THREADS="
             f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
             f"OpenBLAS core {_openblas_core()}")

@@ -14,7 +14,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import mgnt.oracle
 import mgnt.verify
 from mgnt.cli import _build_parser, main
 from mgnt.container import MAGIC, read_arrays, write_arrays
@@ -136,6 +135,10 @@ class TestConfig:
         path = _write(tmp_path, "bad.txt", "nonsense.key = 5\n")
         with pytest.raises(ConfigError, match="nonsense.key"):
             load_config(path)
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'nonsense.key'"):
+            load_config(None, {"nonsense.key": 5})
 
     def test_bad_value_rejected(self, tmp_path):
         path = _write(tmp_path, "bad.txt", "train.steps = soon\n")
@@ -412,15 +415,6 @@ class TestGenData:
         doc = json.load(open(os.path.join(out, "manifest.json")))
         assert doc["schema"] == "chain"
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_chain_overflow_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(mgnt.oracle, "CHAIN_LOAD", 1e308)
-        cfg = _write(tmp_path, "chain.txt", CHAIN_DATA)
-        out = tmp_path / "o"
-        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 1
-        assert "chain oracle overflow" in capsys.readouterr().err
-        assert not [f for f in os.listdir(out) if f.endswith(".mgnt")]
-
     def test_chain_workers_identical(self, tmp_path):
         cfg = _write(tmp_path, "chain.txt", CHAIN_DATA + "chain.n_train = 2\n")
         outs = [str(tmp_path / f"w{n}") for n in (1, 2)]
@@ -666,6 +660,8 @@ class TestEval:
         ("eval", lambda a: a.pop("param.dec.w1"), "no param.dec.w1 array"),
         ("eval", lambda a: a.update({"param.dec.w1": a["param.dec.w1"][:-1]}),
          "param.dec.w1 has shape"),
+        ("eval", lambda a: a.update({"param.dec.w9": a["param.dec.w1"]}),
+         "checkpoint array param.dec.w9 is not one its model config has"),
         ("eval", lambda a: a.pop("norm.node_std"), "no norm.node_std array"),
         ("train", lambda a: [a.pop(k) for k in list(a) if k.startswith("adam_")],
          "no adam_m."),
@@ -675,7 +671,7 @@ class TestEval:
          "adam_v.dec.w1 has shape"),
         ("eval", lambda a: a.pop("history"), "no history array"),
         ("eval", lambda a: a.update(history=a["history"][:, :3]), "history has shape"),
-    ], ids=["param_missing", "param_truncated", "norm_missing", "resume_without_moments",
+    ], ids=["param_missing", "param_truncated", "param_extra", "norm_missing", "resume_without_moments",
             "eval_without_moments", "moment_truncated", "history_missing",
             "history_three_columns"])
     def test_malformed_checkpoint_arrays_exit_4(self, trained, tmp_path, capsys, command,

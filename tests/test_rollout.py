@@ -396,14 +396,17 @@ def _rollout_and_report_digest(dtype: str) -> str:
     return h.hexdigest()
 
 
-def test_rollout_and_report_bytes():
+def test_rollout_and_report_bytes(kernel_pin):
     """A change that moves one bit of a float64 rollout frame or report
-    fails here; the digest is that of the all-float64 tape."""
-    assert _rollout_and_report_digest("float64") == (
-        "37b146ff591c4c863c82cea4c8f2966516f63edfdd67ac9e7d87e66228407e8a")
+    fails here; the digest is that of the all-float64 tape, one per
+    OpenBLAS core."""
+    assert _rollout_and_report_digest("float64") == kernel_pin({
+        "SkylakeX": "37b146ff591c4c863c82cea4c8f2966516f63edfdd67ac9e7d87e66228407e8a",
+        "Haswell": "96865a1c04d92f73159d8fa4853666a98d46c1d3c766b830d55247519e1e025e"})
 
 
-def test_rollout_and_report_bytes_float32():
+def test_rollout_and_report_bytes_float32(kernel_pin):
     """The same pin for the default float32 compute."""
-    assert _rollout_and_report_digest("float32") == (
-        "01835d858cdcc7b3771b854a554cc250a86b538f4a081e98d0590c98263c11a5")
+    assert _rollout_and_report_digest("float32") == kernel_pin({
+        "SkylakeX": "01835d858cdcc7b3771b854a554cc250a86b538f4a081e98d0590c98263c11a5",
+        "Haswell": "0820b242a40659a29f1a0827be27131d857ebaaf77fad80b513a36f51ce1220b"})

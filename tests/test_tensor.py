@@ -334,6 +334,42 @@ class TestItem:
             Tensor([1.0, 2.0]).item()
 
 
+# calls that a guard refuses: (error, message pattern, call)
+_REFUSED = {
+    "gradients_of_vector_root": (
+        ShapeError, r"root must be scalar, got shape \(2,\)",
+        lambda: Tape().gradients(Tensor([1.0, 2.0]), [])),
+    "transpose_of_vector": (
+        ShapeError, r"transpose expects a matrix, got shape \(2,\)",
+        lambda: T.transpose(Tensor([1.0, 2.0]))),
+    "segment_sum_ids_too_few": (
+        ShapeError, r"E ids, got \(3, 1\) / \(2,\)",
+        lambda: T.segment_sum(Tensor(np.ones((3, 1))), np.array([0, 1]), 2)),
+    "gather_rows_of_vector": (
+        ShapeError, r"gather_rows expects a matrix, got shape \(2,\)",
+        lambda: T.gather_rows(Tensor([1.0, 2.0]), np.array([0]))),
+    "gather_rows_negative_index": (
+        ValidationError, "gather index out of range for 2 rows",
+        lambda: T.gather_rows(Tensor(np.ones((2, 1))), np.array([0, -1]))),
+    "grad_check_vector_target": (
+        ShapeError, "target must be scalar-valued",
+        lambda: grad_check(lambda u: T.scale(u, 2.0), [Tensor([1.0, 2.0])])),
+    # finite at 1e-5, 1 / 0 at the probe 1e-5 - step
+    "grad_check_non_finite_probe": (
+        NumericError, "non-finite function value during probing",
+        lambda: grad_check(lambda u: T.sum_all(T.div(1.0, u)), [Tensor([1e-5])], step=1e-5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_refused_input_names_the_rule(name):
+    error, pattern, call = _REFUSED[name]
+    with pytest.raises(error, match=pattern):
+        call()
+    assert Tape._active is None
+
+
 class TestTapeMechanics:
     def test_backward_visits_each_record_once(self):
         x = Tensor(np.ones((2, 2)))
@@ -440,6 +476,16 @@ class TestTapeMechanics:
             with pytest.raises(ValueError):
                 tape.gradients(T.sum_all(out), [a, b])
 
+    def test_record_feeding_nothing_is_skipped(self):
+        x = Tensor([2.0])
+        ran = []
+        with Tape() as tape:
+            unused = Tensor(x.data * 2.0)
+            tape.record(unused, (x,), lambda g: ran.append(g) or [g], "unused", x.size)
+            (g,) = tape.gradients(T.sum_all(T.scale(x, 3.0)), [x])
+        assert not ran
+        assert g[0] == 3.0
+
     def test_tapes_do_not_nest(self):
         with Tape():
             with pytest.raises(ValidationError):
@@ -512,6 +558,12 @@ class TestPrecision:
         for data in (np.ones(2, dtype=np.float16), np.arange(3), [1, 2], 2.5):
             assert Tensor(data).data.dtype == np.float64
 
+    @pytest.mark.parametrize("op", [T.transpose, T.leaky_relu, lambda a: T.scale(a, 2.0)],
+                             ids=["transpose", "leaky_relu", "scale"])
+    def test_plain_array_to_unary_op_is_float64(self, op):
+        # with no tensor operand to take a dtype from, even float32 data widens
+        assert op(np.ones((2, 2), dtype=np.float32)).data.dtype == np.float64
+
     @pytest.mark.parametrize("name", sorted(_FLOAT32_OPS))
     def test_op_keeps_float32(self, name):
         rng = np.random.default_rng(5)
@@ -536,6 +588,16 @@ class TestCensus:
         census = tape.census()
         assert census["stage_a"]["matmul"] == (1, 2 * 4 * 4 * 4)
         assert census["stage_b"]["add"] == (2, 32)
+
+    def test_counts_the_records_not_yet_consumed(self):
+        x = Tensor(np.ones((2, 2)))
+        with Tape() as tape:
+            loss = T.sum_all(T.matmul(x, x))
+            # perfbench's step tracer reads the census as ``counts``
+            assert tape.counts == tape.census() == {
+                "main": {"matmul": (1, 16), "sum_all": (1, 4)}}
+            tape.gradients(loss, [x])
+            assert tape.census() == {}
 
     def test_forward_deterministic_same_seed(self):
         def run():

@@ -65,6 +65,11 @@ class TestComputeLoss:
         with pytest.raises(ConfigError):
             compute_loss(pred, np.ones((2, 2)), np.array([False, False]), ((0, 2),))
 
+    def test_shape_mismatch_names_both_shapes(self):
+        with pytest.raises(ValidationError, match=r"prediction \(2, 3\) vs target \(2, 2\)"):
+            compute_loss(Tensor(np.ones((2, 3))), np.ones((2, 2)), np.array([True, True]),
+                         ((0, 2),))
+
     def test_gradient_matches_finite_differences(self):
         from mgnt.tensor import grad_check
         rng = np.random.default_rng(1)
@@ -98,6 +103,15 @@ class TestMakeBatch:
         for t in (last + 1, tiny_prep.traj.n_frames, -1):
             with pytest.raises(ValidationError, match="step index.*last valid index"):
                 make_batch(tiny_prep, [t], "absolute")
+
+    @pytest.mark.parametrize("fitted, seeded", [(False, True), (True, False)],
+                             ids=["no_normalizer", "no_rng"])
+    def test_noise_needs_normalizer_and_rng(self, tiny_prep, fitted, seeded):
+        normalizer = Normalizer.fit([tiny_prep], "absolute") if fitted else None
+        rng = np.random.default_rng(0) if seeded else None
+        with pytest.raises(ValidationError, match="input noise needs"):
+            make_batch(tiny_prep, [0], "absolute", normalizer=normalizer, noise_scale=0.1,
+                       rng=rng)
 
     def test_delta_targets(self, tiny_prep):
         a = tiny_prep.traj.arrays
@@ -158,15 +172,26 @@ class TestPinnedStepBytes:
     default contact radius finds no contact edges in this batch (the
     empty-scatter path); twice the median edge length finds 14.  The float64
     digests are those of the all-float64 tape that float32 compute was added
-    to; the float32 ones pin the default precision."""
+    to; the float32 ones pin the default precision.  Each case pins one
+    digest per OpenBLAS core (the Haswell ones computed in a process run
+    under ``OPENBLAS_CORETYPE=Haswell``)."""
 
-    @pytest.mark.parametrize("radius_factor, n_contact, dtype, digest", [
-        (1.5, 0, "float64", "78fee497eef63227feb32b15a94650420fee6a9ced083e0081888210f7c5d1e7"),
-        (2.0, 14, "float64", "5630b6f7155cb8641dd6d0ab5bc96c37d5e5d849a1b9cc83d1b333e514eef8eb"),
-        (1.5, 0, "float32", "5cc8153428aa3665b475990197632f95d06e960b42cab783bc19da9c7185e65b"),
-        (2.0, 14, "float32", "ade7644a1c42ddbee08616bb1796ec8f1f8467ef0f3bfb262bb6ee5f4e0f5451"),
+    @pytest.mark.parametrize("radius_factor, n_contact, dtype, digests", [
+        (1.5, 0, "float64", {
+            "SkylakeX": "78fee497eef63227feb32b15a94650420fee6a9ced083e0081888210f7c5d1e7",
+            "Haswell": "d9e88b1207a7d805403fcac18d299fca0bbb0551ef0112836c0dafbcd34f9030"}),
+        (2.0, 14, "float64", {
+            "SkylakeX": "5630b6f7155cb8641dd6d0ab5bc96c37d5e5d849a1b9cc83d1b333e514eef8eb",
+            "Haswell": "553da480d3145d349abd1b6c0a1b95af66c91e64d37e1d5117a31fcb45436fb8"}),
+        (1.5, 0, "float32", {
+            "SkylakeX": "5cc8153428aa3665b475990197632f95d06e960b42cab783bc19da9c7185e65b",
+            "Haswell": "035e66141f6800dc2f1c563ac28213928c5a920d8c6f70bb404622493dc158c7"}),
+        (2.0, 14, "float32", {
+            "SkylakeX": "ade7644a1c42ddbee08616bb1796ec8f1f8467ef0f3bfb262bb6ee5f4e0f5451",
+            "Haswell": "9c180dfb0083cf3334d88b6e9bfe103e2ae070ab450d6c77a3d2dfde6a2c90e1"}),
     ], ids=["no-contact", "contact", "no-contact-float32", "contact-float32"])
-    def test_train_step_bytes(self, radius_factor, n_contact, dtype, digest):
+    def test_train_step_bytes(self, kernel_pin, radius_factor, n_contact, dtype, digests):
+        digest = kernel_pin(digests)
         found, loss, _, grads, _ = _pinned_step(radius_factor, dtype)
         assert found == n_contact
         h = hashlib.sha256(loss.data.tobytes())
@@ -394,13 +419,6 @@ class TestNormalizerEqualsFrameByFrame:
 
 
 class TestNoise:
-    def test_scale_zero_identity(self, tiny_prep):
-        norm = Normalizer.fit([tiny_prep], "absolute")
-        rng = np.random.default_rng(3)
-        frame = tiny_prep.frame(0)
-        out = tiny_prep.schema.inject_noise(frame, 0.0, None, rng, tiny_prep.deformable)
-        assert out is frame
-
     def test_fixed_seed_reproducible(self, tiny_prep):
         norm = Normalizer.fit([tiny_prep], "absolute")
         stds = tiny_prep.schema.noise_stds(norm)
@@ -461,6 +479,11 @@ def _fit_setup(steps=60, **overrides):
 
 
 class TestFit:
+    def test_no_trajectories_rejected(self):
+        _, mcfg, tcfg = _fit_setup(steps=1)
+        with pytest.raises(ValidationError, match="at least one training trajectory"):
+            fit([], mcfg, tcfg)
+
     def test_loss_decreases_and_history_finite(self):
         prep, mcfg, tcfg = _fit_setup(steps=80)
         result = fit([prep], mcfg, tcfg)
