@@ -371,7 +371,8 @@ def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
         mesh_edge_features=mesh_features.reshape(-1, mesh_features.shape[-1]),
         contact_edges=contact,
         contact_edge_features=contact_edge_features(x_t.reshape(-1, d), contact),
-        positional_encoding=np.tile(graph.positional, (frames, 1)),
+        positional_encoding=np.broadcast_to(
+            graph.positional, (frames, *graph.positional.shape)).reshape(frames * n, -1),
         sample_ranges=tuple((b * n, (b + 1) * n) for b in range(frames)),
     )
 

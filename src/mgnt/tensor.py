@@ -22,7 +22,8 @@ throughout.  A plain number or array given to a binary op or to ``concat``
 takes the dtype of a tensor operand.
 :meth:`Tensor.astype` casts without a record: the copy keeps the key, so the
 gradients the tape collects for it are the original's.  Tensors are treated
-as immutable after construction; ops never write into their inputs.
+as immutable after construction: no op, backward closure or reverse pass
+writes into an array once it is handed out, so ops may return views.
 
 Importing this module fixes glibc's malloc mmap and trim thresholds for the
 whole process (``_keep_freed_memory_mapped``), so the memory one train step
@@ -174,15 +175,9 @@ class Tape:
         and ``records`` is empty afterwards.  A closure must return exactly
         one contribution per input key; any other count raises ``ValueError``.
 
-        Each tensor's accumulator is an array that nothing else holds, so
-        later contributions add into it in place.  A first contribution is
-        kept without a copy when it is an ndarray that shares no memory with
-        the output gradient ``g``: closures build such arrays fresh.  The
-        first pass-through of ``g`` itself (``add``, ``sub``) takes ``g``,
-        which the tape no longer holds.  Every other first contribution is
-        copied: a second hand-out of ``g``, views of ``g`` (``np.split``,
-        ``.T``, ``reshape``) and numpy scalars, which a product of 0-d arrays
-        yields.
+        Contributions are summed out of place, so a contribution may be
+        ``g`` itself or a view of it, and nothing handed out is written.
+        Each returned gradient is a fresh array.
         """
         if root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -193,18 +188,11 @@ class Tape:
             g = grads.pop(out_key, None)
             if g is None:
                 continue
-            g_free = True
             for key, contrib in zip(in_keys, backward(g), strict=True):
                 acc = grads.get(key)
-                if acc is None:
-                    if contrib is g and g_free:
-                        g_free = False
-                    elif type(contrib) is not np.ndarray or np.may_share_memory(contrib, g):
-                        contrib = np.array(contrib, dtype=g.dtype, copy=True)
-                    grads[key] = contrib
-                else:
-                    acc += contrib
-        return [grads.get(t.key, np.zeros_like(t.data)) for t in wrt]
+                grads[key] = contrib if acc is None else acc + contrib
+        return [np.array(grads[t.key]) if t.key in grads else np.zeros_like(t.data)
+                for t in wrt]
 
 
 def _wrap(x, like=None) -> Tensor:
@@ -326,6 +314,7 @@ def transpose(a) -> Tensor:
     a = _wrap(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
+    # a copy, not a view: OpenBLAS may sum a transposed operand in another order
     return _emit(a.data.T.copy(), (a,), lambda g: [g.T], "transpose", a.size)
 
 
@@ -472,7 +461,7 @@ def gather_rows(x, index: Array) -> Tensor:
         raise ShapeError(f"gather_rows expects a matrix, got shape {x.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ValidationError(f"gather index out of range for {x.data.shape[0]} rows")
-    out = x.data[idx]
+    out = np.take(x.data, idx, axis=0)
     n = x.data.shape[0]
 
     def backward(g):
@@ -483,7 +472,7 @@ def gather_rows(x, index: Array) -> Tensor:
 
 def slice_rows(x, start: int, stop: int) -> Tensor:
     x = _wrap(x)
-    out = x.data[start:stop].copy()
+    out = x.data[start:stop]
     shape = x.data.shape
 
     def backward(g):
@@ -511,7 +500,7 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _wrap(x)
-    out = x.data.reshape(shape).copy()
+    out = x.data.reshape(shape)
     in_shape = x.data.shape
 
     def backward(g):
@@ -528,7 +517,7 @@ def sum_all(x) -> Tensor:
     shape = x.data.shape
 
     def backward(g):
-        return [np.broadcast_to(g, shape).copy()]
+        return [np.broadcast_to(g, shape)]
 
     return _emit(np.array(x.data.sum()), (x,), backward, "sum_all", x.size)
 
@@ -539,7 +528,7 @@ def sum_axis(x, axis: int) -> Tensor:
     shape = x.data.shape
 
     def backward(g):
-        return [np.broadcast_to(np.expand_dims(g, axis), shape).copy()]
+        return [np.broadcast_to(np.expand_dims(g, axis), shape)]
 
     return _emit(out, (x,), backward, "sum_axis", x.size)
 

@@ -191,8 +191,8 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
     return prep.sample_from_frame(stacked), np.concatenate(targets), mask
 
 
-def _step_rng(seed: int, step: int, salt: int = 0) -> np.random.Generator:
-    return np.random.default_rng([int(seed), 0x5EED, int(step), int(salt)])
+def _step_rng(seed: int, step: int) -> np.random.Generator:
+    return np.random.default_rng([int(seed), 0x5EED, int(step), 0])
 
 
 @dataclass

@@ -2,6 +2,7 @@
 checkpointing."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from mgnt.mesh import NODE_ACTUATOR
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_dataset, simulate_chain,
                          simulate_impact)
+from mgnt.rollout import evaluate
 from mgnt.tensor import Tape, Tensor
 from mgnt.train import (Normalizer, TrainConfig, compute_loss, fit, load_checkpoint,
                         make_batch, save_checkpoint, write_history_csv)
@@ -235,6 +237,46 @@ class TestPrecision:
         assert low.key == master.key and low.data.dtype == np.float32
         assert grad.dtype == np.float32
         np.testing.assert_array_equal(grad, 2.0 * np.arange(6.0).reshape(2, 3))
+
+
+class TestNothingHandedOutIsWritten:
+    """No op, backward closure or reverse pass writes into an array it has
+    handed out: with every op output and every gradient handed to a backward
+    closure made read-only, a 3-step fit and an ``evaluate`` of its model
+    run through and give the bytes of an unpatched run."""
+
+    @staticmethod
+    def _fit_and_report(prep, mode) -> tuple[bytes, bytes]:
+        mcfg = ModelConfig(**feature_dims(prep.schema, prep.graph_cfg))
+        result = fit([prep], mcfg, TrainConfig(steps=3, batch_size=2, target_mode=mode))
+        report = evaluate(result.params, mcfg, result.normalizer, [prep], mode)
+        return result.history.tobytes(), json.dumps(report).encode()
+
+    @pytest.mark.parametrize("simulate, oracle_cfg, gcfg, mode", [
+        (simulate_impact, OracleConfig(rows=4, cols=4, frames=6, substeps=10,
+                                       drop_height=0.02, initial_velocity=-3.0),
+         GraphConfig(contact_radius_factor=2.0), "absolute"),
+        (simulate_chain, ChainConfig(n_nodes=100, frames=5), GraphConfig(), "delta"),
+    ], ids=["impact", "chain"])
+    def test_fit_and_evaluate_with_read_only_arrays(self, monkeypatch, simulate, oracle_cfg,
+                                                    gcfg, mode):
+        traj = simulate(oracle_cfg)
+        prep = prepare_trajectory(traj, get_schema(traj.meta["schema"]), gcfg)
+        expected = self._fit_and_report(prep, mode)
+
+        def read_only(a):
+            if isinstance(a, np.ndarray):  # a numpy scalar is immutable already
+                a.flags.writeable = False
+            return a
+
+        def emit(out_data, inputs, backward, name, flops):
+            out = real_emit(out_data, inputs, lambda g: backward(read_only(g)), name, flops)
+            read_only(out.data)
+            return out
+
+        real_emit = T._emit
+        monkeypatch.setattr(T, "_emit", emit)
+        assert self._fit_and_report(prep, mode) == expected
 
 
 class TestStepMemory:
