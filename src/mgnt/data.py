@@ -36,7 +36,7 @@ import numpy as np
 
 from .container import read_arrays, write_arrays
 from .errors import SchemaFormatError, ValidationError
-from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, Mesh, MeshGraph,
+from .mesh import (N_NODE_TYPES, NODE_DEFORMABLE, GraphConfig, GraphSample, MeshGraph,
                    build_graph_sample, one_hot_types, prepare_mesh)
 
 
@@ -187,7 +187,7 @@ class PreparedTrajectory:
 
     @property
     def deformable(self) -> np.ndarray:
-        return self.graph.mesh.node_type == NODE_DEFORMABLE
+        return self.traj.arrays["node_type"] == NODE_DEFORMABLE
 
     def frame(self, t: int) -> dict[str, np.ndarray]:
         if not 0 <= t < self.traj.n_frames:
@@ -198,10 +198,10 @@ class PreparedTrajectory:
     def node_features(self, frame: dict) -> np.ndarray:
         """Node features ``[..., N, F]`` of one frame or of stacked frames:
         the schema's node inputs, kappa and the node-type one-hot."""
-        mesh = self.graph.mesh
-        inputs = self.schema.node_inputs(frame, mesh.reference_positions)
-        static = np.concatenate([np.full((mesh.n_nodes, 1), float(self.traj.arrays["kappa"][0])),
-                                 one_hot_types(mesh.node_type)], axis=1)
+        a = self.traj.arrays
+        inputs = self.schema.node_inputs(frame, a["X"])
+        static = np.concatenate([np.full((self.traj.n_nodes, 1), float(a["kappa"][0])),
+                                 one_hot_types(a["node_type"])], axis=1)
         return np.concatenate(
             [inputs, np.broadcast_to(static, (*inputs.shape[:-1], static.shape[1]))], axis=-1)
 
@@ -231,8 +231,9 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
     node types) and ``component_id`` as ``[N]``, ``kappa`` as ``[1]``, and
     each of ``schema.series`` as ``[T, N, *per-node shape]`` with one
     ``T >= 2`` for all; one that lacks an array, breaks this layout, holds a
-    non-finite value in ``X``, ``kappa`` or a series, or whose ``elements``
-    make no valid mesh raises SchemaFormatError."""
+    non-finite value in ``X``, ``kappa`` or a series or a non-integer in an
+    array of indices or codes, or whose ``elements`` make no valid mesh
+    raises SchemaFormatError."""
     a = traj.arrays
     for key in ("X", "elements", "node_type", "component_id", "kappa", *schema.series):
         if key not in a:
@@ -249,6 +250,9 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
         if a[key].shape != shape:
             raise SchemaFormatError(f"trajectory array {key!r} has shape {list(a[key].shape)}, "
                                     f"not [{', '.join(map(str, shape))}]")
+    for key in ("elements", "node_type", "component_id"):  # compared and cast as int64
+        if not (np.isfinite(a[key]) & (np.round(a[key]) == a[key])).all():
+            raise SchemaFormatError(f"trajectory array {key!r} has a non-integer value")
     if n and not 0 <= a["node_type"].min() <= a["node_type"].max() < N_NODE_TYPES:
         raise SchemaFormatError(f"trajectory array 'node_type' has a node type out of "
                                 f"range [0, {N_NODE_TYPES})")
@@ -256,8 +260,8 @@ def prepare_trajectory(traj: Trajectory, schema, graph_cfg: GraphConfig) -> Prep
         if not np.isfinite(a[key]).all():
             raise SchemaFormatError(f"trajectory array {key!r} has a non-finite value")
     try:  # the checks above leave only the elements for the mesh to refuse
-        graph = prepare_mesh(Mesh(a["X"], a["elements"], a["node_type"], a["component_id"]),
-                             graph_cfg)
+        graph = prepare_mesh(np.asarray(a["X"], float), np.asarray(a["elements"], np.int64),
+                             np.asarray(a["component_id"], np.int64), graph_cfg)
     except ValidationError as exc:
         raise SchemaFormatError(f"trajectory array 'elements': {exc}") from exc
     return PreparedTrajectory(traj=traj, schema=schema, graph=graph, graph_cfg=graph_cfg)

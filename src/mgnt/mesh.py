@@ -1,7 +1,7 @@
 """Mesh-to-graph feature engineering.
 
-Turns a mesh plus the state of one frame, or of stacked frames, into the
-arrays the network consumes: node features, bidirectional mesh edges with
+Turns mesh arrays plus the state of one frame, or of stacked frames, into
+the arrays the network consumes: node features, bidirectional mesh edges with
 reference/current relative offsets, dynamically detected contact edges with
 current offsets, and a per-component stationary-wave positional encoding over
 the undeformed geometry.  All edge features are built from relative
@@ -21,7 +21,7 @@ Set-up avoids ``np.unique`` and ``np.median``: in numpy 2.4 both import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -37,29 +37,6 @@ N_NODE_TYPES = 4
 
 
 @dataclass
-class Mesh:
-    """Reference geometry: positions, element connectivity, node labels."""
-
-    reference_positions: np.ndarray  # [N, d]
-    elements: np.ndarray             # [E, nodes per element] int64
-    node_type: np.ndarray            # [N] int64
-    component_id: np.ndarray         # [N] int64
-
-    def __post_init__(self):
-        self.reference_positions = np.asarray(self.reference_positions, dtype=np.float64)
-        self.elements = np.asarray(self.elements, dtype=np.int64)
-        self.node_type = np.asarray(self.node_type, dtype=np.int64)
-        self.component_id = np.asarray(self.component_id, dtype=np.int64)
-        n = self.reference_positions.shape[0]
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= n):
-            raise ValidationError("element index out of range")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.reference_positions.shape[0]
-
-
-@dataclass
 class GraphSample:
     """Everything the model consumes for one frame, or for the disjoint union
     of several frames, each frame's node rows named in ``sample_ranges``."""
@@ -70,11 +47,7 @@ class GraphSample:
     contact_edges: np.ndarray         # [Ec, 2]
     contact_edge_features: np.ndarray  # [Ec, d+1]
     positional_encoding: np.ndarray   # [N, 2*d*n_frequencies]
-    sample_ranges: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.sample_ranges:
-            self.sample_ranges = ((0, self.node_features.shape[0]),)
+    sample_ranges: tuple[tuple[int, int], ...]
 
     @property
     def n_nodes(self) -> int:
@@ -106,24 +79,27 @@ def _both_ways(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     return _pairs(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
 
 
-def build_mesh_edges(mesh: Mesh) -> np.ndarray:
-    """Directed mesh edges: undirected element edges emitted both ways.
+def build_mesh_edges(elements: np.ndarray, n: int) -> np.ndarray:
+    """Directed mesh edges of int64 ``elements`` ``[E, k]`` over ``n`` nodes:
+    undirected element edges emitted both ways.
 
     Deduplicated across shared element faces and sorted ascending by
     (source, target).
     """
-    if mesh.elements.size == 0:
+    if elements.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    k = mesh.elements.shape[1]
+    if elements.min() < 0 or elements.max() >= n:
+        raise ValidationError("element index out of range")
+    k = elements.shape[1]
     if k not in _ELEMENT_PERIMETERS:
         raise ValidationError(f"unsupported element arity {k}")
-    ordered = np.sort(mesh.elements, axis=1)
+    ordered = np.sort(elements, axis=1)
     degenerate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if degenerate.any():
-        elem = mesh.elements[np.argmax(degenerate)]
+        elem = elements[np.argmax(degenerate)]
         raise ValidationError(f"degenerate element with repeated node index: {elem.tolist()}")
     a, b = np.array(_ELEMENT_PERIMETERS[k]).T
-    return _both_ways(mesh.elements[:, a].ravel(), mesh.elements[:, b].ravel(), mesh.n_nodes)
+    return _both_ways(elements[:, a].ravel(), elements[:, b].ravel(), n)
 
 
 # Rows per block of the tied-edge scan.  A block's temporaries take about 50
@@ -132,7 +108,8 @@ def build_mesh_edges(mesh: Mesh) -> np.ndarray:
 _TIED_BLOCK_ROWS = 128
 
 
-def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
+def build_tied_edges(X: np.ndarray, component_id: np.ndarray, k: int,
+                     interface_cutoff: float) -> np.ndarray:
     """Permanent cross-component coupling edges from a k-nearest-neighbor scan.
 
     Only nodes within ``interface_cutoff`` of some other component are tied;
@@ -142,15 +119,14 @@ def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
     row with the float ops and stable sort of the whole-matrix scan, so the
     memory grows as N, not N², and the edges do not depend on the block.
     """
-    comp = mesh.component_id
-    if comp.size == 0 or comp.min() == comp.max():
+    if component_id.size == 0 or component_id.min() == component_id.max():
         return np.zeros((0, 2), dtype=np.int64)
-    X = mesh.reference_positions
+    n = X.shape[0]
     sources, targets = [], []
-    for start in range(0, mesh.n_nodes, _TIED_BLOCK_ROWS):
+    for start in range(0, n, _TIED_BLOCK_ROWS):
         block = slice(start, start + _TIED_BLOCK_ROWS)
         diff = X[block, None, :] - X[None, :, :]
-        other = comp[block, None] != comp[None, :]
+        other = component_id[block, None] != component_id[None, :]
         dist = np.where(other, np.sqrt((diff * diff).sum(-1)), np.inf)
         rows = np.flatnonzero(dist.min(axis=1) <= interface_cutoff)
         # a stable sort puts each row's foreign nodes first, nearest first
@@ -160,25 +136,22 @@ def build_tied_edges(mesh: Mesh, k: int, interface_cutoff: float) -> np.ndarray:
         foreign = other[src, dst]
         sources.append(src[foreign] + start)
         targets.append(dst[foreign])
-    return _both_ways(np.concatenate(sources), np.concatenate(targets), mesh.n_nodes)
+    return _both_ways(np.concatenate(sources), np.concatenate(targets), n)
 
 
 def detect_contact_edges_bruteforce(positions: np.ndarray, r_c: float,
                                     excluded) -> np.ndarray:
-    """Reference O(N^2) scan; the cell search is validated against this.
-
-    ``excluded`` is any iterable of (source, target) pairs."""
-    excluded = {(int(a), int(b)) for a, b in excluded}
+    """Reference O(N^2) dense-mask scan of one frame; the cell search is
+    validated against it.  ``excluded`` is a ``[K, 2]`` array in any order;
+    pairs outside the frame are ignored."""
     x = np.asarray(positions, dtype=np.float64)
     diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
-    n = x.shape[0]
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and dist[i, j] < r_c and (i, j) not in excluded:
-                pairs.append((i, j))
-    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    near = np.sqrt((diff * diff).sum(-1)) < r_c
+    np.fill_diagonal(near, False)
+    ex = np.asarray(excluded, dtype=np.int64).reshape(-1, 2)
+    ex = ex[((ex >= 0) & (ex < x.shape[0])).all(axis=1)]
+    near[ex[:, 0], ex[:, 1]] = False
+    return np.argwhere(near)
 
 
 # Cell coordinates are clipped to +-2**61 so that they convert to int64 for
@@ -201,8 +174,8 @@ def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np
     excluded pairs, for positions of one frame ``[N, d]`` or of stacked
     frames ``[T, N, d]``, as ``[K, 2]`` sorted ascending.  Node i of frame f
     is row f * N + i, the numbering of the frames' disjoint union, so a
-    pair's frame is its source row // N.  ``excluded`` (a set or list of
-    pairs or a ``[K, 2]`` array) holds pairs (i, j) dropped in every frame.
+    pair's frame is its source row // N.  ``excluded``, a ``[K, 2]`` array
+    in any order, holds pairs (i, j) dropped in every frame.
 
     Cell search on a uniform grid of cell size r_c: nodes are sorted by an
     int64 cell key, and for each of the 3^d neighboring-cell offsets one
@@ -242,8 +215,7 @@ def detect_contact_edges(positions: np.ndarray, r_c: float, excluded=None) -> np
     # row f * n + i times n, plus j, is the key f * n**2 + i * n + j of pair (i, j) in frame f
     keys = _distinct(src * n + dst - np.take(frame, dst) * n)
     if excluded is not None:
-        ex = np.asarray(list(excluded) if isinstance(excluded, (set, frozenset)) else excluded,
-                        dtype=np.int64).reshape(-1, 2)
+        ex = np.asarray(excluded, dtype=np.int64).reshape(-1, 2)
         ex = ex[((ex >= 0) & (ex < n)).all(axis=1)]  # others would alias in-range keys
         # -1 heads the sorted keys so every pair finds a key at or below it
         ex = np.r_[-1, np.sort(ex[:, 0] * n + ex[:, 1])]
@@ -301,9 +273,9 @@ def one_hot_types(node_type: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeshGraph:
-    """A mesh preprocessed once: static edges, exclusions, encodings."""
+    """A mesh preprocessed once: reference positions, edges, exclusions, encodings."""
 
-    mesh: Mesh
+    reference_positions: np.ndarray  # [N, d] float64
     mesh_edges: np.ndarray       # [Em, 2] element + tied edges, directed
     excluded_pairs: np.ndarray   # [K, 2] pairs never eligible for contact
     positional: np.ndarray       # [N, pe_dim]
@@ -325,27 +297,31 @@ class GraphConfig:
         check_settings(self, "graph")
 
 
-def prepare_mesh(mesh: Mesh, cfg: GraphConfig) -> MeshGraph:
-    """Build the static graph data reused by every frame of a trajectory.
+def prepare_mesh(X: np.ndarray, elements: np.ndarray, component_id: np.ndarray,
+                 cfg: GraphConfig) -> MeshGraph:
+    """Build the static graph data reused by every frame of a trajectory from
+    its float64 ``X`` ``[N, d]``, int64 ``elements`` and int64 ``component_id``.
 
     Contact is never sought between mesh-edge endpoints nor between any two
     nodes of one element (quad diagonals included)."""
-    n = mesh.n_nodes
-    edges = build_mesh_edges(mesh)
+    n = X.shape[0]
+    edges = build_mesh_edges(elements, n)
     if edges.shape[0] == 0:
         raise ValidationError("mesh has no edges")
-    lengths = np.sort(contact_edge_features(mesh.reference_positions, edges)[:, -1])
+    lengths = np.sort(contact_edge_features(X, edges)[:, -1])
     # the median as np.median takes it: the mean of the one or two middle values
     med = float(np.mean(lengths[(lengths.size - 1) // 2:lengths.size // 2 + 1]))
-    tied = build_tied_edges(mesh, k=cfg.tied_k, interface_cutoff=cfg.tied_cutoff_factor * med)
+    tied = build_tied_edges(X, component_id, k=cfg.tied_k,
+                            interface_cutoff=cfg.tied_cutoff_factor * med)
     edges = np.concatenate([edges, tied])
     edges = _pairs(edges[:, 0], edges[:, 1], n)
-    a, b = np.nonzero(~np.eye(mesh.elements.shape[1], dtype=bool))
-    excluded = _pairs(np.concatenate([edges[:, 0], mesh.elements[:, a].ravel()]),
-                      np.concatenate([edges[:, 1], mesh.elements[:, b].ravel()]), n)
-    pe = positional_encoding(mesh.reference_positions, mesh.component_id, cfg.n_frequencies)
-    return MeshGraph(mesh=mesh, mesh_edges=edges, excluded_pairs=excluded, positional=pe,
-                     contact_radius=cfg.contact_radius_factor * med, median_edge=med)
+    a, b = np.nonzero(~np.eye(elements.shape[1], dtype=bool))
+    excluded = _pairs(np.concatenate([edges[:, 0], elements[:, a].ravel()]),
+                      np.concatenate([edges[:, 1], elements[:, b].ravel()]), n)
+    pe = positional_encoding(X, component_id, cfg.n_frequencies)
+    return MeshGraph(reference_positions=X, mesh_edges=edges, excluded_pairs=excluded,
+                     positional=pe, contact_radius=cfg.contact_radius_factor * med,
+                     median_edge=med)
 
 
 def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
@@ -364,7 +340,7 @@ def build_graph_sample(graph: MeshGraph, positions: np.ndarray,
     else:
         contact = np.zeros((0, 2), dtype=np.int64)
     offsets = np.arange(frames)[:, None, None] * n
-    mesh_features = mesh_edge_features(graph.mesh.reference_positions, x_t, graph.mesh_edges)
+    mesh_features = mesh_edge_features(graph.reference_positions, x_t, graph.mesh_edges)
     return GraphSample(
         node_features=np.asarray(node_features, dtype=np.float64).reshape(frames * n, -1),
         mesh_edges=(graph.mesh_edges + offsets).reshape(-1, 2),

@@ -59,7 +59,7 @@ def _step(params, model_cfg: ModelConfig, normalizer: Normalizer,
             f"non-finite prediction at step {t} "
             f"(nodes affected: {int((~np.isfinite(pred.data).all(axis=1)).sum())})")
     state = normalizer.denormalize_targets(pred.data)
-    X = prep.graph.mesh.reference_positions
+    X = prep.traj.arrays["X"]
     if target_mode == "delta":
         state = prep.schema.state_vector(frame, X) + state
     nxt = prep.schema.advance(state, X, prep.frame(t + 1), prep.deformable)

@@ -98,8 +98,8 @@ class Normalizer:
             a, n = prep.traj.arrays, prep.traj.n_nodes
             run = max(data._RUN_NODE_FRAMES // n, 1)
             for start in range(0, prep.traj.n_frames, run):
-                series = {k: a[k][start:start + run + 1] for k in prep.schema.series}
-                sample = prep.sample_from_frame({k: v[:run] for k, v in series.items()})
+                sample = prep.sample_from_frame(
+                    {k: a[k][start:start + run] for k in prep.schema.series})
                 frames = len(sample.sample_ranges)
                 add("node", sample.node_features.reshape(frames, n, -1))
                 mesh = sample.mesh_edge_features
@@ -108,8 +108,8 @@ class Normalizer:
                 for rows in np.split(sample.contact_edge_features,
                                      np.flatnonzero(np.diff(frame)) + 1):
                     add("contact", rows[None])
-                state = prep.schema.state_vector(series, a["X"])
-                add("target", state[1:] - state[:-1] if target_mode == "delta" else state[1:])
+                for t in range(start, min(start + run, prep.n_transitions)):
+                    add("target", prep.target(t, target_mode)[None])
 
         def stats(key):
             s, sq, n = sums[key]

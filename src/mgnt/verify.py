@@ -129,10 +129,10 @@ def run_checks() -> list[tuple[str, bool, str]]:
     mismatches = 0
     for _ in range(20):
         frames = rng.uniform(-1, 1, size=(3, 40, 2))
-        stacked = detect_contact_edges(frames, 0.3, set())  # rows f * 40 + i
+        stacked = detect_contact_edges(frames, 0.3, ())  # rows f * 40 + i
         for t, pts in enumerate(frames):
-            slow = detect_contact_edges_bruteforce(pts, 0.3, set())
-            mismatches += not (np.array_equal(detect_contact_edges(pts, 0.3, set()), slow)
+            slow = detect_contact_edges_bruteforce(pts, 0.3, ())
+            mismatches += not (np.array_equal(detect_contact_edges(pts, 0.3, ()), slow)
                                and np.array_equal(stacked[stacked[:, 0] // 40 == t] - t * 40,
                                                   slow))
     check("contact search equals brute force", mismatches == 0,

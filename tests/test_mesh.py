@@ -5,68 +5,67 @@ import pytest
 
 import mgnt.mesh
 from mgnt.errors import ValidationError
-from mgnt.mesh import (GraphConfig, Mesh, build_mesh_edges, build_tied_edges,
+from mgnt.mesh import (GraphConfig, build_mesh_edges, build_tied_edges,
                        contact_edge_features, detect_contact_edges,
                        detect_contact_edges_bruteforce, mesh_edge_features,
                        one_hot_types, positional_encoding, prepare_mesh)
 
 
-def _mesh(X, elements, types=None, comps=None):
+def _mesh(X, elements, comps=None):
+    """(X, elements, component_id) as float64, int64 and int64 arrays."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    return Mesh(X, np.asarray(elements, dtype=np.int64),
-                np.zeros(n, dtype=np.int64) if types is None else np.asarray(types),
-                np.zeros(n, dtype=np.int64) if comps is None else np.asarray(comps))
+    comps = np.zeros(X.shape[0]) if comps is None else comps
+    return X, np.asarray(elements, dtype=np.int64), np.asarray(comps, dtype=np.int64)
 
 
 class TestMeshEdges:
     def test_single_triangle_six_directed(self):
-        m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        edges = build_mesh_edges(m)
+        edges = build_mesh_edges(np.array([[0, 1, 2]]), 3)
         assert edges.shape == (6, 2)
         assert set(map(tuple, edges)) == {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
 
     def test_quad_perimeter_only_eight_directed(self):
-        m = _mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
-        edges = build_mesh_edges(m)
+        edges = build_mesh_edges(np.array([[0, 1, 2, 3]]), 4)
         assert edges.shape == (8, 2)
         pairs = set(map(tuple, edges))
         assert (0, 2) not in pairs and (1, 3) not in pairs  # no diagonals
 
     def test_two_triangles_shared_edge_ten_directed(self):
-        m = _mesh([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [1, 3, 2]])
-        assert build_mesh_edges(m).shape == (10, 2)
+        assert build_mesh_edges(np.array([[0, 1, 2], [1, 3, 2]]), 4).shape == (10, 2)
 
     def test_sorted_by_source_then_target(self):
-        m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        edges = build_mesh_edges(m)
+        edges = build_mesh_edges(np.array([[0, 1, 2]]), 3)
         assert np.array_equal(edges, edges[np.lexsort((edges[:, 1], edges[:, 0]))])
 
     def test_degenerate_element_rejected(self):
-        m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 1]])
         with pytest.raises(ValidationError, match="degenerate"):
-            build_mesh_edges(m)
+            build_mesh_edges(np.array([[0, 1, 1]]), 3)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_element_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValidationError, match="element index out of range"):
+            build_mesh_edges(np.array([[0, 1, 2], [1, index, 2]]), 3)
 
 
 class TestTiedEdges:
     def test_coincident_nodes_both_directions(self):
-        m = _mesh([[0, 0], [0, 0], [1, 0], [1, 0]], [[0, 2], [1, 3]],
+        X, _, comps = _mesh([[0, 0], [0, 0], [1, 0], [1, 0]], [[0, 2], [1, 3]],
                   comps=[0, 1, 0, 1])
-        tied = build_tied_edges(m, k=1, interface_cutoff=3.0)
+        tied = build_tied_edges(X, comps, k=1, interface_cutoff=3.0)
         pairs = set(map(tuple, tied))
         assert (0, 1) in pairs and (1, 0) in pairs
 
     def test_single_component_empty(self):
-        m = _mesh([[0, 0], [1, 0]], [[0, 1]])
-        assert build_tied_edges(m, k=1, interface_cutoff=3.0).shape == (0, 2)
+        X, _, comps = _mesh([[0, 0], [1, 0]], [[0, 1]])
+        assert build_tied_edges(X, comps, k=1, interface_cutoff=3.0).shape == (0, 2)
 
     def test_three_components_on_line_matches_bruteforce(self):
         # components of two nodes each along a line; k=1 ties nearest foreign node
         X = np.array([[0.0, 0], [1.0, 0], [1.5, 0], [2.5, 0], [3.0, 0], [4.0, 0]])
         elements = [[0, 1], [2, 3], [4, 5]]
         comps = [0, 0, 1, 1, 2, 2]
-        m = _mesh(X, elements, comps=comps)
-        tied = build_tied_edges(m, k=1, interface_cutoff=0.75)
+        X, _, comps = _mesh(X, elements, comps=comps)
+        tied = build_tied_edges(X, comps, k=1, interface_cutoff=0.75)
         expected = set()
         for i in range(6):
             dists = [(abs(X[j, 0] - X[i, 0]), j) for j in range(6) if comps[j] != comps[i]]
@@ -77,15 +76,15 @@ class TestTiedEdges:
         assert set(map(tuple, tied)) == expected
 
     def test_k_beyond_foreign_count_ties_every_foreign_node(self):
-        m = _mesh([[0, 0], [1, 0], [0, 1], [0.5, 0.5]], [[0, 1, 2]],
+        X, _, comps = _mesh([[0, 0], [1, 0], [0, 1], [0.5, 0.5]], [[0, 1, 2]],
                   comps=[0, 0, 0, 1])
-        tied = build_tied_edges(m, k=10, interface_cutoff=5.0)
+        tied = build_tied_edges(X, comps, k=10, interface_cutoff=5.0)
         assert set(map(tuple, tied)) == {(i, 3) for i in range(3)} | {(3, i) for i in range(3)}
 
     def test_far_components_not_tied(self):
-        m = _mesh([[0, 0], [1, 0], [50, 0], [51, 0]], [[0, 1], [2, 3]],
+        X, _, comps = _mesh([[0, 0], [1, 0], [50, 0], [51, 0]], [[0, 1], [2, 3]],
                   comps=[0, 0, 1, 1])
-        assert build_tied_edges(m, k=2, interface_cutoff=3.0).shape == (0, 2)
+        assert build_tied_edges(X, comps, k=2, interface_cutoff=3.0).shape == (0, 2)
 
     @pytest.mark.parametrize("block_rows", [7, None])
     @pytest.mark.parametrize("k", [1, 3])
@@ -104,7 +103,6 @@ class TestTiedEdges:
             cutoff = 0.2
         comps = np.repeat([0, 1], X.shape[0] // 2)
         assert X.shape[0] > 2 * mgnt.mesh._TIED_BLOCK_ROWS
-        m = _mesh(X, np.zeros((0, 2)), comps=comps)
         # the whole N x N scan the blocked one replaced, as the reference
         diff = X[:, None, :] - X[None, :, :]
         other = comps[:, None] != comps[None, :]
@@ -115,35 +113,47 @@ class TestTiedEdges:
         foreign = other[src, dst]
         expected = mgnt.mesh._both_ways(src[foreign], dst[foreign], len(X))
         assert 0 < rows.size < len(X)
-        tied = build_tied_edges(m, k=k, interface_cutoff=cutoff)
+        tied = build_tied_edges(X, comps, k=k, interface_cutoff=cutoff)
         assert tied.dtype == expected.dtype and np.array_equal(tied, expected)
 
 
 class TestContactDetection:
     def test_far_pair_no_edges(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert detect_contact_edges(pts, 1.0, set()).shape == (0, 2)
+        assert detect_contact_edges(pts, 1.0, ()).shape == (0, 2)
 
     def test_close_pair_both_directions(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0]])
-        edges = detect_contact_edges(pts, 1.0, set())
+        edges = detect_contact_edges(pts, 1.0, ())
         assert set(map(tuple, edges)) == {(0, 1), (1, 0)}
 
     def test_excluded_pairs_skipped(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.0]])
-        edges = detect_contact_edges(pts, 1.0, {(0, 1), (1, 0)})
+        edges = detect_contact_edges(pts, 1.0, [(0, 1), (1, 0)])
         assert edges.shape == (0, 2)
 
     def test_strict_inequality_at_radius(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        assert detect_contact_edges(pts, 1.0, set()).shape == (0, 2)
+        assert detect_contact_edges(pts, 1.0, ()).shape == (0, 2)
+
+    def test_bruteforce_hand_listed(self):
+        # 0-1 and 0-2 are closer than 1; 1-2 is sqrt(1.06) apart and 3 is far
+        pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.9], [3.0, 0.0]])
+        # unsorted; (3, 1) is never near, and (-4, 2) and (1, 4) lie outside the frame
+        excluded = np.array([[2, 0], [3, 1], [-4, 2], [0, 1], [1, 4]])
+        edges = detect_contact_edges_bruteforce(pts, 1.0, excluded)
+        assert edges.dtype == np.int64
+        np.testing.assert_array_equal(edges, [[0, 2], [1, 0]])
+        np.testing.assert_array_equal(detect_contact_edges_bruteforce(pts, 1.0, ()),
+                                      [[0, 1], [0, 2], [1, 0], [2, 0]])
+        np.testing.assert_array_equal(detect_contact_edges(pts, 1.0, excluded), edges)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_bruteforce_random(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-2, 2, size=(50, 2))
         r_c = rng.uniform(0.2, 0.8)
-        excluded = {(0, 1), (1, 0), (5, 9), (9, 5)}
+        excluded = [(0, 1), (1, 0), (5, 9), (9, 5)]
         fast = detect_contact_edges(pts, r_c, excluded)
         slow = detect_contact_edges_bruteforce(pts, r_c, excluded)
         np.testing.assert_array_equal(fast, slow)
@@ -151,8 +161,8 @@ class TestContactDetection:
     def test_matches_bruteforce_3d(self):
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1, 1, size=(40, 3))
-        np.testing.assert_array_equal(detect_contact_edges(pts, 0.5, set()),
-                                      detect_contact_edges_bruteforce(pts, 0.5, set()))
+        np.testing.assert_array_equal(detect_contact_edges(pts, 0.5, ()),
+                                      detect_contact_edges_bruteforce(pts, 0.5, ()))
 
     @pytest.mark.parametrize("pts,r_c", [
         # lattice points exactly r_c apart, on cell boundaries
@@ -170,8 +180,8 @@ class TestContactDetection:
             "clusters-1e7-apart", "huge"])
     def test_matches_bruteforce_layouts(self, pts, r_c):
         with np.errstate(over="ignore", invalid="raise"):  # no cast of inf to int
-            fast = detect_contact_edges(pts, r_c, set())
-            slow = detect_contact_edges_bruteforce(pts, r_c, set())
+            fast = detect_contact_edges(pts, r_c, ())
+            slow = detect_contact_edges_bruteforce(pts, r_c, ())
         np.testing.assert_array_equal(fast, slow)
         assert fast.dtype == np.int64 and fast.shape[1] == 2
 
@@ -179,17 +189,14 @@ class TestContactDetection:
         rng = np.random.default_rng(16)
         pts = rng.uniform(-1, 1, size=(40, 2))
         pairs = detect_contact_edges(pts, 0.5)[::3]
-        as_set = {(int(a), int(b)) for a, b in pairs}
-        edges = [detect_contact_edges(pts, 0.5, ex)
-                 for ex in (as_set, sorted(as_set), pairs, pairs[::-1])]
-        for other in edges[1:]:
-            np.testing.assert_array_equal(edges[0], other)
-        np.testing.assert_array_equal(edges[0],
-                                      detect_contact_edges_bruteforce(pts, 0.5, as_set))
+        edges = detect_contact_edges(pts, 0.5, pairs)
+        np.testing.assert_array_equal(edges, detect_contact_edges(pts, 0.5, pairs[::-1]))
+        for ex in (pairs, pairs[::-1]):
+            np.testing.assert_array_equal(edges, detect_contact_edges_bruteforce(pts, 0.5, ex))
 
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
-            detect_contact_edges(np.zeros((2, 2)), 0.0, set())
+            detect_contact_edges(np.zeros((2, 2)), 0.0, ())
 
 
 # With r_c = 1 the cell grid spans 2**40 columns and 2**24 rows, so the frame
@@ -206,7 +213,7 @@ class TestContactPerFrame:
     """One search over stacked frames equals the brute force frame by frame."""
 
     @staticmethod
-    def check(frames, r_c, excluded=frozenset()):
+    def check(frames, r_c, excluded=()):
         """The stacked search's pairs as (frame of each, pairs within it)."""
         frames = np.asarray(frames, dtype=float)
         n = frames.shape[1]
@@ -250,12 +257,11 @@ class TestContactPerFrame:
 
     def test_exclusion_formats_agree(self):
         frames = np.random.default_rng(23).uniform(-1, 1, size=(3, 40, 2))
-        pairs = detect_contact_edges(frames, 0.5)[::3] % 40
-        as_set = {(int(a), int(b)) for a, b in pairs}
-        results = [self.check(frames, 0.5, ex) for ex in (as_set, sorted(as_set), pairs)]
-        for frame, found in results[1:]:
-            np.testing.assert_array_equal(frame, results[0][0])
-            np.testing.assert_array_equal(found, results[0][1])
+        pairs = np.unique(detect_contact_edges(frames, 0.5)[::3] % 40, axis=0)
+        (frame, found), (frame_r, found_r) = [self.check(frames, 0.5, ex)
+                                              for ex in (pairs, pairs[::-1])]
+        np.testing.assert_array_equal(frame_r, frame)
+        np.testing.assert_array_equal(found_r, found)
 
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
@@ -302,7 +308,7 @@ class TestEdgeFeatures:
     def test_emitted_contact_norms_below_radius(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1, 1, size=(30, 2))
-        edges = detect_contact_edges(pts, 0.4, set())
+        edges = detect_contact_edges(pts, 0.4, ())
         feats = contact_edge_features(pts, edges)
         assert (feats[:, -1] < 0.4).all()
 
@@ -349,26 +355,25 @@ class TestPreparedMesh:
     def test_contact_excludes_mesh_neighbors(self):
         # a dense triangle: all pairs are mesh edges, so no contact pairs emerge
         m = _mesh([[0, 0], [0.1, 0], [0, 0.1]], [[0, 1, 2]])
-        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=10.0))
-        from mgnt.mesh import detect_contact_edges as dce
-        assert dce(m.reference_positions, graph.contact_radius,
-                   graph.excluded_pairs).shape == (0, 2)
+        graph = prepare_mesh(*m, GraphConfig(contact_radius_factor=10.0))
+        assert detect_contact_edges(graph.reference_positions, graph.contact_radius,
+                                    graph.excluded_pairs).shape == (0, 2)
 
     def test_quad_diagonals_never_contact(self):
         m = _mesh([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2, 3]])
-        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=2.0))
+        graph = prepare_mesh(*m, GraphConfig(contact_radius_factor=2.0))
         assert {(0, 2), (2, 0), (1, 3), (3, 1)} <= set(map(tuple, graph.excluded_pairs))
-        assert detect_contact_edges(m.reference_positions, graph.contact_radius,
+        assert detect_contact_edges(graph.reference_positions, graph.contact_radius,
                                     graph.excluded_pairs).shape == (0, 2)
 
     def test_mesh_without_elements_rejected(self):
         m = _mesh([[0, 0], [1, 0]], np.zeros((0, 2)))
         with pytest.raises(ValidationError, match="mesh has no edges"):
-            prepare_mesh(m, GraphConfig())
+            prepare_mesh(*m, GraphConfig())
 
     def test_default_radius_from_median_edge(self):
         m = _mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        graph = prepare_mesh(m, GraphConfig(contact_radius_factor=1.5))
+        graph = prepare_mesh(*m, GraphConfig(contact_radius_factor=1.5))
         assert graph.contact_radius == pytest.approx(1.5 * graph.median_edge)
 
     def test_one_hot(self):
@@ -381,15 +386,13 @@ def test_node_permutation_preserves_edge_feature_multiset():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((8, 2))
     elements = np.array([[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 0]])
-    m = _mesh(X, elements)
-    edges = build_mesh_edges(m)
+    edges = build_mesh_edges(elements, 8)
     feats = mesh_edge_features(X, X, edges)
 
     perm = rng.permutation(8)
     X_p = np.empty_like(X)
     X_p[perm] = X
-    m_p = _mesh(X_p, perm[elements])
-    edges_p = build_mesh_edges(m_p)
+    edges_p = build_mesh_edges(perm[elements], 8)
     feats_p = mesh_edge_features(X_p, X_p, edges_p)
 
     def key(rows):

@@ -38,6 +38,7 @@ def _toy_sample(rng, n=10, cfg=None):
         contact_edges=np.zeros((0, 2), dtype=np.int64),
         contact_edge_features=np.zeros((0, cfg.contact_edge_feat_dim)),
         positional_encoding=rng.standard_normal((n, cfg.pe_dim)),
+        sample_ranges=((0, n),),
     )
 
 
@@ -55,6 +56,7 @@ def _path_sample(n, cfg, rng):
         contact_edges=np.zeros((0, 2), dtype=np.int64),
         contact_edge_features=np.zeros((0, cfg.contact_edge_feat_dim)),
         positional_encoding=rng.standard_normal((n, cfg.pe_dim)),
+        sample_ranges=((0, n),),
     )
 
 
@@ -94,14 +96,12 @@ class TestEncode:
         rng = np.random.default_rng(3)
         sample = _toy_sample(rng, 4, small_cfg)
         bad = GraphSample(**{**sample.__dict__,
-                             "node_features": rng.standard_normal((4, 7)),
-                             "sample_ranges": ()})
+                             "node_features": rng.standard_normal((4, 7))})
         with pytest.raises(ConfigError, match="node feature dim"):
             encode(bad, small_params, small_cfg)
         # the width is checked even when there are no contact rows
         no_contact = GraphSample(**{**sample.__dict__,
-                                    "contact_edge_features": np.zeros((0, 4)),
-                                    "sample_ranges": ()})
+                                    "contact_edge_features": np.zeros((0, 4))})
         with pytest.raises(ConfigError, match="contact edge feature dim"):
             encode(no_contact, small_params, small_cfg)
 
@@ -112,8 +112,7 @@ class TestMpnn:
         sample = _toy_sample(rng, 5, small_cfg)
         sample = GraphSample(**{**sample.__dict__,
                                 "mesh_edges": np.zeros((0, 2), dtype=np.int64),
-                                "mesh_edge_features": np.zeros((0, 6)),
-                                "sample_ranges": ()})
+                                "mesh_edge_features": np.zeros((0, 6))})
         lat = encode(sample, small_params, small_cfg)
         out = mpnn_iteration(lat, sample, small_params, 0, small_cfg)
         assert np.isfinite(out.nodes.data).all()
@@ -122,8 +121,7 @@ class TestMpnn:
         rng = np.random.default_rng(5)
         sample = _path_sample(5, small_cfg, rng)
         perturbed = GraphSample(**{**sample.__dict__,
-                                   "node_features": sample.node_features.copy(),
-                                   "sample_ranges": ()})
+                                   "node_features": sample.node_features.copy()})
         perturbed.node_features[0] += 1.0
 
         def run(s, iters):
@@ -335,8 +333,7 @@ class TestForward:
         rng = np.random.default_rng(21)
         sample = _path_sample(12, small_cfg, rng)
         pert = GraphSample(**{**sample.__dict__,
-                              "node_features": sample.node_features.copy(),
-                              "sample_ranges": ()})
+                              "node_features": sample.node_features.copy()})
         pert.node_features[0] += 0.5
 
         y_a, _ = forward(sample, small_params, small_cfg, train_mode=False)
@@ -378,7 +375,7 @@ class TestForward:
         frames = {k: prep.traj.arrays[k][[1, 4]] for k in prep.schema.series}
         union = build_graph_sample(prep.graph, frames["x"], prep.node_features(frames),
                                    prep.graph_cfg.use_contact)
-        n = prep.graph.mesh.n_nodes
+        n = prep.traj.n_nodes
         assert union.sample_ranges == ((0, n), (n, 2 * n))
         y_m, _ = forward(normalizer.normalize_sample(union), params, cfg, train_mode=False)
         y_1, _ = forward(normalizer.normalize_sample(prep.sample(1)), params, cfg,

@@ -46,7 +46,7 @@ class TestRollout:
         pred, _ = forward(sample, params, mcfg, train_mode=False)
         state = norm.denormalize_targets(pred.data)
         deform = prep.deformable
-        X = prep.graph.mesh.reference_positions
+        X = prep.traj.arrays["X"]
         np.testing.assert_allclose(result.frames[1]["x"][deform],
                                    X[deform] + state[deform, :2], atol=1e-12)
         np.testing.assert_allclose(result.frames[1]["v"][deform],
@@ -58,7 +58,7 @@ class TestRollout:
         traj = _constant_trajectory(tiny_traj)
         prep = prepare_trajectory(traj, get_schema("impact"), tiny_graph_cfg)
         norm = Normalizer.fit([prep], "absolute")
-        X = prep.graph.mesh.reference_positions
+        X = prep.traj.arrays["X"]
 
         def identity_forward(sample, params, cfg, **kwargs):
             # return the normalized current state, so denormalization yields it
@@ -201,7 +201,7 @@ class TestRmse1:
         traj = _constant_trajectory(tiny_traj)
         prep = prepare_trajectory(traj, get_schema("impact"), tiny_graph_cfg)
         norm = Normalizer.fit([prep], "absolute")
-        X = prep.graph.mesh.reference_positions
+        X = prep.traj.arrays["X"]
 
         def identity_forward(sample, params, cfg, **kwargs):
             state = prep.schema.state_vector(prep.frame(0), X)

@@ -419,6 +419,38 @@ def test_noisy_batch_equals_per_frame_samples_joined():
     assert mask.tobytes() == np.concatenate([prep.deformable] * 4).tobytes()
 
 
+def test_float_stored_mesh_arrays_prepare_alike():
+    """A trajectory storing its elements, node types and component ids as
+    float64 gives every frame's sample the bytes and dtypes of the int64 one."""
+    traj = simulate_impact(_CONTACT_CFG)
+    arrays = dict(traj.arrays, **{key: traj.arrays[key].astype(np.float64)
+                                  for key in ("elements", "node_type", "component_id")})
+    preps = [prepare_trajectory(t, get_schema("impact"), GraphConfig())
+             for t in (traj, Trajectory(arrays=arrays, meta=traj.meta))]
+    contact = 0
+    for t in range(traj.n_frames):
+        want, got = (asdict(prep.sample(t)) for prep in preps)
+        assert got.pop("sample_ranges") == want.pop("sample_ranges")
+        for name, value in want.items():
+            assert (got[name].dtype, got[name].shape) == (value.dtype, value.shape), name
+            assert got[name].tobytes() == value.tobytes(), name
+        contact += want["contact_edges"].shape[0]
+    assert contact > 0
+    assert preps[1].deformable.tobytes() == preps[0].deformable.tobytes()
+
+
+@pytest.mark.parametrize("key", ["elements", "node_type", "component_id"])
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+def test_non_integer_mesh_arrays_refused(tiny_traj, tiny_graph_cfg, key, bad):
+    """A float in an index or code array that is no whole number is refused,
+    not truncated when cast to int64."""
+    value = tiny_traj.arrays[key].astype(np.float64)
+    value.flat[0] = bad
+    traj = Trajectory(arrays=dict(tiny_traj.arrays, **{key: value}), meta=tiny_traj.meta)
+    with pytest.raises(SchemaFormatError, match=f"'{key}' has a non-integer value"):
+        prepare_trajectory(traj, get_schema("impact"), tiny_graph_cfg)
+
+
 class TestNormalizerEqualsFrameByFrame:
     """The stacked pass keeps every bit of the frame-by-frame one."""
 
