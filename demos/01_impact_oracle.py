@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from mgnt.oracle import OracleConfig, simulate_impact
+from mgnt.oracle import SPACING, OracleConfig, simulate_impact
 from mgnt.rollout import hardening_monotonicity, kinetic_proxy
 
 cfg = OracleConfig(kappa=0.2)
@@ -28,7 +28,7 @@ lowest = a["x"][:, deform, 1].min(axis=1)
 
 first_contact = int(np.argmax(lowest < 0.5 * cfg.drop_height))
 print(f"first frame near the wall: {first_contact}")
-print(f"max |displacement|: {np.abs(u).max():.3f} (lattice extent {cfg.cols * cfg.spacing})")
+print(f"max |displacement|: {np.abs(u).max():.3f} (lattice extent {cfg.cols * SPACING})")
 print(f"final hardening sum: {sums[-1]:.3f} (violations: {violations})")
 print(f"kinetic proxy: start {ke[0]:.1f}, peak {ke.max():.1f}, end {ke[-1]:.2f}")
 

@@ -44,11 +44,8 @@ SCHEMA: dict[str, Key] = {
     "data.n_test": Key("paper", "test trajectories", default=10),
     "data.rows": Key("default", "lattice rows (desk scale)"),
     "data.cols": Key("default", "lattice cols (desk scale)"),
-    "data.spacing": Key("default", "lattice spacing"),
     "data.frames": Key("default", "stored frames per trajectory"),
     "data.substeps": Key("default", "fine integrator steps per stored frame"),
-    "data.dt": Key("default", "fine integrator step"),
-    "data.stiffness_base": Key("default", "spring stiffness at kappa=1"),
     "data.drop_height": Key("default", "initial gap above the wall"),
     "data.initial_velocity": Key("default", "initial vertical velocity"),
     "data.seed": Key("default", "dataset seed", default=1234),

@@ -45,7 +45,7 @@ def _coerce(name: str, arr: np.ndarray) -> tuple[str, np.ndarray]:
 def write_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named arrays (in mapping order) plus an optional JSON meta block."""
     entries = []
-    payloads = []
+    payloads = []  # the coerced arrays, written from their own buffers
     offset = 0
     seen: set[str] = set()
     for name, arr in arrays.items():
@@ -56,9 +56,8 @@ def write_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict | None 
         entries.append(
             {"name": name, "dtype": tag, "shape": list(data.shape), "byte_offset": offset}
         )
-        raw = data.tobytes()
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(data)
+        offset += data.nbytes
     header = {"arrays": entries, "meta": meta if meta is not None else {}}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
@@ -67,8 +66,8 @@ def write_arrays(path: str, arrays: Mapping[str, np.ndarray], meta: dict | None 
             f.write(MAGIC)
             f.write(struct.pack("<I", len(header_bytes)))
             f.write(header_bytes)
-            for raw in payloads:
-                f.write(raw)
+            for data in payloads:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,7 +118,7 @@ def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
             or not isinstance(header.get("meta", {}), dict)):
         raise SchemaFormatError(f"{path}: header is not an object with an arrays list "
                                 "and a meta object")
-    payload = blob[header_end:]
+    payload = memoryview(blob)[header_end:]  # slices of it share blob's bytes
     arrays: dict[str, np.ndarray] = {}
     expected_end = 0
     for entry in header.get("arrays", []):
@@ -129,6 +128,7 @@ def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
         end = start + math.prod(shape) * dt.itemsize
         if end > len(payload):
             raise SchemaFormatError(f"{path}: payload truncated for array {name!r}")
+        # copied, so each array is aligned and writable and blob can go
         arrays[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
         expected_end = max(expected_end, end)
     if expected_end != len(payload):

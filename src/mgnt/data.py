@@ -190,10 +190,12 @@ class PreparedTrajectory:
         return self.traj.arrays["node_type"] == NODE_DEFORMABLE
 
     def frame(self, t: int) -> dict[str, np.ndarray]:
+        """Frame t's series arrays: views of the trajectory's own arrays,
+        which nothing writes (noise and rollout steps write copies)."""
         if not 0 <= t < self.traj.n_frames:
             raise ValidationError(
                 f"frame index {t} out of range; last valid index is {self.traj.n_frames - 1}")
-        return {k: self.traj.arrays[k][t].copy() for k in self.schema.series}
+        return {k: self.traj.arrays[k][t] for k in self.schema.series}
 
     def node_features(self, frame: dict) -> np.ndarray:
         """Node features ``[..., N, F]`` of one frame or of stacked frames:

@@ -35,9 +35,13 @@ KAPPA_RANGE = (0.1, 0.3)
 WALL_Y = 0.0
 WALL_MARGIN_NODES = 4
 
-# The impact lattice's fixed physics: node mass, per-node viscous damping,
-# gravity, the wall's penalty stiffness, the elastic strain at yield and the
-# hardening modulus as a fraction of the spring stiffness.
+# The impact lattice's fixed physics: rest spacing of its nodes, spring
+# stiffness at kappa = 1, the fine integrator step, node mass, per-node
+# viscous damping, gravity, the wall's penalty stiffness, the elastic strain
+# at yield and the hardening modulus as a fraction of the spring stiffness.
+SPACING = 0.1
+STIFFNESS_BASE = 100000.0
+DT = 2.5e-4
 MASS = 1.0
 DAMPING = 1.2
 GRAVITY = 9.81
@@ -62,12 +66,9 @@ DRIVE_STD = 0.25
 class OracleConfig:
     rows: int = setting(8, ge=1)
     cols: int = setting(8, ge=1)
-    spacing: float = setting(0.1, gt=0)
-    stiffness_base: float = setting(100000.0, gt=0)  # spring stiffness = kappa * stiffness_base
-    kappa: float = setting(0.2, gt=0)
+    kappa: float = setting(0.2, gt=0)                # spring stiffness = kappa * STIFFNESS_BASE
     drop_height: float = setting(0.2, ge=0)          # the lattice starts above the wall
     initial_velocity: float = -1.0    # initial vertical velocity of the lattice
-    dt: float = setting(2.5e-4, gt=0)
     substeps: int = setting(40, ge=1)
     frames: int = setting(50, ge=2)
     seed: int = setting(0, ge=0)
@@ -95,34 +96,28 @@ def return_map_1d(k: float, hardening: float, yield_force, stretch, plastic, alp
 def _lattice(cfg: OracleConfig):
     """Node positions and spring list (axial + both diagonals) for the block,
     plus a row of static wall nodes below it."""
-    a = cfg.spacing
-    xs = np.arange(cfg.cols) * a
-    ys = np.arange(cfg.rows) * a + WALL_Y + cfg.drop_height
+    xs = np.arange(cfg.cols) * SPACING
+    ys = np.arange(cfg.rows) * SPACING + WALL_Y + cfg.drop_height
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     lattice = np.stack([gx.ravel(), gy.ravel()], axis=1)
     n_lat = lattice.shape[0]
 
-    def nid(r, c):
-        return r * cfg.cols + c
-
-    springs = []
-    for r in range(cfg.rows):
-        for c in range(cfg.cols):
-            if c + 1 < cfg.cols:
-                springs.append((nid(r, c), nid(r, c + 1)))
-            if r + 1 < cfg.rows:
-                springs.append((nid(r, c), nid(r + 1, c)))
-            if c + 1 < cfg.cols and r + 1 < cfg.rows:
-                springs.append((nid(r, c), nid(r + 1, c + 1)))
-                springs.append((nid(r, c + 1), nid(r + 1, c)))
+    # per cell in row-major order: right, up, then both diagonals; a pair
+    # that reaches the -1 pad past the last row or column is dropped
+    ids = np.pad(np.arange(n_lat).reshape(cfg.rows, cfg.cols), ((0, 1), (0, 1)),
+                 constant_values=-1)
+    cell, right, up, upright = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    pairs = np.stack([cell, right, cell, up, cell, upright, right, up], -1).reshape(-1, 2)
+    springs = pairs[(pairs >= 0).all(axis=1)]
 
     m = WALL_MARGIN_NODES
-    wall_x = (np.arange(cfg.cols + 2 * m) - m) * a
+    wall_x = (np.arange(cfg.cols + 2 * m) - m) * SPACING
     wall = np.stack([wall_x, np.full_like(wall_x, WALL_Y)], axis=1)
-    wall_elems = [(n_lat + i, n_lat + i + 1) for i in range(wall.shape[0] - 1)]
+    left = n_lat + np.arange(wall.shape[0] - 1)
+    wall_elems = np.stack([left, left + 1], axis=1)
 
     X = np.concatenate([lattice, wall])
-    elements = np.array(springs + wall_elems, dtype=np.int64)
+    elements = np.concatenate([springs, wall_elems]).astype(np.int64)
     node_type = np.concatenate([
         np.full(n_lat, NODE_DEFORMABLE, dtype=np.int64),
         np.full(wall.shape[0], NODE_OBSTACLE, dtype=np.int64),
@@ -138,7 +133,7 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
     n = X.shape[0]
     deform = node_type == NODE_DEFORMABLE
 
-    k_spring = cfg.kappa * cfg.stiffness_base
+    k_spring = cfg.kappa * STIFFNESS_BASE
     hardening = HARDENING_RATIO * k_spring
     springs = elements[:n_springs]
     rest = np.sqrt(((X[springs[:, 0]] - X[springs[:, 1]]) ** 2).sum(-1))
@@ -157,7 +152,7 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
     frames_a = np.empty((cfg.frames, n))
     frames_x[0], frames_v[0], frames_a[0] = x, v, alpha_node
 
-    extent = max(cfg.cols, cfg.rows) * cfg.spacing
+    extent = max(cfg.cols, cfg.rows) * SPACING
     bound = 100.0 * (extent + cfg.drop_height + 1.0)
     src, dst = springs[:, 0], springs[:, 1]
     ends = np.concatenate([src, dst])  # each spring's two nodes, sources first
@@ -183,17 +178,17 @@ def simulate_impact(cfg: OracleConfig) -> Trajectory:
             force[contact, 1] += WALL_STIFFNESS * pen[contact]
             force[contact, 1] -= c_wall * v[contact, 1]
 
-            v[deform] += (cfg.dt / MASS) * force[deform]
-            x[deform] += cfg.dt * v[deform]
+            v[deform] += (DT / MASS) * force[deform]
+            x[deform] += DT * v[deform]
 
             if not np.isfinite(x).all() or np.abs(x - X).max() > bound:
                 raise NumericError(
                     f"impact oracle unstable at frame {frame}: "
-                    f"dt={cfg.dt}, spring stiffness={k_spring}")
+                    f"dt={DT}, spring stiffness={k_spring}")
         frames_x[frame], frames_v[frame], frames_a[frame] = x, v, alpha_node
 
     return _trajectory("impact", cfg, X, {"x": frames_x, "v": frames_v, "alpha": frames_a},
-                       node_type, component, elements, cfg.dt * cfg.substeps)
+                       node_type, component, elements, DT * cfg.substeps)
 
 
 def _trajectory(schema: str, cfg, X, series: dict, node_type, component, elements,

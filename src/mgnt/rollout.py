@@ -194,7 +194,7 @@ def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,
     sample = prep.sample_from_frame(frame)
     normed = normalizer.normalize_sample(sample)
     _, aux = forward(normed, params, model_cfg, train_mode=False, collect_weights=True)
-    return frame["x"].copy(), aux["slice_weights"][block]
+    return frame["x"], aux["slice_weights"][block]
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def segment_sum(values, segment_ids: Array, n_segments: int) -> Tensor:
     out = _scatter_rows(values.data, ids, n_segments)
 
     def backward(g):
-        return [g[ids]]
+        return [np.take(g, ids, axis=0)]
 
     return _emit(out, (values,), backward, "segment_sum", values.size)
 

@@ -55,11 +55,8 @@ data.n_train = 18  # paper: training trajectories
 data.n_test = 10  # paper: test trajectories
 data.rows = 8  # default: lattice rows (desk scale)
 data.cols = 8  # default: lattice cols (desk scale)
-data.spacing = 0.1  # default: lattice spacing
 data.frames = 50  # default: stored frames per trajectory
 data.substeps = 40  # default: fine integrator steps per stored frame
-data.dt = 0.00025  # default: fine integrator step
-data.stiffness_base = 100000.0  # default: spring stiffness at kappa=1
 data.drop_height = 0.2  # default: initial gap above the wall
 data.initial_velocity = -1.0  # default: initial vertical velocity
 data.seed = 1234  # default: dataset seed
@@ -268,7 +265,8 @@ class TestConfig:
         "data.kappa_min", "data.kappa_max", "chain.relax_tol", "graph.contact_radius",
         "model.tau0", "model.tau_min", "model.leaky_slope", "data.mass", "data.damping",
         "data.gravity", "data.wall_stiffness", "data.yield_strain", "data.hardening_ratio",
-        "chain.load", "chain.stiffness_base", "chain.drive_std", "chain.driven_nodes"])
+        "chain.load", "chain.stiffness_base", "chain.drive_std", "chain.driven_nodes",
+        "data.spacing", "data.stiffness_base", "data.dt"])
     def test_removed_kappa_keys_exit_2(self, tmp_path, key):
         # the generators draw kappa from oracle.KAPPA_RANGE; no key sets it,
         # the chain's closed-form equilibrium has no tolerance to set, the
@@ -307,8 +305,7 @@ SWEEP_RUNS = {
 # finiteness checks exit 1, fit's exits 3
 SWEEP_OVERFLOWS = {
     **dict.fromkeys(((key, 1e308) for key in (
-        "data.spacing", "data.dt", "data.stiffness_base", "data.drop_height",
-        "data.initial_velocity")), 1),
+        "data.drop_height", "data.initial_velocity")), 1),
     ("train.lr", 1e308): 3, ("train.noise_scale", 1e308): 3,
 }
 

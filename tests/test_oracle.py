@@ -100,7 +100,7 @@ class TestImpactOracle:
         traj = simulate_impact(cfg)
         v1 = traj.arrays["v"][1]
         deform = traj.arrays["node_type"] == 0
-        expected = -0.5 - mgnt.oracle.GRAVITY * cfg.dt * cfg.substeps
+        expected = -0.5 - mgnt.oracle.GRAVITY * mgnt.oracle.DT * cfg.substeps
         np.testing.assert_allclose(v1[deform, 1], expected, rtol=0, atol=1e-15)
 
     def test_no_plasticity_without_impact(self):
@@ -138,8 +138,9 @@ class TestImpactOracle:
         for key in a.arrays:
             np.testing.assert_array_equal(a.arrays[key], b.arrays[key])
 
-    def test_instability_diagnostic(self):
-        cfg = OracleConfig(rows=3, cols=3, frames=5, substeps=50, dt=1.0)
+    def test_instability_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(mgnt.oracle, "DT", 1.0)
+        cfg = OracleConfig(rows=3, cols=3, frames=5, substeps=50)
         with pytest.raises(NumericError, match="dt"):
             simulate_impact(cfg)
 

@@ -24,7 +24,7 @@ from mgnt.mesh import NODE_ACTUATOR
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import (ChainConfig, OracleConfig, gen_dataset, simulate_chain,
                          simulate_impact)
-from mgnt.rollout import evaluate
+from mgnt.rollout import evaluate, export_attention
 from mgnt.tensor import Tape, Tensor
 from mgnt.train import (Normalizer, TrainConfig, compute_loss, fit, load_checkpoint,
                         make_batch, save_checkpoint, write_history_csv)
@@ -252,12 +252,14 @@ class TestNothingHandedOutIsWritten:
         report = evaluate(result.params, mcfg, result.normalizer, [prep], mode)
         return result.history.tobytes(), json.dumps(report).encode()
 
-    @pytest.mark.parametrize("simulate, oracle_cfg, gcfg, mode", [
+    CASES = pytest.mark.parametrize("simulate, oracle_cfg, gcfg, mode", [
         (simulate_impact, OracleConfig(rows=4, cols=4, frames=6, substeps=10,
                                        drop_height=0.02, initial_velocity=-3.0),
          GraphConfig(contact_radius_factor=2.0), "absolute"),
         (simulate_chain, ChainConfig(n_nodes=100, frames=5), GraphConfig(), "delta"),
     ], ids=["impact", "chain"])
+
+    @CASES
     def test_fit_and_evaluate_with_read_only_arrays(self, monkeypatch, simulate, oracle_cfg,
                                                     gcfg, mode):
         traj = simulate(oracle_cfg)
@@ -277,6 +279,25 @@ class TestNothingHandedOutIsWritten:
         real_emit = T._emit
         monkeypatch.setattr(T, "_emit", emit)
         assert self._fit_and_report(prep, mode) == expected
+
+    @CASES
+    def test_stored_arrays_are_never_written(self, simulate, oracle_cfg, gcfg, mode):
+        # frames are views of the stored series: a noisy fit, evaluate and
+        # export_attention run on read-only trajectory arrays, with the bytes
+        # they give on writable ones
+        def run(traj):
+            prep = prepare_trajectory(traj, get_schema(traj.meta["schema"]), gcfg)
+            history, report = self._fit_and_report(prep, mode)
+            mcfg = ModelConfig(**feature_dims(prep.schema, gcfg))
+            positions, _ = export_attention(init_params(mcfg, seed=0), mcfg,
+                                            Normalizer.fit([prep], mode), prep, 1, 0)
+            return history, report, positions.tobytes()
+
+        expected = run(simulate(oracle_cfg))
+        traj = simulate(oracle_cfg)
+        for a in traj.arrays.values():
+            a.flags.writeable = False
+        assert run(traj) == expected
 
 
 class TestStepMemory:
