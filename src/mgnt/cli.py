@@ -7,8 +7,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 training
 abort, 4 schema mismatch.  Every command that takes ``--out`` echoes its
-resolved configuration into the output directory.  MGNT_SEED in the
-environment overrides all configured seeds.
+resolved configuration into the output directory.  ``--seed N`` overrides
+all configured seeds.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trajectory", required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--export-weights", action="store_true")
     p = common(sub.add_parser("export-attention", help="slice-weight maps for one frame"))
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--trajectory", required=True)
@@ -150,20 +149,12 @@ def _cmd_rollout(args, cfg) -> int:
     prep = _prepared_trajectory(args.trajectory, state)
     traj = prep.traj
     result = rollout(state["params"], state["model_config"], state["normalizer"], prep,
-                     args.horizon, state["train_config"].target_mode,
-                     collect_weights=args.export_weights)
+                     args.horizon, state["train_config"].target_mode)
     arrays = horizon_arrays(traj, schema, args.horizon, result.frames)
     arrays["contact_counts"] = result.contact_counts
     out_traj = Trajectory(arrays=arrays, meta={**traj.meta, "format": "mgnt-rollout",
                                                "horizon": args.horizon})
     out_traj.save(os.path.join(args.out, "rollout.mgnt"))
-    if args.export_weights:
-        wa = {}
-        for t, per_block in enumerate(result.slice_weights):
-            for b, w in enumerate(per_block):
-                wa[f"w_step{t:03d}_block{b}"] = w
-        write_arrays(os.path.join(args.out, "slice_weights.mgnt"), wa,
-                     meta={"format": "mgnt-attention-rollout"})
     _write_step_error_csv(os.path.join(args.out, "step_error.csv"), schema, arrays,
                           horizon_arrays(traj, schema, args.horizon), args.horizon)
     print(f"rolled out {args.horizon} steps; contact edges per step: "

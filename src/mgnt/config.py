@@ -8,10 +8,10 @@ and takes its default, its value type and its domain from that field;
 ``SCHEMA`` adds the order, a provenance note distinguishing values taken from
 the reference experiment tables from package defaults, and a help line.
 Unknown keys are rejected; a value the config class rejects raises
-``ConfigError`` (exit 2) when the command builds that section.  The
-environment variable ``MGNT_SEED`` overrides every seed key.  The resolved
-configuration is echoed verbatim next to every command's outputs so runs can
-be reproduced from their artifacts alone.
+``ConfigError`` (exit 2) when the command builds that section.  The CLI's
+``--seed N`` overrides every seed key.  The resolved configuration is echoed
+verbatim next to every command's outputs so runs can be reproduced from
+their artifacts alone.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _coerce(key: str, raw: str):
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
-    """Defaults, then file values, then explicit overrides, then MGNT_SEED."""
+    """Defaults, then file values, then explicit overrides."""
     resolved = dict(_DEFAULTS)
     if path is not None:
         with open(path) as f:
@@ -143,13 +143,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> dict:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         resolved[key] = value
-    env_seed = os.environ.get("MGNT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"MGNT_SEED must be an integer, got {env_seed!r}") from exc
-        resolved.update(dict.fromkeys(SEED_KEYS, seed))
     return resolved
 
 

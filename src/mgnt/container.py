@@ -5,7 +5,7 @@ File layout:
     bytes 0..7    magic ``MGNTARR1``
     bytes 8..11   header length ``H`` (little-endian unsigned 32-bit)
     bytes 12..    JSON header, exactly ``H`` bytes, UTF-8
-    rest          raw little-endian array payloads, packed in offset order
+    rest          raw little-endian payloads in header order, each starting where the last ends
 
 The JSON header is an object ``{"arrays": [...], "meta": {...}}`` where each
 entry of ``arrays`` is ``{"name", "dtype", "shape", "byte_offset"}``.  Dtypes
@@ -125,12 +125,15 @@ def read_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
         name, dt, shape, start = _entry_fields(path, entry)
         if name in arrays:
             raise SchemaFormatError(f"{path}: duplicate array name {name!r}")
+        if start != expected_end:
+            raise SchemaFormatError(
+                f"{path}: array {name!r} starts at byte {start}, not {expected_end}")
         end = start + math.prod(shape) * dt.itemsize
         if end > len(payload):
             raise SchemaFormatError(f"{path}: payload truncated for array {name!r}")
         # copied, so each array is aligned and writable and blob can go
         arrays[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
-        expected_end = max(expected_end, end)
+        expected_end = end
     if expected_end != len(payload):
         raise SchemaFormatError(
             f"{path}: {len(payload) - expected_end} trailing payload bytes"

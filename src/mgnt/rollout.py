@@ -15,7 +15,7 @@ truth, so they add zero residuals to the mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .train import Normalizer
 class RolloutResult:
     frames: list[dict]                      # state arrays per step, index 0 = initial
     contact_counts: np.ndarray              # [horizon] contact edges per predicted step
-    slice_weights: list[list[np.ndarray]] = field(default_factory=list)
 
 
 def horizon_arrays(traj: Trajectory, schema, horizon: int,
@@ -44,16 +43,14 @@ def horizon_arrays(traj: Trajectory, schema, horizon: int,
 
 
 def _step(params, model_cfg: ModelConfig, normalizer: Normalizer,
-          prep: PreparedTrajectory, frame: dict, t: int, target_mode: str,
-          collect_weights: bool = False) -> tuple[dict, int, list[np.ndarray]]:
+          prep: PreparedTrajectory, frame: dict, t: int, target_mode: str) -> tuple[dict, int]:
     """Predict frame t + 1 from ``frame``, which stands at step t: the next
-    frame, the step's contact-edge count and its slice weights.  Deformable
-    rows take the denormalized network output (added to the state in delta
-    mode); the stored frame t + 1 supplies every other row."""
+    frame and the step's contact-edge count.  Deformable rows take the
+    denormalized network output (added to the state in delta mode); the
+    stored frame t + 1 supplies every other row."""
     sample = prep.sample_from_frame(frame)
     normed = normalizer.normalize_sample(sample)
-    pred, aux = forward(normed, params, model_cfg, train_mode=False,
-                        collect_weights=collect_weights)
+    pred, _ = forward(normed, params, model_cfg, train_mode=False)
     if not np.isfinite(pred.data).all():
         raise RolloutAbort(
             f"non-finite prediction at step {t} "
@@ -63,12 +60,11 @@ def _step(params, model_cfg: ModelConfig, normalizer: Normalizer,
     if target_mode == "delta":
         state = prep.schema.state_vector(frame, X) + state
     nxt = prep.schema.advance(state, X, prep.frame(t + 1), prep.deformable)
-    return nxt, sample.contact_edges.shape[0], aux["slice_weights"]
+    return nxt, sample.contact_edges.shape[0]
 
 
 def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
-            prep: PreparedTrajectory, horizon: int, target_mode: str,
-            collect_weights: bool = False) -> RolloutResult:
+            prep: PreparedTrajectory, horizon: int, target_mode: str) -> RolloutResult:
     """Integrate ``horizon`` steps from the trajectory's initial frame, each
     step's prediction the next step's input."""
     if horizon < 1:
@@ -80,14 +76,10 @@ def rollout(params, model_cfg: ModelConfig, normalizer: Normalizer,
     params = cast_params(params, model_cfg)   # once, not once per step
     frames = [prep.frame(0)]
     counts = np.zeros(horizon, dtype=np.int64)
-    weights: list[list[np.ndarray]] = []
     for t in range(horizon):
-        frame, counts[t], w = _step(params, model_cfg, normalizer, prep, frames[-1], t,
-                                    target_mode, collect_weights)
+        frame, counts[t] = _step(params, model_cfg, normalizer, prep, frames[-1], t, target_mode)
         frames.append(frame)
-        if collect_weights:
-            weights.append(w)
-    return RolloutResult(frames=frames, contact_counts=counts, slice_weights=weights)
+    return RolloutResult(frames=frames, contact_counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -148,17 +148,11 @@ class TestConfig:
         again = load_config(path)
         assert again == cfg
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MGNT_SEED", "777")
-        cfg = load_config(None)
-        assert cfg["data.seed"] == 777 and cfg["train.seed"] == 777
-
     def test_comments_and_blank_lines(self, tmp_path):
         path = _write(tmp_path, "c.txt", "# hello\n\ntrain.steps = 7 # trailing\n")
         assert load_config(path)["train.steps"] == 7
 
-    def test_default_resolved_text_unchanged(self, monkeypatch):
-        monkeypatch.delenv("MGNT_SEED", raising=False)
+    def test_default_resolved_text_unchanged(self):
         assert format_config(load_config(None)) == DEFAULT_RESOLVED
 
     @pytest.mark.parametrize("name, expected", [
@@ -168,9 +162,8 @@ class TestConfig:
         ("model", ModelConfig(**DIMS)),
         ("train", TrainConfig()),
     ])
-    def test_sections_take_class_defaults(self, monkeypatch, name, expected):
+    def test_sections_take_class_defaults(self, name, expected):
         # only the two dataset seeds differ
-        monkeypatch.delenv("MGNT_SEED", raising=False)
         extra = DIMS if name == "model" else {}
         assert section(load_config(None), name, **extra) == expected
 
@@ -253,13 +246,16 @@ class TestConfig:
     @pytest.mark.parametrize("command, seed", [
         pytest.param("gen-data", "-1", id="gen-data"), pytest.param("train", "-1", id="train"),
         pytest.param("gen-data", "abc", id="gen-data-abc")])
-    def test_negative_env_seed_exit_2(self, trained, tmp_path, capsys, monkeypatch, command,
-                                      seed):
+    def test_bad_seed_exit_2(self, trained, tmp_path, capsys, command, seed):
         root, cfg, data_dir, _ = trained
-        monkeypatch.setenv("MGNT_SEED", seed)
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
-        assert main(argv + (["--data", data_dir] if command == "train" else [])) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", seed]
+        argv += ["--data", data_dir] if command == "train" else []
+        if seed == "abc":  # argparse refuses a non-integer before main runs
+            with pytest.raises(SystemExit, match="^2$"):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("key", [
         "data.kappa_min", "data.kappa_max", "chain.relax_tol", "graph.contact_radius",
@@ -321,12 +317,10 @@ def test_sweep_expectations_name_swept_cases():
     pytest.param(key, value, id=f"{key}={value}", marks=[
         pytest.mark.filterwarnings("ignore::RuntimeWarning")] if value == 1e308 else [])
     for key, value in SWEEP])
-def test_every_numeric_key_exits_2_or_runs_finite(trained, tmp_path, capsys, monkeypatch,
-                                                  key, value):
+def test_every_numeric_key_exits_2_or_runs_finite(trained, tmp_path, capsys, key, value):
     """The smallest command that reads the key either rejects the value with
     a config error, stops an overflow with exit 1 (oracles) or 3 (training),
     or runs and writes only finite float arrays."""
-    monkeypatch.delenv("MGNT_SEED", raising=False)
     root, _, data_dir, run_dir = trained
     section = key.split(".", 1)[0]
     cfg = _write(tmp_path, "sweep.txt",
@@ -749,8 +743,7 @@ class TestRolloutCommand:
         traj_file = os.path.join(data_dir, doc["test"][0])
         out = str(tmp_path / "roll")
         code = main(["rollout", "--checkpoint", os.path.join(run_dir, "checkpoint.mgnt"),
-                     "--trajectory", traj_file, "--horizon", "3", "--out", out,
-                     "--export-weights"])
+                     "--trajectory", traj_file, "--horizon", "3", "--out", out])
         assert code == 0
         rolled = Trajectory.load(os.path.join(out, "rollout.mgnt"))
         assert rolled.arrays["x"].shape[0] == 4
@@ -758,7 +751,6 @@ class TestRolloutCommand:
         lines = open(os.path.join(out, "step_error.csv")).read().splitlines()
         assert lines[0].startswith("step,")
         assert len(lines) == 4
-        assert os.path.exists(os.path.join(out, "slice_weights.mgnt"))
 
     def test_horizon_too_long_names_limit(self, trained, tmp_path, capsys):
         root, cfg, data_dir, run_dir = trained
@@ -782,6 +774,45 @@ class TestRolloutCommand:
                      "--out", str(tmp_path / "r3")])
         assert code == 4
         assert "byte_offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, seed", [("checkpoint", 0), ("trajectory", 1)])
+    def test_header_byte_edits_exit_cleanly(self, trained, tmp_path, capsys, target, seed):
+        """200 seeded one-byte edits of an input's JSON header, each to a
+        character JSON is made of: each rollout returns an exit code in 0-4,
+        and exits 4 whenever the edited header still parses with a changed
+        byte_offset."""
+        root, cfg, data_dir, run_dir = trained
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        paths = {"checkpoint": os.path.join(run_dir, "checkpoint.mgnt"),
+                 "trajectory": os.path.join(data_dir, doc["test"][0])}
+        edited = str(tmp_path / "edited.mgnt")
+        argv = ["rollout", "--checkpoint", paths["checkpoint"], "--trajectory",
+                paths["trajectory"], "--horizon", "3", "--out", str(tmp_path / "o")]
+        argv[argv.index(paths[target])] = edited
+        with open(paths[target], "rb") as f:
+            blob = f.read()
+        header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+
+        def offsets(raw):
+            try:
+                return [entry["byte_offset"] for entry in json.loads(raw[12:header_end])["arrays"]]
+            except (ValueError, TypeError, KeyError):
+                return None
+
+        rng, stored, shifted = np.random.default_rng(seed), offsets(blob), 0
+        for _ in range(200):
+            raw = bytearray(blob)
+            at = int(rng.integers(12, header_end))
+            raw[at] = rng.choice(np.frombuffer(b'0123456789-.e",:[]{} ', np.uint8))
+            with open(edited, "wb") as f:
+                f.write(raw)
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert type(code) is int and 0 <= code <= 4, (at, err)
+            if offsets(raw) not in (None, stored):
+                shifted += 1
+                assert code == 4, (at, err)
+        assert shifted > 0
 
     @pytest.mark.parametrize("edit, named", [
         *[(lambda a, key=key: a.pop(key), f"no {key!r} array")

@@ -137,6 +137,21 @@ def test_malformed_header_rejected(tmp_path, header):
         read_arrays(path)
 
 
+@pytest.mark.parametrize("offsets, gap", [((0, 8, 64), 0), ((0, 40, 72), 8)],
+                         ids=["overlap", "gap"])
+def test_unpacked_offsets_rejected(tmp_path, offsets, gap):
+    """Every array lies inside the payload and the last one ends at its end;
+    only packing in header order catches b's edited offset."""
+    arrays = [np.arange(k, k + 4, dtype="<i8") for k in (0, 10, 20)]
+    entries = [{"name": name, "dtype": "i64", "shape": [4], "byte_offset": offset}
+               for name, offset in zip("abc", offsets)]
+    path = tmp_path / "u.mgnt"
+    _craft(path, {"arrays": entries, "meta": {}},
+           arrays[0].tobytes() + bytes(gap) + arrays[1].tobytes() + arrays[2].tobytes())
+    with pytest.raises(SchemaFormatError, match=f"array 'b' starts at byte {offsets[1]}, not 32"):
+        read_arrays(path)
+
+
 def test_interrupted_write_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.mgnt"
     write_arrays(path, {"a": np.arange(4.0)}, meta={"v": 1})

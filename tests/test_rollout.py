@@ -102,12 +102,41 @@ class TestRollout:
         assert result.contact_counts.shape == (3,)
         assert (result.contact_counts >= 0).all()
 
-    def test_collected_weights_per_step(self, fitted):
-        prep, mcfg, params, norm = fitted
-        result = rollout(params, mcfg, norm, prep, 2, "absolute",
-                         collect_weights=True)
-        assert len(result.slice_weights) == 2
-        assert len(result.slice_weights[0]) == mcfg.n_transformer_blocks
+    def test_saved_rollout_exports_each_steps_weights(self, tmp_path, monkeypatch):
+        """``export_attention`` on a saved rollout gives, bit for bit, the
+        slice weights each rollout step computed, contact edges included."""
+        gcfg = GraphConfig(n_frequencies=2, contact_radius_factor=2.0)
+        schema = get_schema("impact")
+        prep = prepare_trajectory(simulate_impact(OracleConfig(
+            rows=4, cols=4, frames=20, substeps=10, drop_height=0.02, initial_velocity=-3.0)),
+            schema, gcfg)
+        mcfg = ModelConfig(latent_dim=12, n_tokens=4, n_heads=2, transformer_dims=(12, 8, 12),
+                           **feature_dims(schema, gcfg))
+        params, norm = init_params(mcfg, seed=0), Normalizer.fit([prep], "absolute")
+        seen, original = [], R.forward
+
+        def recording_forward(sample, params, cfg, **kwargs):
+            out, aux = original(sample, params, cfg, **{**kwargs, "collect_weights": True})
+            seen.append(aux["slice_weights"])
+            return out, aux
+
+        with monkeypatch.context() as m:
+            m.setattr(R, "forward", recording_forward)
+            result = rollout(params, mcfg, norm, prep, prep.n_transitions, "absolute")
+        assert [len(w) for w in seen] == [mcfg.n_transformer_blocks] * prep.n_transitions
+        assert result.contact_counts.max() > 0
+        # saved as the rollout command saves it
+        arrays = R.horizon_arrays(prep.traj, schema, prep.n_transitions, result.frames)
+        arrays["contact_counts"] = result.contact_counts
+        Trajectory(arrays=arrays, meta={**prep.traj.meta, "format": "mgnt-rollout"}).save(
+            str(tmp_path / "rollout.mgnt"))
+        saved = prepare_trajectory(Trajectory.load(str(tmp_path / "rollout.mgnt")), schema, gcfg)
+        for t, per_block in enumerate(seen):
+            for block, want in enumerate(per_block):
+                x, got = export_attention(params, mcfg, norm, saved, t, block)
+                assert x.tobytes() == result.frames[t]["x"].tobytes()
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes(), (t, block)
 
 
 class TestMetricSeries:
