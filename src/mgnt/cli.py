@@ -5,10 +5,11 @@
     mgnt <eval|rollout|export-attention> [--config PATH] --out DIR [--seed N] ...
     mgnt verify
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 training
-abort, 4 schema mismatch.  Every command that takes ``--out`` echoes its
-resolved configuration into the output directory.  ``--seed N`` overrides
-all configured seeds.
+Exit codes: 0 success, 2 config error, 3 training abort, 4 schema mismatch,
+1 any other failure: a failed verify check, a non-finite prediction or
+oracle state, a frame, block or horizon out of range, an unreadable file.
+Every command that takes ``--out`` echoes its resolved configuration into
+the output directory.  ``--seed N`` overrides all configured seeds.
 """
 
 from __future__ import annotations

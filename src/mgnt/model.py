@@ -266,7 +266,7 @@ def token_attention(z: Tensor, params: dict[str, Tensor], block: int,
         q = _linear(params, f"{p}.h{h}.q", z)
         k = _linear(params, f"{p}.h{h}.k", z)
         v = _linear(params, f"{p}.h{h}.v", z)
-        attn = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_c), axis=1)
+        attn = T.softmax(T.mul(T.matmul(q, T.transpose(k)), inv_sqrt_c), axis=1)
         heads.append(T.matmul(attn, v))
     merged = T.concat(heads, axis=1)
     return _linear(params, f"{p}.attn_out", merged)
@@ -280,11 +280,11 @@ def deslice(z_updated: Tensor, w: Tensor) -> Tensor:
 def transformer_block(lat_nodes: Tensor, pe: np.ndarray, params: dict[str, Tensor],
                       block: int, cfg: ModelConfig,
                       sample_ranges: tuple[tuple[int, int], ...],
-                      gumbel: np.ndarray | None,
-                      collect: list[np.ndarray] | None) -> Tensor:
+                      gumbel: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
     """One global update: project latents + positional encodings into the
     block width, apply slice/attend/deslice per constituent sample with a
-    residual, a pre-norm feed-forward residual, and project back."""
+    residual, a pre-norm feed-forward residual, and project back.  Returns
+    the updated latents and the samples' slice weights, stacked [rows x P]."""
     p = f"block{block}"
     h_all = _linear(params, f"{p}.in", T.concat([lat_nodes, pe], axis=1))
     parts = []
@@ -306,10 +306,9 @@ def transformer_block(lat_nodes: Tensor, pe: np.ndarray, params: dict[str, Tenso
                                 params[f"{p}.ffn_b0"]), LEAKY_SLOPE)
     ffn_out = T.add(T.matmul(hidden, params[f"{p}.ffn_w1"]), params[f"{p}.ffn_b1"])
     h2 = T.add(h1, ffn_out)
-    if collect is not None:
-        collect.append(np.concatenate(weights, axis=0))
     # residual update keeps the latent stream intact through the narrow block
-    return T.add(lat_nodes, _linear(params, f"{p}.out", h2))
+    return (T.add(lat_nodes, _linear(params, f"{p}.out", h2)),
+            np.concatenate(weights, axis=0))
 
 
 def sample_gumbel(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -319,9 +318,10 @@ def sample_gumbel(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
 
 
 def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
-            train_mode: bool = False, rng: np.random.Generator | None = None,
-            collect_weights: bool = False) -> tuple[Tensor, dict]:
-    """Full pass; returns per-node predictions and an aux dict.
+            train_mode: bool = False, rng: np.random.Generator | None = None
+            ) -> tuple[Tensor, dict]:
+    """Full pass; returns per-node predictions and an aux dict whose
+    ``slice_weights`` holds each block's [rows x P] slice weights.
 
     In train mode the slice logits of every block receive Gumbel noise, all
     drawn from ``rng`` before the pass starts.  Eval mode is deterministic.
@@ -338,11 +338,12 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
     with _scope("mpnn_pre"):
         for i in range(cfg.mpnn_pre):
             lat = mpnn_iteration(lat, sample, params, i, cfg)
-    collect: list[np.ndarray] | None = [] if collect_weights else None
     nodes = lat.nodes
+    slice_weights = []
     for b in range(cfg.n_transformer_blocks):
-        nodes = transformer_block(nodes, sample.positional_encoding, params, b, cfg,
-                                  sample.sample_ranges, gumbel[b], collect)
+        nodes, w = transformer_block(nodes, sample.positional_encoding, params, b, cfg,
+                                     sample.sample_ranges, gumbel[b])
+        slice_weights.append(w)
     lat = LatentGraph(nodes=nodes, mesh_edges=lat.mesh_edges,
                       contact_edges=lat.contact_edges)
     with _scope("mpnn_refine"):
@@ -350,6 +351,5 @@ def forward(sample: GraphSample, params: dict[str, Tensor], cfg: ModelConfig,
             lat = mpnn_iteration(lat, sample, params, cfg.mpnn_pre + i, cfg)
     with _scope("decode"):
         y = _mlp(params, "dec", lat.nodes, with_ln=False)
-    aux = {"slice_weights": collect if collect is not None else []}
-    return y, aux
+    return y, {"slice_weights": slice_weights}
 

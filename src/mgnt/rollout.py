@@ -185,7 +185,7 @@ def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,
     frame = prep.frame(t)
     sample = prep.sample_from_frame(frame)
     normed = normalizer.normalize_sample(sample)
-    _, aux = forward(normed, params, model_cfg, train_mode=False, collect_weights=True)
+    _, aux = forward(normed, params, model_cfg, train_mode=False)
     return frame["x"], aux["slice_weights"][block]
 
 

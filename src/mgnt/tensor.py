@@ -240,17 +240,6 @@ def add(a, b) -> Tensor:
     return _emit(out, (a, b), backward, "add", out.size)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a, b), _wrap(b, a)
-    out = a.data - b.data
-    sa, sb = a.data.shape, b.data.shape
-
-    def backward(g):
-        return [_unbroadcast(g, sa), _unbroadcast(-g, sb)]
-
-    return _emit(out, (a, b), backward, "sub", out.size)
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a, b), _wrap(b, a)
     ad, bd = a.data, b.data
@@ -272,12 +261,6 @@ def div(a, b) -> Tensor:
                 _unbroadcast(-g * ad / (bd * bd), bd.shape)]
 
     return _emit(out, (a, b), backward, "div", out.size)
-
-
-def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
-    c = float(c)
-    return _emit(a.data * c, (a,), lambda g: [g * c], "scale", a.size)
 
 
 def maximum_scalar(a, c: float) -> Tensor:

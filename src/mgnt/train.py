@@ -150,7 +150,7 @@ def compute_loss(pred: Tensor, target: np.ndarray, deformable: np.ndarray,
     """Mean over samples of the per-sample masked mean squared residual norm."""
     if pred.shape != target.shape:
         raise ValidationError(f"prediction {pred.shape} vs target {target.shape}")
-    diff = T.sub(pred, target)   # the target takes the prediction's dtype
+    diff = T.add(pred, -target)   # the target takes the prediction's dtype
     sq = T.mul(diff, diff)
     n_samples = len(sample_ranges)
     acc = None
@@ -158,7 +158,7 @@ def compute_loss(pred: Tensor, target: np.ndarray, deformable: np.ndarray,
         idx = start + np.where(deformable[start:stop])[0]
         if idx.size == 0:
             raise ConfigError("loss mask selects no deformable nodes")
-        term = T.scale(T.sum_all(T.gather_rows(sq, idx)), 1.0 / (n_samples * idx.size))
+        term = T.mul(T.sum_all(T.gather_rows(sq, idx)), 1.0 / (n_samples * idx.size))
         acc = term if acc is None else T.add(acc, term)
     return acc
 
@@ -255,7 +255,8 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
 
         lr = lr0 * (lr1 / lr0) ** (step / total)
         with Tape() as tape:
-            pred, _ = forward(sample, params, model_cfg, train_mode=True, rng=rng)
+            # [0]: the slice weights are not held through the backward pass
+            pred = forward(sample, params, model_cfg, train_mode=True, rng=rng)[0]
             loss = compute_loss(pred, target, mask, sample.sample_ranges)
             loss_val = loss.item()
             if not np.isfinite(loss_val):

@@ -763,6 +763,23 @@ class TestRolloutCommand:
         err = capsys.readouterr().err
         assert "5" in err  # names the maximum supported horizon
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_non_finite_prediction_exit_1(self, trained, tmp_path, capsys):
+        # a finite float64 bias past float32's range is inf in the forward pass
+        root, cfg, data_dir, run_dir = trained
+        arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
+        arrays["param.dec.b1"][:] = 1e308
+        ckpt = str(tmp_path / "checkpoint.mgnt")
+        write_arrays(ckpt, arrays, meta=meta)
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        out = tmp_path / "r4"
+        code = main(["rollout", "--checkpoint", ckpt, "--trajectory",
+                     os.path.join(data_dir, doc["test"][0]), "--horizon", "3",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: non-finite prediction at step 0")
+        assert not [f for f in os.listdir(out) if f.startswith("rollout")]
+
     def test_malformed_trajectory_exit_4(self, trained, tmp_path, capsys):
         root, cfg, data_dir, run_dir = trained
         header = json.dumps({"arrays": [{"name": "x", "dtype": "f64", "shape": [1],
@@ -954,6 +971,18 @@ class TestExportAttention:
         assert code == 1
         assert capsys.readouterr().err == (f"error: frame index {frame} out of range; "
                                            "last valid index is 5\n")
+        assert not [f for f in os.listdir(out) if f.startswith("attention")]
+
+    def test_block_out_of_range_exit_1(self, trained, tmp_path, capsys):
+        root, cfg, data_dir, run_dir = trained
+        doc = json.load(open(os.path.join(data_dir, "manifest.json")))
+        out = str(tmp_path / "attn")
+        code = main(["export-attention", "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.mgnt"),
+                     "--trajectory", os.path.join(data_dir, doc["test"][0]),
+                     "--block", "2", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: block index 2 out of range [0, 2)\n"
         assert not [f for f in os.listdir(out) if f.startswith("attention")]
 
     @pytest.mark.parametrize("command", ["rollout", "export-attention"])

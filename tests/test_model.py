@@ -296,16 +296,16 @@ class TestTransformerBlock:
         rng = np.random.default_rng(16)
         nodes = Tensor(rng.standard_normal((6, small_cfg.latent_dim)))
         pe = rng.standard_normal((6, small_cfg.pe_dim))
-        out = transformer_block(nodes, pe, params, 0, small_cfg, ((0, 6),), None, None)
-        assert np.isfinite(out.data).all()
+        out, w = transformer_block(nodes, pe, params, 0, small_cfg, ((0, 6),), None)
+        assert np.isfinite(out.data).all() and np.isfinite(w).all()
 
     def test_shape_preserved(self, small_cfg, small_params):
         rng = np.random.default_rng(17)
         nodes = Tensor(rng.standard_normal((9, small_cfg.latent_dim)))
         pe = rng.standard_normal((9, small_cfg.pe_dim))
-        out = transformer_block(nodes, pe, small_params, 0, small_cfg, ((0, 9),),
-                                None, None)
+        out, w = transformer_block(nodes, pe, small_params, 0, small_cfg, ((0, 9),), None)
         assert out.shape == (9, small_cfg.latent_dim)
+        assert w.shape == (9, small_cfg.n_tokens)
 
 
 class TestForward:
@@ -351,7 +351,7 @@ class TestForward:
         cfg = replace(small_cfg, dtype="float64")
         rng = np.random.default_rng(22)
         sample = _toy_sample(rng, 7, cfg)
-        _, aux = forward(sample, small_params, cfg, collect_weights=True)
+        _, aux = forward(sample, small_params, cfg)
         assert len(aux["slice_weights"]) == cfg.n_transformer_blocks
         for w in aux["slice_weights"]:
             assert w.shape == (7, cfg.n_tokens)
@@ -361,7 +361,7 @@ class TestForward:
         # float32 rows sum to 1 within a few ulps of 6e-8; summed in float64
         rng = np.random.default_rng(22)
         sample = _toy_sample(rng, 7, small_cfg)
-        _, aux = forward(sample, small_params, small_cfg, collect_weights=True)
+        _, aux = forward(sample, small_params, small_cfg)
         assert len(aux["slice_weights"]) == small_cfg.n_transformer_blocks
         for w in aux["slice_weights"]:
             assert w.shape == (7, small_cfg.n_tokens) and w.dtype == np.float32

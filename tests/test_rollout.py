@@ -116,7 +116,7 @@ class TestRollout:
         seen, original = [], R.forward
 
         def recording_forward(sample, params, cfg, **kwargs):
-            out, aux = original(sample, params, cfg, **{**kwargs, "collect_weights": True})
+            out, aux = original(sample, params, cfg, **kwargs)
             seen.append(aux["slice_weights"])
             return out, aux
 
