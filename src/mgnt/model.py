@@ -223,16 +223,16 @@ def mpnn_iteration(lat: LatentGraph, sample: GraphSample, params: dict[str, Tens
     prefix = f"mpnn{index}"
 
     def update_edges(edge_lat: Tensor, edges: np.ndarray) -> Tensor:
-        gathered_src = T.gather_rows(lat.nodes, edges[:, 0])
-        gathered_dst = T.gather_rows(lat.nodes, edges[:, 1])
-        e_in = T.concat([edge_lat, gathered_src, gathered_dst], axis=1)
+        # no backward reads the gathered blocks, so nothing holds them once
+        # the concat has copied them: they die before the edge MLP runs
+        e_in = T.concat([edge_lat, T.gather_rows(lat.nodes, edges[:, 0]),
+                         T.gather_rows(lat.nodes, edges[:, 1])], axis=1)
         return T.add(edge_lat, _mlp(params, f"{prefix}.edge", e_in))
 
     mesh_new = update_edges(lat.mesh_edges, sample.mesh_edges)
     contact_new = update_edges(lat.contact_edges, sample.contact_edges)
-    agg_mesh = T.segment_sum(mesh_new, sample.mesh_edges[:, 1], n)
-    agg_contact = T.segment_sum(contact_new, sample.contact_edges[:, 1], n)
-    n_in = T.concat([lat.nodes, agg_mesh, agg_contact], axis=1)
+    n_in = T.concat([lat.nodes, T.segment_sum(mesh_new, sample.mesh_edges[:, 1], n),
+                     T.segment_sum(contact_new, sample.contact_edges[:, 1], n)], axis=1)
     nodes_new = T.add(lat.nodes, _mlp(params, f"{prefix}.node", n_in))
     return LatentGraph(nodes=nodes_new, mesh_edges=mesh_new, contact_edges=contact_new)
 

@@ -11,9 +11,10 @@ once.  Gradients are verified against central finite differences by
 A record names tensors by their integer ``key``, not by the tensors
 themselves, and a backward closure captures only the arrays and shapes it
 reads, returning one gradient contribution per recorded input, in order.  So
-an intermediate that no backward reads (a gathered edge block, a pre-bias
-matmul output, a layer-norm input) is freed as soon as the caller drops it,
-and the reverse pass frees each record's saved arrays once it has run.
+an intermediate that no backward reads (a gathered edge block, a segment sum,
+a pre-bias matmul output, a layer-norm input) lives only while the caller
+holds it: passed straight into the op that consumes it, it dies when that op
+returns.  The reverse pass frees each record's saved arrays once it has run.
 
 Data is float32 or float64: a tensor keeps float32 data and stores
 anything else as float64, and every op computes and returns its gradients in

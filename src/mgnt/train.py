@@ -264,17 +264,16 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
                     f"non-finite loss at step {step} (lr={lr:.3e}, "
                     f"last grad norm={grad_norm:.3e})")
             grads = tape.gradients(loss, [params[k_] for k_ in names])
-        # gradients come in the compute dtype; the norm and Adam run in float64
-        grads = [g.astype(np.float64, copy=False) for g in grads]
-
-        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         c1, c2 = 1 - b1 ** (step + 1), 1 - b2 ** (step + 1)
+        sq_norm = 0.0
         # moments update in place, each operation as in
         # p - lr * (m / c1) / (sqrt(v / c2) + eps); the parameters are new
         # arrays, since callers may hold the previous step's
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             for name, g in zip(names, grads):
+                g = g.astype(np.float64, copy=False)   # norm and Adam run in float64
+                sq_norm += float((g * g).sum())
                 m, v = adam_m[name], adam_v[name]
                 m *= b1
                 m += (1 - b1) * g
@@ -287,6 +286,8 @@ def fit(trajs: list[PreparedTrajectory], model_cfg: ModelConfig, train_cfg: Trai
                 v_hat += eps
                 update /= v_hat
                 params[name] = Tensor(params[name].data - update)
+        del grads, g   # held into the next step, they would add to its peak
+        grad_norm = float(np.sqrt(sq_norm))
         # a finite grad norm keeps both moments finite; checked before any save
         if not (np.isfinite(grad_norm) and all(np.isfinite(params[n].data).all() for n in names)):
             raise TrainingAbort(f"non-finite parameters or gradient norm at step {step} "

@@ -2,6 +2,7 @@
 forward pass, parameter counting and the op census."""
 
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +148,36 @@ class TestMpnn:
         lat_p = encode(sample_p, small_params, small_cfg)
         out_p = mpnn_iteration(lat_p, sample_p, small_params, 0, small_cfg).nodes.data
         np.testing.assert_allclose(out_p[perm], out, atol=1e-10)
+
+    def test_gathered_blocks_die_before_their_edge_mlp(self, monkeypatch, small_cfg):
+        # no backward reads a gathered block, so none outlives the concat that
+        # copies it; in float64 the cast parameters are the masters themselves
+        cfg = replace(small_cfg, dtype="float64")
+        params = init_params(cfg, seed=1)
+        edge_w0 = {id(params[f"mpnn{i}.edge.w0"]) for i in range(cfg.mpnn_pre + cfg.mpnn_refine)}
+        gathered, checked = [], []
+        real_gather, real_matmul = T.gather_rows, T.matmul
+
+        def gather_rows(x, index):
+            out = real_gather(x, index)
+            gathered.append(weakref.ref(out.data))
+            return out
+
+        def matmul(a, b):
+            if id(b) in edge_w0:
+                assert all(ref() is None for ref in gathered)
+                checked.append(len(gathered))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(T, "gather_rows", gather_rows)
+        monkeypatch.setattr(T, "matmul", matmul)
+        rng = np.random.default_rng(9)
+        sample = replace(_toy_sample(rng, 10, cfg), contact_edges=np.array([[0, 5], [5, 0]]),
+                         contact_edge_features=rng.standard_normal((2, cfg.contact_edge_feat_dim)))
+        with Tape():
+            forward(sample, params, cfg, train_mode=True, rng=rng)
+        # two blocks per edge set, two edge sets per iteration
+        assert checked == list(range(2, 4 * (cfg.mpnn_pre + cfg.mpnn_refine) + 1, 2))
 
 
 class TestSliceTokens:

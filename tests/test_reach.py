@@ -16,7 +16,7 @@ import pytest
 import mgnt.tensor as T
 from mgnt.data import GraphConfig, feature_dims, get_schema, prepare_trajectory
 from mgnt.model import ModelConfig, forward, init_params, mgn_baseline_config
-from mgnt.oracle import ChainConfig, simulate_chain
+from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.tensor import Tape, Tensor
 
 N_NODES = 100
@@ -73,3 +73,24 @@ def test_frames_of_a_batch_do_not_reach_each_other(chain, train_mode):
     assert (influence[:N_NODES] == 0.0).all()
     assert (influence[N_NODES:2 * N_NODES] > 0.0).all()
     assert (influence[2 * N_NODES:] == 0.0).all()
+
+
+def test_contact_edges_carry_reach_across_components():
+    # no tied edges, so the wall is a mesh component of its own: only the
+    # contact edges join it to the lattice
+    gcfg = GraphConfig(tied_cutoff_factor=0.0)
+    schema = get_schema("impact")
+    prep = prepare_trajectory(simulate_impact(OracleConfig(rows=4, cols=4, frames=30)),
+                              schema, gcfg)
+    cfg = ModelConfig(n_transformer_blocks=0, dtype="float64", **feature_dims(schema, gcfg))
+    component = prep.traj.arrays["component_id"]
+    wall = component != component[0]
+    sample = prep.sample(5)
+    contact = sample.contact_edges
+    cross = contact[component[contact[:, 0]] != component[contact[:, 1]]]
+    assert len(cross) > 0
+    root = int(cross[0][wall[cross[0]]][0])
+    assert (_influence(sample, cfg, root)[~wall] > 0.0).all()
+    cut = replace(sample, contact_edges=contact[:0],
+                  contact_edge_features=sample.contact_edge_features[:0])
+    assert (_influence(cut, cfg, root)[~wall] == 0.0).all()
