@@ -121,27 +121,12 @@ def _cmd_eval(args, cfg) -> int:
     with open(os.path.join(args.out, "report.json"), "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-    _write_consistency_csv(os.path.join(args.out, "consistency.csv"), report)
     for name, entry in report["rmse_all"].items():
         print(f"rmse_all[{name}] = {entry['mean']:.6e}")
     for name, entry in report["r_rmse"].items():
         if "mean" in entry:
             print(f"r_rmse[{name}] = {entry['mean']:.3f}%")
     return 0
-
-
-def _write_consistency_csv(path: str, report: dict) -> None:
-    with open(path, "w") as f:
-        f.write("trajectory,step,hardening_pred,hardening_gt,kinetic_pred,kinetic_gt\n")
-        for i, entry in enumerate(report["consistency"]):
-            hp = entry.get("hardening_sum_pred", [])
-            hg = entry.get("hardening_sum_gt", [])
-            kp = entry.get("kinetic_pred", [])
-            kg = entry.get("kinetic_gt", [])
-            for s in range(max(len(hp), len(kp))):
-                def cell(seq):
-                    return repr(seq[s]) if s < len(seq) else ""
-                f.write(f"{i},{s},{cell(hp)},{cell(hg)},{cell(kp)},{cell(kg)}\n")
 
 
 def _cmd_rollout(args, cfg) -> int:

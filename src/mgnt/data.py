@@ -106,21 +106,19 @@ class ImpactSchema:
         nxt["alpha"][deformable] = state[deformable, 4]
         return nxt
 
-    def inject_noise(self, frame: dict, scale: float, stds: dict, rng,
+    def inject_noise(self, frame: dict, scale: float, normalizer, rng,
                      deformable: np.ndarray) -> dict:
-        """Gaussian noise on the dynamic state of deformable nodes; positions
-        are perturbed too so recomputed edge features see the noise."""
+        """Gaussian noise on the dynamic state of deformable nodes, in units of
+        the normalizer's node-feature std; positions are perturbed too so
+        recomputed edge features see the noise."""
+        nf = normalizer.node_std
         out = {k: v.copy() for k, v in frame.items()}
         n_def = int(deformable.sum())
-        out["x"][deformable] += rng.normal(size=(n_def, 2)) * (scale * stds["u"])
-        out["v"][deformable] += rng.normal(size=(n_def, 2)) * (scale * stds["v"])
-        alpha = out["alpha"][deformable] + rng.normal(size=n_def) * (scale * stds["alpha"])
+        out["x"][deformable] += rng.normal(size=(n_def, 2)) * (scale * nf[0:2])
+        out["v"][deformable] += rng.normal(size=(n_def, 2)) * (scale * nf[2:4])
+        alpha = out["alpha"][deformable] + rng.normal(size=n_def) * (scale * float(nf[4]))
         out["alpha"][deformable] = np.maximum(alpha, 0.0)  # hardening stays nonnegative
         return out
-
-    def noise_stds(self, normalizer) -> dict:
-        nf = normalizer.node_std
-        return {"u": nf[0:2], "v": nf[2:4], "alpha": float(nf[4])}
 
 
 class ChainSchema:
@@ -146,15 +144,15 @@ class ChainSchema:
         nxt["x"][deformable, 0] = X[deformable, 0] + state[deformable, 0]
         return nxt
 
-    def inject_noise(self, frame: dict, scale: float, stds: dict, rng,
+    def inject_noise(self, frame: dict, scale: float, normalizer, rng,
                      deformable: np.ndarray) -> dict:
+        """Gaussian noise on the deformable nodes' displacement, in units of
+        the normalizer's target std."""
+        std = float(normalizer.target_std[0])
         out = {k: v.copy() for k, v in frame.items()}
         n_def = int(deformable.sum())
-        out["x"][deformable, 0] += rng.normal(size=n_def) * (scale * stds["u"])
+        out["x"][deformable, 0] += rng.normal(size=n_def) * (scale * std)
         return out
-
-    def noise_stds(self, normalizer) -> dict:
-        return {"u": float(normalizer.target_std[0])}
 
 
 SCHEMAS = {"impact": ImpactSchema(), "chain": ChainSchema()}
@@ -164,12 +162,6 @@ def get_schema(name: str):
     if not isinstance(name, str) or name not in SCHEMAS:
         raise ValidationError(f"unknown dataset schema {name!r}")
     return SCHEMAS[name]
-
-
-# Nodes times frames per run of frames that ``Normalizer.fit`` builds as one
-# sample.  Each takes about 1.4 kB, mostly contact-search candidates: a run of
-# 30 frames of a 32x32 impact lattice peaks at 43 MB, however long the trajectory.
-_RUN_NODE_FRAMES = 1 << 15
 
 
 @dataclass

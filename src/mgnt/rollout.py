@@ -7,10 +7,9 @@ ground-truth kinematics verbatim.
 
 Metrics: RMSE over one-step predictions (always restarted from ground
 truth), RMSE over full rollouts, relative RMSE normalized per trajectory by
-the ground-truth infinity norm, the per-step hardening sum with its
-monotonicity violation count, and the kinetic proxy (sum over nodes of the
-squared velocity norm).  In both RMSEs the non-deformable nodes carry ground
-truth, so they add zero residuals to the mean.
+the ground-truth infinity norm, and the per-step hardening sum with its
+monotonicity violation count.  In both RMSEs the non-deformable nodes carry
+ground truth, so they add zero residuals to the mean.
 """
 
 from __future__ import annotations
@@ -168,11 +167,6 @@ def hardening_monotonicity(alpha: np.ndarray) -> tuple[np.ndarray, int]:
     return sums, int(drops.sum())
 
 
-def kinetic_proxy(v: np.ndarray) -> np.ndarray:
-    """Per-step sum over nodes of |v|^2 (energy-like proxy)."""
-    return (v * v).sum(axis=-1).sum(axis=1)
-
-
 def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,
                      prep: PreparedTrajectory, t: int, block: int
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +210,6 @@ def evaluate(params, model_cfg: ModelConfig, normalizer: Normalizer,
                 "hardening_violations_pred": viol_pred,
                 "hardening_violations_gt": viol_gt,
             })
-        if "v" in pred:
-            entry["kinetic_pred"] = kinetic_proxy(pred["v"]).tolist()
-            entry["kinetic_gt"] = kinetic_proxy(gt["v"]).tolist()
         consistency.append(entry)
     report = {
         "n_trajectories": len(preps),

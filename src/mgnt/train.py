@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import data
 from . import tensor as T
 from .container import read_arrays, write_arrays
 from .data import GraphConfig, PreparedTrajectory, feature_dims, get_schema
@@ -33,6 +32,11 @@ CHECKPOINT_FORMAT = "mgnt-checkpoint"
 CHECKPOINT_VERSION = 5
 
 _STD_FLOOR = 1e-8
+
+# Nodes times frames per run of frames that ``Normalizer.fit`` builds as one
+# sample.  Each takes about 1.4 kB, mostly contact-search candidates: a run of
+# 30 frames of a 32x32 impact lattice peaks at 43 MB, however long the trajectory.
+_RUN_NODE_FRAMES = 1 << 15
 
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
@@ -81,7 +85,7 @@ class Normalizer:
     @classmethod
     def fit(cls, trajs: list[PreparedTrajectory], target_mode: str) -> "Normalizer":
         """One pass per trajectory, one sample per run of at most
-        ``data._RUN_NODE_FRAMES`` nodes times frames: each frame's column
+        ``_RUN_NODE_FRAMES`` nodes times frames: each frame's column
         sums enter the running sums in frame order, as a pass over
         ``prep.sample(t)`` and ``prep.target(t)`` would add them."""
         dims = feature_dims(trajs[0].schema, trajs[0].graph_cfg)
@@ -96,7 +100,7 @@ class Normalizer:
 
         for prep in trajs:
             a, n = prep.traj.arrays, prep.traj.n_nodes
-            run = max(data._RUN_NODE_FRAMES // n, 1)
+            run = max(_RUN_NODE_FRAMES // n, 1)
             for start in range(0, prep.traj.n_frames, run):
                 sample = prep.sample_from_frame(
                     {k: a[k][start:start + run] for k in prep.schema.series})
@@ -178,13 +182,12 @@ def make_batch(prep: PreparedTrajectory, step_indices, target_mode: str,
         raise ValidationError("input noise needs a fitted normalizer and an rng")
     frames, targets = [], []
     deform = prep.deformable
-    stds = prep.schema.noise_stds(normalizer) if noise_scale > 0.0 else None
     for t in step_indices:
         # target first: its step bound is the tighter one, so it reports any bad t
         targets.append(prep.target(t, target_mode))
         frame = prep.frame(t)
         if noise_scale > 0.0:
-            frame = prep.schema.inject_noise(frame, noise_scale, stds, rng, deform)
+            frame = prep.schema.inject_noise(frame, noise_scale, normalizer, rng, deform)
         frames.append(frame)
     stacked = {k: np.stack([frame[k] for frame in frames]) for k in prep.schema.series}
     mask = np.concatenate([deform] * len(frames))

@@ -574,7 +574,20 @@ class TestEval:
         assert report["split"] == "test"
         for entry in report["consistency"]:
             assert entry["hardening_violations_gt"] == 0
-        assert os.path.exists(os.path.join(out, "consistency.csv"))
+
+    def test_writes_each_result_once(self, trained, tmp_path):
+        """The report is eval's only result file; each consistency entry holds
+        the contact counts and the hardening series, and nothing else."""
+        root, cfg, data_dir, run_dir = trained
+        out = str(tmp_path / "eval")
+        assert main(["eval", "--config", cfg, "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.mgnt"), "--data", data_dir,
+                     "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["report.json", "resolved_config.txt"]
+        report = json.load(open(os.path.join(out, "report.json")))
+        for entry in report["consistency"]:
+            assert set(entry) == {"contact_counts", "hardening_sum_pred", "hardening_sum_gt",
+                                  "hardening_violations_pred", "hardening_violations_gt"}
 
     def test_reads_only_the_named_split(self, trained, tmp_path):
         root, cfg, data_dir, run_dir = trained

@@ -121,6 +121,12 @@ class TestImpactOracle:
         for t in range(x.shape[0]):
             np.testing.assert_array_equal(x[t, wall], x[0, wall])
 
+    def test_kinetic_increases_during_free_fall(self, monkeypatch):
+        monkeypatch.setattr(mgnt.oracle, "DAMPING", 0.0)
+        cfg = OracleConfig(rows=3, cols=3, frames=6, substeps=5, drop_height=10.0)
+        v = simulate_impact(cfg).arrays["v"]
+        assert (np.diff((v * v).sum(axis=(1, 2))) > 0).all()
+
     def test_kinetic_decay_after_impact(self):
         traj = simulate_impact(OracleConfig(rows=4, cols=4, frames=50, substeps=40))
         v = traj.arrays["v"]

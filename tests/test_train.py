@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import mgnt
-import mgnt.data
 import mgnt.tensor as T
 from mgnt import train
 from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
@@ -424,9 +423,9 @@ def test_noisy_batch_equals_per_frame_samples_joined():
     sample, target, mask = make_batch(prep, steps, "absolute", normalizer=normalizer,
                                       noise_scale=0.003, rng=np.random.default_rng(7))
     # the same draws in the same order, one frame at a time
-    rng, stds = np.random.default_rng(7), prep.schema.noise_stds(normalizer)
+    rng = np.random.default_rng(7)
     parts = [prep.sample_from_frame(prep.schema.inject_noise(
-        prep.frame(t), 0.003, stds, rng, prep.deformable)) for t in steps]
+        prep.frame(t), 0.003, normalizer, rng, prep.deformable)) for t in steps]
     assert [p.contact_edges.shape[0] > 0 for p in parts] == [True, False, True, False]
     n = prep.traj.n_nodes
     for name in ("node_features", "mesh_edges", "mesh_edge_features", "contact_edges",
@@ -512,52 +511,50 @@ class TestNormalizerEqualsFrameByFrame:
     def test_frames_in_several_runs(self, monkeypatch, schema, target_mode, frames_per_run):
         traj = (simulate_impact(_CONTACT_CFG) if schema == "impact"
                 else simulate_chain(ChainConfig(n_nodes=120, frames=8, seed=3)))
-        monkeypatch.setattr(mgnt.data, "_RUN_NODE_FRAMES", frames_per_run * traj.n_nodes)
+        monkeypatch.setattr(train, "_RUN_NODE_FRAMES", frames_per_run * traj.n_nodes)
         self.check([traj], schema, GraphConfig(use_contact=schema == "impact"), target_mode)
 
 
 class TestNoise:
     def test_fixed_seed_reproducible(self, tiny_prep):
         norm = Normalizer.fit([tiny_prep], "absolute")
-        stds = tiny_prep.schema.noise_stds(norm)
         frames = []
         for _ in range(2):
             rng = np.random.default_rng(4)
             frame = tiny_prep.frame(0)
             frames.append(tiny_prep.schema.inject_noise(
-                frame, 0.01, stds, rng, tiny_prep.deformable))
+                frame, 0.01, norm, rng, tiny_prep.deformable))
         np.testing.assert_array_equal(frames[0]["x"], frames[1]["x"])
         np.testing.assert_array_equal(frames[0]["v"], frames[1]["v"])
 
     def test_empirical_std_within_5_percent(self, tiny_prep):
         norm = Normalizer.fit([tiny_prep], "absolute")
-        stds = tiny_prep.schema.noise_stds(norm)
         rng = np.random.default_rng(5)
         scale = 0.1
         frame = tiny_prep.frame(0)
         deform = tiny_prep.deformable
         draws = []
         for _ in range(1200):
-            noisy = tiny_prep.schema.inject_noise(frame, scale, stds, rng, deform)
+            noisy = tiny_prep.schema.inject_noise(frame, scale, norm, rng, deform)
             draws.append(noisy["v"][deform] - frame["v"][deform])
         emp = np.concatenate(draws).std(axis=0)   # > 10^4 draws per component
-        np.testing.assert_allclose(emp, scale * stds["v"], rtol=0.05)
+        np.testing.assert_allclose(emp, scale * norm.node_std[2:4], rtol=0.05)
 
     def test_rigid_nodes_untouched(self, tiny_prep):
         norm = Normalizer.fit([tiny_prep], "absolute")
-        stds = tiny_prep.schema.noise_stds(norm)
         rng = np.random.default_rng(6)
         frame = tiny_prep.frame(0)
-        noisy = tiny_prep.schema.inject_noise(frame, 0.1, stds, rng, tiny_prep.deformable)
+        noisy = tiny_prep.schema.inject_noise(frame, 0.1, norm, rng, tiny_prep.deformable)
         rigid = ~tiny_prep.deformable
         np.testing.assert_array_equal(noisy["x"][rigid], frame["x"][rigid])
 
     def test_alpha_stays_nonnegative(self, tiny_prep):
         norm = Normalizer.fit([tiny_prep], "absolute")
-        stds = dict(tiny_prep.schema.noise_stds(norm))
-        stds["alpha"] = 10.0
+        node_std = norm.node_std.copy()
+        node_std[4] = 10.0  # alpha's std
+        norm = replace(norm, node_std=node_std)
         rng = np.random.default_rng(7)
-        noisy = tiny_prep.schema.inject_noise(tiny_prep.frame(0), 1.0, stds, rng,
+        noisy = tiny_prep.schema.inject_noise(tiny_prep.frame(0), 1.0, norm, rng,
                                               tiny_prep.deformable)
         assert (noisy["alpha"] >= 0).all()
 
@@ -731,9 +728,8 @@ class TestFit:
         assert np.isfinite(result.history[:, 1]).all()
         assert [sample.contact_edges.shape[0] for sample, _, _ in batches] == [0, 0]
         frame = prep.frame(0)
-        stds = prep.schema.noise_stds(result.normalizer)
-        noisy = prep.schema.inject_noise(frame, 0.5, stds, np.random.default_rng(2),
-                                         prep.deformable)
+        noisy = prep.schema.inject_noise(frame, 0.5, result.normalizer,
+                                         np.random.default_rng(2), prep.deformable)
         moved = noisy["x"] != frame["x"]
         assert moved[prep.deformable, 0].all() and not moved[:, 1].any()
         assert (traj.arrays["node_type"][~prep.deformable] == NODE_ACTUATOR).all()
