@@ -14,12 +14,16 @@ ground truth, so they add zero residuals to the mean.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PreparedTrajectory, Trajectory
-from .errors import RolloutAbort, ValidationError
+from .errors import MgntError, RolloutAbort, ValidationError
 from .model import ModelConfig, cast_params, forward
 from .train import Normalizer
 
@@ -186,36 +190,103 @@ def export_attention(params, model_cfg: ModelConfig, normalizer: Normalizer,
 # ---------------------------------------------------------------------------
 # report assembly
 
+def _fork_rmse_1(args: tuple) -> tuple[int, int]:
+    """Fork a child that computes ``rmse_1(*args)``; return its pid and the
+    read end of a pipe down which it sends ``(True, result)``, or ``(False,
+    error)`` if it raised, pickled.  The child then ends at once, running
+    none of the parent's exit handlers or buffer flushes."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    os.close(read_fd)
+    status = 1
+    try:
+        try:
+            out = (True, rmse_1(*args))
+        except BaseException as exc:
+            out = (False, exc)
+        with os.fdopen(write_fd, "wb") as f:
+            f.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _start_rmse_1(*args):
+    """Start ``rmse_1(*args)`` and return ``finish(wanted)``, which returns
+    its result or raises its error, or with ``wanted`` false discards it.
+
+    On Linux with two or more CPUs to run on, a forked child computes it
+    while the caller goes on: the child inherits every input, and only the
+    small result crosses a pipe.  ``finish`` always reaps the child, killing
+    it first unless its result has arrived.  Elsewhere ``finish`` computes
+    it in-process."""
+    if not (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) >= 2):
+        return lambda wanted: rmse_1(*args) if wanted else None
+    pid, read_fd = _fork_rmse_1(args)
+
+    def finish(wanted: bool):
+        data = b""
+        try:
+            with os.fdopen(read_fd, "rb") as f:
+                if wanted:
+                    data = f.read()     # until the child's end closes the pipe
+        finally:
+            if not data:
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not wanted:
+            return None
+        if code != 0:
+            raise MgntError(f"the one-step prediction process ended with exit status "
+                            f"{code} before sending its result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+    return finish
+
+
 def evaluate(params, model_cfg: ModelConfig, normalizer: Normalizer,
              preps: list[PreparedTrajectory], target_mode: str,
              horizon: int | None = None) -> dict:
-    """Roll out every trajectory and assemble the full metrics report."""
+    """Roll out every trajectory and assemble the full metrics report.
+    ``rmse_1``'s one-step predictions run beside the rollouts (see
+    ``_start_rmse_1``); a rollout error wins over an error of theirs, as it
+    would if the two ran in turn."""
     schema = preps[0].schema
     pred_trajs, gt_trajs = [], []
     consistency = []
-    for prep in preps:
-        h = horizon if horizon is not None else prep.n_transitions
-        result = rollout(params, model_cfg, normalizer, prep, h, target_mode)
-        pred = horizon_arrays(prep.traj, schema, h, result.frames)
-        gt = horizon_arrays(prep.traj, schema, h)
-        pred_trajs.append(pred)
-        gt_trajs.append(gt)
-        entry = {"contact_counts": result.contact_counts.tolist()}
-        if "alpha" in pred:
-            s_pred, viol_pred = hardening_monotonicity(pred["alpha"])
-            s_gt, viol_gt = hardening_monotonicity(gt["alpha"])
-            entry.update({
-                "hardening_sum_pred": s_pred.tolist(),
-                "hardening_sum_gt": s_gt.tolist(),
-                "hardening_violations_pred": viol_pred,
-                "hardening_violations_gt": viol_gt,
-            })
-        consistency.append(entry)
-    report = {
-        "n_trajectories": len(preps),
-        "rmse_all": rmse_all(pred_trajs, gt_trajs, schema),
-        "r_rmse": r_rmse(pred_trajs, gt_trajs, schema),
-        "rmse_1": rmse_1(params, model_cfg, normalizer, preps, target_mode),
-        "consistency": consistency,
-    }
+    finish_rmse_1 = _start_rmse_1(params, model_cfg, normalizer, preps, target_mode)
+    try:
+        for prep in preps:
+            h = horizon if horizon is not None else prep.n_transitions
+            result = rollout(params, model_cfg, normalizer, prep, h, target_mode)
+            pred = horizon_arrays(prep.traj, schema, h, result.frames)
+            gt = horizon_arrays(prep.traj, schema, h)
+            pred_trajs.append(pred)
+            gt_trajs.append(gt)
+            entry = {"contact_counts": result.contact_counts.tolist()}
+            if "alpha" in pred:
+                s_pred, viol_pred = hardening_monotonicity(pred["alpha"])
+                s_gt, viol_gt = hardening_monotonicity(gt["alpha"])
+                entry.update({
+                    "hardening_sum_pred": s_pred.tolist(),
+                    "hardening_sum_gt": s_gt.tolist(),
+                    "hardening_violations_pred": viol_pred,
+                    "hardening_violations_gt": viol_gt,
+                })
+            consistency.append(entry)
+        report = {
+            "n_trajectories": len(preps),
+            "rmse_all": rmse_all(pred_trajs, gt_trajs, schema),
+            "r_rmse": r_rmse(pred_trajs, gt_trajs, schema),
+        }
+    except BaseException:
+        finish_rmse_1(False)
+        raise
+    report["rmse_1"] = finish_rmse_1(True)
+    report["consistency"] = consistency
     return report

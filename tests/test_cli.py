@@ -778,20 +778,25 @@ class TestRolloutCommand:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_non_finite_prediction_exit_1(self, trained, tmp_path, capsys):
-        # a finite float64 bias past float32's range is inf in the forward pass
+        # a finite float64 bias past float32's range is inf in the forward pass;
+        # eval's one-step pass fails too, but the rollout's own error comes first
         root, cfg, data_dir, run_dir = trained
         arrays, meta = read_arrays(os.path.join(run_dir, "checkpoint.mgnt"))
         arrays["param.dec.b1"][:] = 1e308
         ckpt = str(tmp_path / "checkpoint.mgnt")
         write_arrays(ckpt, arrays, meta=meta)
         doc = json.load(open(os.path.join(data_dir, "manifest.json")))
-        out = tmp_path / "r4"
-        code = main(["rollout", "--checkpoint", ckpt, "--trajectory",
-                     os.path.join(data_dir, doc["test"][0]), "--horizon", "3",
-                     "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: non-finite prediction at step 0")
-        assert not [f for f in os.listdir(out) if f.startswith("rollout")]
+        for argv, result in (
+                (["rollout", "--trajectory", os.path.join(data_dir, doc["test"][0]),
+                  "--horizon", "3"], "rollout"),
+                (["eval", "--config", cfg, "--data", data_dir], "report")):
+            out = tmp_path / argv[0]
+            code = main([*argv, "--checkpoint", ckpt, "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: non-finite prediction at step 0")
+            assert not [f for f in os.listdir(out) if f.startswith(result)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_malformed_trajectory_exit_4(self, trained, tmp_path, capsys):
         root, cfg, data_dir, run_dir = trained

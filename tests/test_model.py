@@ -179,6 +179,23 @@ class TestMpnn:
         # two blocks per edge set, two edge sets per iteration
         assert checked == list(range(2, 4 * (cfg.mpnn_pre + cfg.mpnn_refine) + 1, 2))
 
+    def test_old_edge_latents_die_and_the_last_iteration_drops_them(self, small_cfg,
+                                                                   small_params):
+        # no backward reads an edge latent block, so under a tape too the
+        # advanced graph is the only holder, and after the last iteration
+        # nothing is left to read them
+        rng = np.random.default_rng(10)
+        sample = _toy_sample(rng, 6, small_cfg)
+        last = small_cfg.mpnn_pre + small_cfg.mpnn_refine - 1
+        with Tape():
+            lat = encode(sample, small_params, small_cfg)
+            encoded = weakref.ref(lat.mesh_edges.data), weakref.ref(lat.contact_edges.data)
+            assert mpnn_iteration(lat, sample, small_params, 0, small_cfg) is lat
+            assert [ref() for ref in encoded] == [None, None]
+            assert lat.mesh_edges is not None and lat.contact_edges is not None
+            assert mpnn_iteration(lat, sample, small_params, last, small_cfg) is lat
+            assert lat.mesh_edges is None and lat.contact_edges is None
+
 
 class TestSliceTokens:
     def test_single_token_is_mean(self, small_cfg):

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 import mgnt.rollout as R
 from mgnt.data import (GraphConfig, Trajectory, feature_dims, get_schema,
                        prepare_trajectory)
-from mgnt.errors import RolloutAbort, ValidationError
+from mgnt.errors import MgntError, RolloutAbort, ValidationError
 from mgnt.model import ModelConfig, forward, init_params
 from mgnt.oracle import ChainConfig, OracleConfig, simulate_chain, simulate_impact
 from mgnt.rollout import (evaluate, export_attention, hardening_monotonicity,
@@ -355,6 +358,73 @@ def test_evaluate_report_structure(fitted):
     entry = report["consistency"][0]
     assert entry["hardening_violations_gt"] == 0
     assert len(entry["contact_counts"]) == 3
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+class TestEvaluateBeside:
+    """``evaluate`` computes ``rmse_1`` in a forked child when it may run on
+    two CPUs, and in-process on one; each test picks the CPU count."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_one_cpu_report_identical_without_fork(self, fitted, monkeypatch):
+        prep, mcfg, params, norm = fitted
+        forked = json.dumps(evaluate(params, mcfg, norm, [prep], "absolute"))
+        _assert_no_child_left()
+
+        def no_fork():
+            raise AssertionError("forked on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert json.dumps(evaluate(params, mcfg, norm, [prep], "absolute")) == forked
+
+    def test_child_error_raised_with_its_message(self, fitted, monkeypatch):
+        prep, mcfg, params, norm = fitted
+
+        def abort(*args):
+            raise RolloutAbort("non-finite prediction at step 2 (nodes affected: 7)")
+
+        monkeypatch.setattr(R, "rmse_1", abort)
+        with pytest.raises(RolloutAbort) as info:
+            evaluate(params, mcfg, norm, [prep], "absolute", horizon=2)
+        assert str(info.value) == "non-finite prediction at step 2 (nodes affected: 7)"
+        _assert_no_child_left()
+
+    def test_rollout_error_wins(self, fitted, monkeypatch):
+        prep, mcfg, params, norm = fitted
+
+        def abort(*args):
+            raise RolloutAbort("from the rollout")
+
+        # the child is killed, not awaited
+        monkeypatch.setattr(R, "rmse_1", lambda *args: time.sleep(60))
+        monkeypatch.setattr(R, "rollout", abort)
+        start = time.monotonic()
+        with pytest.raises(RolloutAbort, match="from the rollout"):
+            evaluate(params, mcfg, norm, [prep], "absolute")
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_child_dying_silently_names_its_status(self, fitted, monkeypatch):
+        prep, mcfg, params, norm = fitted
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "rmse_1 ran in the parent"
+            os._exit(3)
+
+        monkeypatch.setattr(R, "rmse_1", die)
+        with pytest.raises(MgntError, match="exit status 3 before sending its result"):
+            evaluate(params, mcfg, norm, [prep], "absolute", horizon=2)
+        _assert_no_child_left()
 
 
 def _digest_cases(dtype: str):

@@ -4,8 +4,9 @@ Runs the suite in this process under ``sys.settrace``, records every line of
 ``src/mgnt`` it executes, and prints the executable lines it missed, one
 ``path:line  source`` per line.  Exits 1 if a missed line is not on the
 allowlist below, else 0 (or the suite's own exit code, if the suite failed).
-Lines run only in a child process (the demos, the train-path import check)
-are not seen.  Extra arguments go to pytest::
+Lines run only in a child process (the demos, the train-path import check,
+the forked one-step pass of ``rollout.evaluate``) are not seen.  Extra
+arguments go to pytest::
 
     PYTHONPATH=src python tests/unreached_lines.py
     PYTHONPATH=src python tests/unreached_lines.py tests/test_tensor.py
@@ -30,6 +31,12 @@ ALLOWED = {
     ("cli.py", "<module>"): (
         ("sys.exit(main())",),
         "runs only when cli.py is executed as __main__; tests call main() directly"),
+    ("rollout.py", "_fork_rmse_1"): (
+        ("os.close(read_fd)", "status = 1", "out = (True, rmse_1(*args))",
+         "except BaseException as exc:", "out = (False, exc)",
+         'with os.fdopen(write_fd, "wb") as f:', "f.write(pickle.dumps(out))", "status = 0",
+         "os._exit(status)"),
+        "run only in the forked child, which this process's sys.settrace does not see"),
     ("tensor.py", "_keep_freed_memory_mapped"): (
         ("except (AttributeError, OSError, TypeError):", "return"),
         "the handler runs only off glibc, where the C library has no mallopt"),
